@@ -1,0 +1,70 @@
+"""Golden transcripts: seeded elections compared byte for byte with pinned files.
+
+``replay`` only checks the code against itself, so a change in how a protocol
+consumes randomness would pass it. These fixtures were written by an earlier
+build; a run must reproduce every transcript byte and every outcome field.
+
+After a deliberate change to seeded output, rewrite the fixtures with
+``PYTHONPATH=src python tests/test_golden.py`` and say so in the change.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from votesim.simnet import ElectionConfig, run_election, transcript_lines
+
+DATA = Path(__file__).resolve().parent / "data"
+OUTCOMES = DATA / "outcomes.json"
+
+#: name -> (config, error the case must exercise, or None for a clean run)
+CASES = {
+    "hev_n4": (ElectionConfig(protocol="hev", n=4, seed=1), None),
+    "hev_n1": (ElectionConfig(protocol="hev", n=1, seed=1), None),
+    "hev_silent": (ElectionConfig(protocol="hev", n=4, seed=2, p_fail=0.5,
+                                  behavior="silent"), "missing_shares"),
+    "hev_fake_share": (ElectionConfig(protocol="hev", n=4, seed=2, p_fail=0.5,
+                                      behavior="fake_share"), "discrete_log_not_found"),
+    "hev_extra_vote": (ElectionConfig(protocol="hev", n=4, seed=4, p_fail=0.5,
+                                      behavior="extra_vote"), None),
+    "hevs_n8_k4": (ElectionConfig(protocol="hevs", n=8, k=4, seed=5, p_fail=0.3), None),
+    "bsv_n3": (ElectionConfig(protocol="bsv", n=3, seed=1, rsa_bits=256), None),
+}
+
+OUTCOME_FIELDS = ("ok", "tally", "decision", "counts", "sample_tallies", "true_tally",
+                  "error", "error_detail", "ledger_dump")
+
+
+def transcript_text(outcome) -> str:
+    return "".join(line + "\n" for line in transcript_lines(outcome))
+
+
+def outcome_fields(outcome) -> dict:
+    # Through JSON, so tuples compare equal to the lists read back from the file.
+    return json.loads(json.dumps({name: getattr(outcome, name) for name in OUTCOME_FIELDS}))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name):
+    config, error = CASES[name]
+    outcome = run_election(config)
+    assert outcome.error == error
+    assert transcript_text(outcome) == (DATA / f"{name}.transcript").read_text(encoding="utf-8")
+    assert outcome_fields(outcome) == json.loads(OUTCOMES.read_text(encoding="utf-8"))[name]
+
+
+def write_fixtures() -> None:
+    DATA.mkdir(exist_ok=True)
+    outcomes = {}
+    for name, (config, _) in sorted(CASES.items()):
+        outcome = run_election(config)
+        (DATA / f"{name}.transcript").write_text(transcript_text(outcome), encoding="utf-8")
+        outcomes[name] = outcome_fields(outcome)
+    OUTCOMES.write_text(json.dumps(outcomes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_fixtures()
