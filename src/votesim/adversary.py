@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .group import GroupParams
-from .hev import Ciphertext, DecryptionShare
+from .hev import DecryptionShare, encrypt_value
 
 
 class Behavior(Enum):
@@ -73,22 +73,7 @@ def fake_decryption_share(
     return DecryptionShare(voter_id, params.exp(aggregate_c1, exponent))
 
 
-def extra_vote_ciphertext(
-    params: GroupParams,
-    public_key: int,
-    value: int,
-    rng: random.Random | None = None,
-    nonce: int | None = None,
-) -> Ciphertext:
-    """Encrypt an arbitrary integer vote, bypassing the 0/1 check.
-
-    The ciphertext is indistinguishable from an honest one; only the decoded
-    tally (or a failed decode when the bound is exceeded) betrays it.
-    """
-    if nonce is None:
-        if rng is None:
-            raise ValueError("either rng or an explicit nonce is required")
-        nonce = params.random_nonce(rng)
-    c1 = params.exp(params.generator, nonce)
-    c2 = params.mul(params.exp(public_key, nonce), params.exp(params.generator, value))
-    return Ciphertext(c1, c2)
+#: Encrypts an arbitrary integer vote, bypassing the 0/1 check. The ciphertext
+#: is indistinguishable from an honest one; only the decoded tally (or a failed
+#: decode when the bound is exceeded) betrays it.
+extra_vote_ciphertext = encrypt_value

@@ -98,51 +98,41 @@ def _outcome_or_fail(config: simnet.ElectionConfig) -> simnet.ElectionOutcome:
     return outcome
 
 
-def _maybe_write_transcript(outcome, path: str | None) -> None:
-    if path:
-        simnet.write_transcript(outcome, path)
+def _result_text(outcome: simnet.ElectionOutcome) -> str:
+    """The result lines of a run subcommand; replay prints the same lines."""
+    if outcome.config.protocol == "hev":
+        return f"tally {outcome.tally}\n"
+    if outcome.config.protocol == "hevs":
+        samples = ",".join("-" if t is None else str(t) for t in outcome.sample_tallies)
+        return f"samples {samples}\ndecision {outcome.decision}\n"
+    return "".join(f"tally {name} {count}\n" for name, count in sorted(outcome.counts.items()))
 
 
 def _cmd_hev_run(args) -> int:
+    """hev-run, and hevs-run with its sampling settings on top."""
+    sampled = args.command == "hevs-run"
     defaults = {
-        "n": 3, "seed": 1, "votes": None, "p_fail": 0.0, "behavior": "fake_share",
-        "extra_value": 2, "group_bits": None, "transcript_out": None, "out": None,
-    }
-    parsers = {"n": int, "seed": int, "votes": _int_list, "p_fail": float,
-               "extra_value": int, "group_bits": int}
-    resolved = _resolve(args, defaults, parsers)
-    _echo_config(resolved)
-    config = simnet.ElectionConfig(
-        protocol="hev", n=resolved["n"], seed=resolved["seed"], votes=resolved["votes"],
-        p_fail=resolved["p_fail"], behavior=resolved["behavior"],
-        extra_vote_value=resolved["extra_value"], group_bits=resolved["group_bits"],
-    )
-    outcome = _outcome_or_fail(config)
-    _maybe_write_transcript(outcome, resolved["transcript_out"])
-    _write_output(f"tally {outcome.tally}\n", resolved["out"])
-    return 0
-
-
-def _cmd_hevs_run(args) -> int:
-    defaults = {
-        "n": 10, "seed": 1, "votes": None, "k": 6, "t": None, "min_consistency": 2,
-        "p_fail": 0.0, "behavior": "fake_share", "extra_value": 2, "group_bits": None,
+        "n": 10 if sampled else 3, "seed": 1, "votes": None, "p_fail": 0.0,
+        "behavior": "fake_share", "extra_value": 2, "group_bits": None,
         "transcript_out": None, "out": None,
     }
+    if sampled:
+        defaults.update(k=6, t=None, min_consistency=2)
     parsers = {"n": int, "seed": int, "votes": _int_list, "k": int, "t": _t_policy,
                "min_consistency": int, "p_fail": float, "extra_value": int, "group_bits": int}
     resolved = _resolve(args, defaults, parsers)
     _echo_config(resolved)
+    sampling = {"k": resolved["k"], "t_policy": resolved["t"],
+                "min_consistency": resolved["min_consistency"]} if sampled else {}
     config = simnet.ElectionConfig(
-        protocol="hevs", n=resolved["n"], seed=resolved["seed"], votes=resolved["votes"],
-        k=resolved["k"], t_policy=resolved["t"], min_consistency=resolved["min_consistency"],
-        p_fail=resolved["p_fail"], behavior=resolved["behavior"],
-        extra_vote_value=resolved["extra_value"], group_bits=resolved["group_bits"],
+        protocol="hevs" if sampled else "hev", n=resolved["n"], seed=resolved["seed"],
+        votes=resolved["votes"], p_fail=resolved["p_fail"], behavior=resolved["behavior"],
+        extra_vote_value=resolved["extra_value"], group_bits=resolved["group_bits"], **sampling,
     )
     outcome = _outcome_or_fail(config)
-    _maybe_write_transcript(outcome, resolved["transcript_out"])
-    samples = ",".join("-" if t is None else str(t) for t in outcome.sample_tallies)
-    _write_output(f"samples {samples}\ndecision {outcome.decision}\n", resolved["out"])
+    if resolved["transcript_out"]:
+        simnet.write_transcript(outcome, resolved["transcript_out"])
+    _write_output(_result_text(outcome), resolved["out"])
     return 0
 
 
@@ -164,13 +154,13 @@ def _cmd_bsv_run(args) -> int:
         replay_voters=tuple(resolved["replay_voters"]), schedule=schedule,
     )
     outcome = _outcome_or_fail(config)
-    _maybe_write_transcript(outcome, resolved["transcript_out"])
+    if resolved["transcript_out"]:
+        simnet.write_transcript(outcome, resolved["transcript_out"])
     if resolved["ledger_out"]:
         with open(resolved["ledger_out"], "w", encoding="utf-8") as fh:
             for line in outcome.ledger_dump:
                 fh.write(line + "\n")
-    text = "".join(f"tally {name} {count}\n" for name, count in sorted(outcome.counts.items()))
-    _write_output(text, resolved["out"])
+    _write_output(_result_text(outcome), resolved["out"])
     return 0
 
 
@@ -222,15 +212,7 @@ def _cmd_replay(args) -> int:
         lines = fh.readlines()
     outcome = simnet.replay(lines)
     print(f"replay ok records={len(outcome.transcript)}")
-    if outcome.config.protocol == "hev":
-        print(f"tally {outcome.tally}")
-    elif outcome.config.protocol == "hevs":
-        samples = ",".join("-" if t is None else str(t) for t in outcome.sample_tallies)
-        print(f"samples {samples}")
-        print(f"decision {outcome.decision}")
-    else:
-        for name, count in sorted(outcome.counts.items()):
-            print(f"tally {name} {count}")
+    sys.stdout.write(_result_text(outcome))
     return 0
 
 
@@ -246,38 +228,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="rng seed [default: 1]")
         p.add_argument("--out", help="write results here instead of stdout")
 
+    def add_hev_flags(p, n_default, sampled=False):
+        """The hev-run and hevs-run flags; hevs-run adds its sampling flags after --votes."""
+        p.add_argument("--n", type=int, help=f"number of voters [default: {n_default}]")
+        p.add_argument("--votes", type=_int_list, help="comma list of 0/1 honest votes [default: random]")
+        if sampled:
+            p.add_argument("--k", type=int, help="number of samplings [default: 6]")
+            p.add_argument("--t", type=_t_policy,
+                           help="sample size: integer, half, sqrt, sqrt-half [default: half]")
+            p.add_argument("--min-consistency", dest="min_consistency", type=int,
+                           help="required mode count [default: 2]")
+        p.add_argument("--p-fail", dest="p_fail", type=float, help="malicious probability [default: 0]")
+        p.add_argument("--behavior", choices=["fake_share", "silent", "extra_vote"],
+                       help="malicious behavior [default: fake_share]")
+        p.add_argument("--extra-value", dest="extra_value", type=int,
+                       help="vote value for extra_vote cheaters [default: 2]")
+        p.add_argument("--group-bits", dest="group_bits", type=int,
+                       help="generate a fresh group of this modulus size [default: pinned 257-bit group]")
+        p.add_argument("--transcript-out", dest="transcript_out", help="write the transcript here")
+
     p = sub.add_parser("hev-run", help="one homomorphic election, all voters keyed")
     add_common(p)
-    p.add_argument("--n", type=int, help="number of voters [default: 3]")
-    p.add_argument("--votes", type=_int_list, help="comma list of 0/1 honest votes [default: random]")
-    p.add_argument("--p-fail", dest="p_fail", type=float, help="malicious probability [default: 0]")
-    p.add_argument("--behavior", choices=["fake_share", "silent", "extra_vote"],
-                   help="malicious behavior [default: fake_share]")
-    p.add_argument("--extra-value", dest="extra_value", type=int,
-                   help="vote value for extra_vote cheaters [default: 2]")
-    p.add_argument("--group-bits", dest="group_bits", type=int,
-                   help="generate a fresh group of this modulus size [default: pinned 257-bit group]")
-    p.add_argument("--transcript-out", dest="transcript_out", help="write the transcript here")
+    add_hev_flags(p, 3)
     p.set_defaults(func=_cmd_hev_run)
 
     p = sub.add_parser("hevs-run", help="one sampled-key election with mode decision")
     add_common(p)
-    p.add_argument("--n", type=int, help="number of voters [default: 10]")
-    p.add_argument("--votes", type=_int_list, help="comma list of 0/1 honest votes [default: random]")
-    p.add_argument("--k", type=int, help="number of samplings [default: 6]")
-    p.add_argument("--t", type=_t_policy,
-                   help="sample size: integer, half, sqrt, sqrt-half [default: half]")
-    p.add_argument("--min-consistency", dest="min_consistency", type=int,
-                   help="required mode count [default: 2]")
-    p.add_argument("--p-fail", dest="p_fail", type=float, help="malicious probability [default: 0]")
-    p.add_argument("--behavior", choices=["fake_share", "silent", "extra_vote"],
-                   help="malicious behavior [default: fake_share]")
-    p.add_argument("--extra-value", dest="extra_value", type=int,
-                   help="vote value for extra_vote cheaters [default: 2]")
-    p.add_argument("--group-bits", dest="group_bits", type=int,
-                   help="generate a fresh group of this modulus size [default: pinned 257-bit group]")
-    p.add_argument("--transcript-out", dest="transcript_out", help="write the transcript here")
-    p.set_defaults(func=_cmd_hevs_run)
+    add_hev_flags(p, 10, sampled=True)
+    p.set_defaults(func=_cmd_hev_run)
 
     p = sub.add_parser("bsv-run", help="one blind-signature election over the ledger")
     add_common(p)

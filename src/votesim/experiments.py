@@ -204,6 +204,8 @@ def analytic_table(ns: Iterable[int], ms: Iterable[int], t: int) -> list[tuple]:
                 reliability_probability(n, m, t),
                 reliability_probability_with_replacement(n, m, t),
             ))
+    if not rows:
+        raise ValueError("empty range: no (n, m) pair to tabulate")
     return rows
 
 

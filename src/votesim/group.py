@@ -107,14 +107,18 @@ def default_group() -> GroupParams:
     return params
 
 
+#: smallest modulus generate_group accepts
+MIN_GROUP_BITS = 16
+
+
 def generate_group(bits: int, rng: random.Random, max_attempts: int | None = None) -> GroupParams:
     """Generate fresh parameters with a modulus of exactly `bits` bits.
 
     Searches for a safe prime p = 2q + 1 and picks a square as generator,
     which has order q automatically. Deterministic for a seeded rng.
     """
-    if bits < 16:
-        raise ValueError("modulus below 16 bits cannot hold a meaningful subgroup")
+    if bits < MIN_GROUP_BITS:
+        raise ValueError(f"modulus below {MIN_GROUP_BITS} bits cannot hold a meaningful subgroup")
     attempts = max_attempts if max_attempts is not None else 400 * bits
     for _ in range(attempts):
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1

@@ -8,7 +8,8 @@ discrete log.
 
 Free functions implement the individual protocol steps; :class:`Voter` and
 :class:`Government` wrap them in explicit state machines so out-of-phase
-messages fail loudly.
+messages fail loudly. ``votesim.simnet`` instead runs plain HEV as the k = 1,
+every-voter-once case of the sampled-key pipeline in ``votesim.hevs``.
 """
 
 from __future__ import annotations
@@ -93,12 +94,23 @@ def encrypt_vote(
         raise ValueError(f"honest votes are 0 or 1, got {vote!r}")
     if not params.is_element(public_key):
         raise ValueError("public key is not a group element")
+    return encrypt_value(params, public_key, vote, rng, nonce)
+
+
+def encrypt_value(
+    params: GroupParams,
+    public_key: int,
+    value: int,
+    rng: random.Random | None = None,
+    nonce: int | None = None,
+) -> Ciphertext:
+    """Encrypt g**value with no range or membership check on the inputs."""
     if nonce is None:
         if rng is None:
             raise ValueError("either rng or an explicit nonce is required")
         nonce = params.random_nonce(rng)
     c1 = params.exp(params.generator, nonce)
-    c2 = params.mul(params.exp(public_key, nonce), params.exp(params.generator, vote))
+    c2 = params.mul(params.exp(public_key, nonce), params.exp(params.generator, value))
     return Ciphertext(c1, c2)
 
 

@@ -7,6 +7,9 @@ sample. A sample decodes to the true tally whenever every sampled voter
 cooperates honestly; disrupted samples land on effectively unique garbage
 elements, so the most frequent decoded tally - the mode - is the reliable
 result once it reaches a small consistency count.
+
+Plain HEV is the special case k = 1 with one sample holding every voter
+once, so the simulator runs both protocols through this one pipeline.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .adversary import Behavior, VoterRole, extra_vote_ciphertext, fake_decryption_share
 from .errors import AmbiguousMode, DiscreteLogNotFound, MissingShares, NoConsistentResult
 from .group import GroupParams, discrete_log_bounded
-from .hev import Ciphertext, DecryptionShare, aggregate, encrypt_vote, keygen_share
+from .hev import (
+    Ciphertext,
+    DecryptionRequest,
+    DecryptionShare,
+    aggregate,
+    decryption_share,
+    encrypt_vote,
+    keygen_share,
+)
 
 #: recorder callback signature used by the transcript layer:
 #: (phase, sender, receiver, payload) -> None
@@ -120,7 +131,9 @@ def combine_sampled_public_key(
         raise ValueError(f"no key piece for sampled voters {sorted(missing)}")
     key = 1
     for voter_id, count in mult.items():
-        key = params.mul(key, params.exp(pieces[voter_id], count))
+        # A piece sampled once goes in as is: plain HEV then pays no modexp here.
+        piece = pieces[voter_id]
+        key = params.mul(key, piece if count == 1 else params.exp(piece, count))
     return SampledKey(sample_index, key, dict(mult))
 
 
@@ -146,7 +159,8 @@ def combine_sampled_decrypt(
         raise MissingShares(missing)
     mask = 1
     for voter_id, count in mult.items():
-        mask = params.mul(mask, params.exp(shares[voter_id].partial, count))
+        partial = shares[voter_id].partial
+        mask = params.mul(mask, partial if count == 1 else params.exp(partial, count))
     element = params.mul(aggregate_ct.c2, params.inv(mask))
     try:
         tally = discrete_log_bounded(params, element, bound, table=table)
@@ -211,19 +225,33 @@ def run_sampled_election(
     dlog_table: dict[int, int] | None = None,
     recorder: Recorder | None = None,
 ) -> list[SampleResult]:
+    """run_pipeline with every voter drawing from the one rng, in voter order."""
+    return run_pipeline(params, votes, roles, plan, [rng] * len(votes), dlog_table, recorder)
+
+
+def run_pipeline(
+    params: GroupParams,
+    votes: Sequence[int],
+    roles: Sequence[VoterRole],
+    plan: SamplingPlan,
+    voter_rngs: Sequence[random.Random],
+    dlog_table: dict[int, int] | None = None,
+    recorder: Recorder | None = None,
+) -> list[SampleResult]:
     """Run the full k-sample pipeline over the given votes and roles.
 
     `votes` holds the plaintext each voter actually encrypts (an extra-vote
     cheater's inflated value included); `roles` controls decryption behavior.
-    Fake-share voters reuse one random exponent across every sample they
-    appear in. Samples blocked by silent voters come back with element and
-    tally None. The caller applies mode_decision to the returned results.
+    Voter i + 1 draws its secret key, its nonces and any fake exponent from
+    voter_rngs[i]. Fake-share voters reuse one random exponent across every
+    sample they appear in. Samples blocked by silent voters come back with
+    element and tally None. The caller applies mode_decision to the results.
     """
     n = plan.population
-    if len(votes) != n or len(roles) != n:
-        raise ValueError("votes, roles, and plan population must agree")
+    if len(votes) != n or len(roles) != n or len(voter_rngs) != n:
+        raise ValueError("votes, roles, voter streams, and plan population must agree")
 
-    key_shares = [keygen_share(rng, params, i + 1) for i in range(n)]
+    key_shares = [keygen_share(voter_rngs[i], params, i + 1) for i in range(n)]
     pieces = {share.voter_id: share.public_piece for share in key_shares}
     if recorder:
         for share in key_shares:
@@ -240,13 +268,8 @@ def run_sampled_election(
 
     ciphertexts: list[list[Ciphertext]] = []
     for i in range(n):
-        role = roles[i]
-        row = []
-        for sk in sampled_keys:
-            if role.behavior is Behavior.EXTRA_VOTE:
-                row.append(extra_vote_ciphertext(params, sk.key, votes[i], rng))
-            else:
-                row.append(encrypt_vote(params, sk.key, votes[i], rng))
+        encrypt = extra_vote_ciphertext if roles[i].behavior is Behavior.EXTRA_VOTE else encrypt_vote
+        row = [encrypt(params, sk.key, votes[i], voter_rngs[i]) for sk in sampled_keys]
         ciphertexts.append(row)
         if recorder:
             recorder("vote", f"voter:{i + 1}", "government",
@@ -260,6 +283,7 @@ def run_sampled_election(
         for i in range(1, n + 1):
             recorder("decrypt_request", "government", f"voter:{i}", payload)
 
+    requests = [DecryptionRequest(ct) for ct in aggregates]
     # responses[j] maps voter_id -> share, for the voters sampled in j
     responses: list[dict[int, DecryptionShare]] = [{} for _ in range(plan.k)]
     for i in range(n):
@@ -270,21 +294,20 @@ def run_sampled_election(
         fake_exponent = None
         if role.behavior is Behavior.FAKE_SHARE:
             secret = key_shares[i].secret_key
-            fake_exponent = params.random_scalar(rng)
+            fake_exponent = params.random_scalar(voter_rngs[i])
             while fake_exponent == secret:
-                fake_exponent = params.random_scalar(rng)
-        answered = []
-        for j in range(plan.k):
-            if voter_id not in sampled_keys[j].multiplicity:
-                continue
+                fake_exponent = params.random_scalar(voter_rngs[i])
+        answered = [j for j in range(plan.k) if voter_id in sampled_keys[j].multiplicity]
+        for j in answered:
             if fake_exponent is not None:
-                share = fake_decryption_share(rng, params, aggregates[j].c1,
+                share = fake_decryption_share(voter_rngs[i], params, aggregates[j].c1,
                                               voter_id, exponent=fake_exponent)
             else:
-                share = DecryptionShare(voter_id, params.exp(aggregates[j].c1,
-                                                             key_shares[i].secret_key))
+                # With n = 1 the aggregate is the own ciphertext and the sum is
+                # that vote by definition, so only n > 1 is worth refusing.
+                own = ciphertexts[i][j] if role.honest and n > 1 else None
+                share = decryption_share(params, key_shares[i], requests[j], own)
             responses[j][voter_id] = share
-            answered.append(j)
         if recorder and answered:
             recorder("decrypt_share", f"voter:{voter_id}", "government",
                      {"tag": "decryption_shares", "voter_id": voter_id,

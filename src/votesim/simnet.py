@@ -5,6 +5,9 @@ a structured protocol error), recording one Message per exchanged protocol
 message. A transcript file is the JSON config header followed by one
 tab-separated record per message, so any election can be re-run bit-for-bit
 from its transcript alone.
+
+Plain HEV runs as the k = 1, every-voter-once case of the sampled-key
+pipeline in ``votesim.hevs``, with its records in the plain protocol's shapes.
 """
 
 from __future__ import annotations
@@ -15,18 +18,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import bsv
-from .adversary import (
-    AdversaryConfig,
-    Behavior,
-    VoterRole,
-    assign_roles,
-    extra_vote_ciphertext,
-    fake_decryption_share,
+from .adversary import AdversaryConfig, Behavior, VoterRole, assign_roles
+from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
+from .group import MIN_GROUP_BITS, GroupParams, default_group, generate_group
+from .hevs import (
+    Recorder,
+    SamplingPlan,
+    make_sampling_plan,
+    mode_decision,
+    resolve_sample_size,
+    run_pipeline,
+    run_sampled_election,
 )
-from .errors import ConfigError, CorruptTranscript, ProtocolError
-from .group import GroupParams, default_group, generate_group
-from .hev import Government, Voter, decryption_share
-from .hevs import make_sampling_plan, mode_decision, run_sampled_election
 from .seeding import spawn
 
 TRANSCRIPT_MAGIC = "votesim-transcript 1"
@@ -123,6 +126,19 @@ class ElectionConfig:
                 raise ConfigError(f"got {len(self.votes)} votes for n={self.n}")
             if self.protocol in ("hev", "hevs") and any(v not in (0, 1) for v in self.votes):
                 raise ConfigError("hev/hevs votes must be 0 or 1")
+            if self.protocol == "bsv" and any(v not in self.candidates for v in self.votes):
+                raise ConfigError(f"bsv votes must be among the candidates {list(self.candidates)}")
+        if self.group_bits is not None and self.group_bits < MIN_GROUP_BITS:
+            raise ConfigError(f"group_bits must be at least {MIN_GROUP_BITS}")
+        if self.protocol == "hevs":
+            if self.k < 1:
+                raise ConfigError("k must be at least 1")
+            try:
+                resolve_sample_size(self.t_policy, self.n)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            if not 2 <= self.min_consistency <= self.k:
+                raise ConfigError(f"min_consistency must be between 2 and k={self.k}")
         if self.protocol == "bsv":
             if self.p_fail:
                 raise ConfigError("bsv does not model p_fail; use replay_voters")
@@ -240,69 +256,51 @@ def run_election(config: ElectionConfig) -> ElectionOutcome:
     return ElectionOutcome(config=config, ok=True, transcript=tuple(messages), **fields)
 
 
+#: Plain HEV's record shapes: each one-sample pipeline record with its k=1
+#: list unwrapped, under the tag the plain protocol gives it.
+_HEV_RECORDS = {
+    "sampled_keys": lambda p: {"tag": "public_key", "key": p["keys"][0]},
+    "ciphertexts": lambda p: {"tag": "ciphertext", "voter_id": p["voter_id"],
+                              "c1": p["pairs"][0][0], "c2": p["pairs"][0][1]},
+    "decrypt_request": lambda p: {"tag": "decrypt_request", "pending": p["pending"],
+                                  "c1": p["aggregates"][0][0], "c2": p["aggregates"][0][1]},
+    "decryption_shares": lambda p: {"tag": "decryption_share", "voter_id": p["voter_id"],
+                                    "partial": p["partials"]["0"]},
+    # A blocked or undecodable sample publishes no tally.
+    "sample_results": lambda p: None if p["tallies"] == [None] else {
+        "tag": "tally", "tally": p["tallies"][0]},
+}
+
+
+def _recorder(messages: list[Message], protocol: str) -> Recorder:
+    phase_round = {phase: i for i, phase in enumerate(PHASE_ORDER[protocol])}
+    render = _HEV_RECORDS if protocol == "hev" else {}
+
+    def record(phase, sender, receiver, payload):
+        if payload["tag"] in render:
+            payload = render[payload["tag"]](payload)
+        if payload is not None:
+            messages.append(Message(phase_round[phase], phase, sender, receiver, payload))
+
+    return record
+
+
 def _run_hev(config: ElectionConfig, messages: list[Message], partial: dict) -> dict:
+    """Plain HEV: the sampled-key pipeline with one sample holding every voter
+    once, each voter drawing from its own stream."""
     params = _resolve_group(config)
     roles, submitted = _derive_world(config)
     partial["true_tally"] = _honest_sum(roles, submitted)
     n = config.n
-
-    def emit(round_, phase, sender, receiver, payload):
-        messages.append(Message(round_, phase, sender, receiver, payload))
-
-    government = Government(params, n)
-    voters = [Voter(i + 1, params, n, spawn(config.seed, "voter", i + 1)) for i in range(n)]
-
-    for voter in voters:
-        piece = voter.make_key_piece()
-        government.receive_key_piece(voter.voter_id, piece)
-        emit(0, "key", f"voter:{voter.voter_id}", "government",
-             {"tag": "key_piece", "voter_id": voter.voter_id, "piece": format(piece, "x")})
-
-    public_key = government.broadcast_public_key()
-    for voter in voters:
-        voter.receive_public_key(public_key)
-        emit(1, "broadcast", "government", f"voter:{voter.voter_id}",
-             {"tag": "public_key", "key": format(public_key, "x")})
-
-    for i, voter in enumerate(voters):
-        if roles[i].behavior is Behavior.EXTRA_VOTE:
-            # Deviates from the honest machine: encrypts an out-of-range value.
-            ct = extra_vote_ciphertext(params, public_key, submitted[i], voter.rng)
-        else:
-            ct = voter.cast_vote(submitted[i])
-        government.receive_ciphertext(voter.voter_id, ct)
-        emit(2, "vote", f"voter:{voter.voter_id}", "government",
-             {"tag": "ciphertext", "voter_id": voter.voter_id,
-              "c1": format(ct.c1, "x"), "c2": format(ct.c2, "x")})
-
-    government.aggregate_votes()
-    request = government.decryption_request()
-    req_payload = {"tag": "decrypt_request", "pending": True,
-                   "c1": format(request.aggregate.c1, "x"),
-                   "c2": format(request.aggregate.c2, "x")}
-    for voter in voters:
-        emit(3, "decrypt_request", "government", f"voter:{voter.voter_id}", req_payload)
-
-    for i, voter in enumerate(voters):
-        role = roles[i]
-        if role.behavior is Behavior.SILENT:
-            continue
-        if role.behavior is Behavior.FAKE_SHARE:
-            share = fake_decryption_share(voter.rng, params, request.aggregate.c1,
-                                          voter.voter_id, true_secret=voter.key_share.secret_key)
-        elif role.behavior is Behavior.EXTRA_VOTE:
-            # Cheated at the vote step but cooperates in decryption.
-            share = decryption_share(params, voter.key_share, request)
-        else:
-            share = voter.handle_decryption_request(request)
-        government.receive_share(share)
-        emit(4, "decrypt_share", f"voter:{voter.voter_id}", "government",
-             {"tag": "decryption_share", "voter_id": voter.voter_id,
-              "partial": format(share.partial, "x")})
-
-    tally = government.decrypt_tally()
-    emit(5, "result", "government", "public", {"tag": "tally", "tally": tally})
-    return {"tally": tally, "true_tally": partial["true_tally"]}
+    plan = SamplingPlan(n, (tuple(range(1, n + 1)),))
+    voter_rngs = [spawn(config.seed, "voter", i) for i in range(1, n + 1)]
+    (result,) = run_pipeline(params, submitted, roles, plan, voter_rngs,
+                             recorder=_recorder(messages, "hev"))
+    if result.element is None:
+        raise MissingShares(role.voter_id for role in roles if role.behavior is Behavior.SILENT)
+    if result.tally is None:
+        raise DiscreteLogNotFound(result.element, n)
+    return {**partial, "tally": result.tally}
 
 
 def _run_hevs(config: ElectionConfig, messages: list[Message], partial: dict) -> dict:
@@ -310,20 +308,10 @@ def _run_hevs(config: ElectionConfig, messages: list[Message], partial: dict) ->
     roles, submitted = _derive_world(config)
     partial["true_tally"] = _honest_sum(roles, submitted)
     plan = make_sampling_plan(spawn(config.seed, "plan"), config.n, config.k, config.t_policy)
-    phase_round = {phase: i for i, phase in enumerate(PHASE_ORDER["hevs"])}
-
-    def recorder(phase, sender, receiver, payload):
-        messages.append(Message(phase_round[phase], phase, sender, receiver, payload))
-
-    results = run_sampled_election(params, submitted, roles, plan,
-                                   spawn(config.seed, "crypto"), recorder=recorder)
+    results = run_sampled_election(params, submitted, roles, plan, spawn(config.seed, "crypto"),
+                                   recorder=_recorder(messages, "hevs"))
     partial["sample_tallies"] = tuple(r.tally for r in results)
-    decision = mode_decision(results, config.min_consistency)
-    return {
-        "decision": decision,
-        "sample_tallies": partial["sample_tallies"],
-        "true_tally": partial["true_tally"],
-    }
+    return {**partial, "decision": mode_decision(results, config.min_consistency)}
 
 
 def _run_bsv(config: ElectionConfig, messages: list[Message]) -> dict:

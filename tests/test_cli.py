@@ -189,3 +189,34 @@ def test_bsv_run_ledger_dump(tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert len(lines) == 4
     assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hevs-run", "--k", "0"],
+    ["hevs-run", "--t", "0"],
+    ["hevs-run", "--t", "-3"],
+    ["hevs-run", "--t", "bogus"],
+    ["hevs-run", "--min-consistency", "1"],
+    ["hevs-run", "--k", "3", "--min-consistency", "4"],
+    ["hev-run", "--group-bits", "8"],
+])
+def test_invalid_hev_settings_exit_config(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "error config" in err
+
+
+def test_bsv_votes_outside_candidates_exit_config(capsys):
+    code, out, err = run_cli(capsys, ["bsv-run", "--n", "2", "--rsa-bits", "256",
+                                      "--votes", "x,y"])
+    assert code == 3
+    assert out == ""
+    assert "error config" in err
+
+
+def test_analytic_empty_range_exit_config(capsys):
+    code, out, err = run_cli(capsys, ["analytic", "--n", "5:1"])
+    assert code == 3
+    assert out == ""
+    assert "error config" in err
