@@ -26,6 +26,9 @@ from .group import is_probable_prime
 
 NONCE_BYTES = 32
 
+#: smallest modulus signer_keygen accepts
+MIN_RSA_BITS = 16
+
 
 @dataclass(frozen=True)
 class RsaPublicKey:
@@ -78,8 +81,8 @@ def _random_prime(rng: random.Random, bits: int, attempts: int = 100_000) -> int
 
 def signer_keygen(rng: random.Random, bits: int = 1024) -> SignerKeys:
     """Generate an RSA keypair with a modulus of roughly `bits` bits."""
-    if bits < 16:
-        raise ValueError("modulus below 16 bits leaves no room for digests")
+    if bits < MIN_RSA_BITS:
+        raise ValueError(f"modulus below {MIN_RSA_BITS} bits leaves no room for digests")
     half = bits // 2
     while True:
         p = _random_prime(rng, half)

@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="malicious probabilities [default: 0.01]")
     p.add_argument("--k", type=_int_list, help="sampling counts [default: 6]")
     p.add_argument("--min-consistency", dest="min_consistency", type=int,
-                   help="required mode count, 2 or 3 [default: 2]")
+                   help="required mode count, at least 2 [default: 2]")
     p.add_argument("--t", type=_t_policy,
                    help="sample size policy [default: sqrt-half]")
     p.add_argument("--trials", type=int, help="trials per point per seed [default: 1000]")

@@ -70,8 +70,8 @@ class TrialConfig:
             raise ValueError("n and k must be at least 1")
         if not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be in [0, 1]")
-        if self.min_consistency not in (2, 3):
-            raise ValueError("min_consistency must be 2 or 3")
+        if self.min_consistency < 2:
+            raise ValueError("min_consistency must be at least 2")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not self.seeds:

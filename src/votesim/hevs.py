@@ -260,6 +260,8 @@ def run_pipeline(
                       "piece": format(share.public_piece, "x")})
 
     sampled_keys = [combine_sampled_public_key(params, pieces, plan, j) for j in range(plan.k)]
+    # Every voter raises every sampled key once, to its nonce.
+    keys = [params.fixed_base(sk.key, n) for sk in sampled_keys]
     if recorder:
         payload = {"tag": "sampled_keys",
                    "keys": [format(sk.key, "x") for sk in sampled_keys]}
@@ -269,7 +271,7 @@ def run_pipeline(
     ciphertexts: list[list[Ciphertext]] = []
     for i in range(n):
         encrypt = extra_vote_ciphertext if roles[i].behavior is Behavior.EXTRA_VOTE else encrypt_vote
-        row = [encrypt(params, sk.key, votes[i], voter_rngs[i]) for sk in sampled_keys]
+        row = [encrypt(params, key, votes[i], voter_rngs[i]) for key in keys]
         ciphertexts.append(row)
         if recorder:
             recorder("vote", f"voter:{i + 1}", "government",
@@ -283,7 +285,11 @@ def run_pipeline(
         for i in range(1, n + 1):
             recorder("decrypt_request", "government", f"voter:{i}", payload)
 
-    requests = [DecryptionRequest(ct) for ct in aggregates]
+    # Each distinct voter sampled in j raises the j-th aggregate's c1 once.
+    requests = [
+        DecryptionRequest(Ciphertext(params.fixed_base(ct.c1, len(sk.multiplicity)), ct.c2))
+        for ct, sk in zip(aggregates, sampled_keys)
+    ]
     # responses[j] maps voter_id -> share, for the voters sampled in j
     responses: list[dict[int, DecryptionShare]] = [{} for _ in range(plan.k)]
     for i in range(n):
@@ -300,7 +306,7 @@ def run_pipeline(
         answered = [j for j in range(plan.k) if voter_id in sampled_keys[j].multiplicity]
         for j in answered:
             if fake_exponent is not None:
-                share = fake_decryption_share(voter_rngs[i], params, aggregates[j].c1,
+                share = fake_decryption_share(voter_rngs[i], params, requests[j].aggregate.c1,
                                               voter_id, exponent=fake_exponent)
             else:
                 # With n = 1 the aggregate is the own ciphertext and the sum is

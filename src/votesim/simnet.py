@@ -146,6 +146,8 @@ class ElectionConfig:
                 raise ConfigError("bsv needs a candidate set")
             if any(not 1 <= v <= self.n for v in self.replay_voters):
                 raise ConfigError("replay_voters must be voter ids in [1, n]")
+            if self.rsa_bits < bsv.MIN_RSA_BITS:
+                raise ConfigError(f"rsa_bits must be at least {bsv.MIN_RSA_BITS}")
 
     def to_dict(self) -> dict:
         return {

@@ -7,6 +7,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votesim.adversary import Behavior, VoterRole
 from votesim.bsv import (
@@ -264,3 +265,15 @@ def test_criterion_11_determinism(capsys):
         report(11, "CLI byte-determinism and full==symbolic on exhaustive instances",
                cli_ok and disagreements == 0,
                f"cli={'ok' if cli_ok else 'FAIL'} mode_pairs={checked - disagreements}/{checked}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 6), p_fail=st.floats(0.0, 1.0),
+       min_consistency=st.integers(2, 4), behavior=st.sampled_from(["fake_share", "silent"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_symbolic_equals_full_trial_for_trial(n, k, p_fail, min_consistency, behavior, seed):
+    """Criterion 11's agreement over random instances rather than a fixed grid."""
+    common = dict(n=n, p_fail=p_fail, k=k, min_consistency=min_consistency, behavior=behavior)
+    symbolic = TrialConfig(mode="symbolic", **common)
+    full = TrialConfig(mode="full", **common)
+    assert run_trial(symbolic, seed) == run_trial(full, seed)

@@ -220,3 +220,23 @@ def test_analytic_empty_range_exit_config(capsys):
     assert code == 3
     assert out == ""
     assert "error config" in err
+
+
+def test_rsa_bits_below_floor_exit_config(capsys):
+    code, out, err = run_cli(capsys, ["bsv-run", "--n", "2", "--rsa-bits", "8"])
+    assert code == 3
+    assert out == ""
+    assert "error config" in err and "rsa_bits" in err
+
+
+def test_sweep_min_consistency(capsys):
+    code, out, err = run_cli(capsys, GOLDEN_SWEEP_ARGS + ["--min-consistency", "1"])
+    assert (code, out) == (3, "")
+    assert "error config" in err
+    # above k no sample count can reach it: a valid point with accuracy 0
+    for mode in ("symbolic", "full"):
+        code, out, _ = run_cli(capsys, ["sweep", "--n", "6", "--p-fail", "0", "--k", "3",
+                                        "--min-consistency", "4", "--trials", "4",
+                                        "--seeds", "1", "--mode", mode])
+        assert code == 0
+        assert out.splitlines()[1] == f"6,0,3,4,2,4,1,0,{mode}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,16 @@ def test_trial_config_validation():
     ):
         with pytest.raises(ValueError):
             TrialConfig(**bad)
+
+
+def test_min_consistency_above_k_is_never_reached():
+    # all voters honest, so every sample is clean and only the count falls short
+    for mode in ("symbolic", "full"):
+        config = TrialConfig(n=6, p_fail=0.0, k=3, min_consistency=4, trials=5, mode=mode)
+        assert run_point(config).accuracy == 0.0
+        assert run_point(replace(config, min_consistency=3)).accuracy == 1.0
+    assert expected_accuracy(6, 0.0, 3, 2, 4) == 0.0
+    assert expected_accuracy(6, 0.0, 3, 2, 3) == 1.0
 
 
 def test_all_honest_trials_always_correct():

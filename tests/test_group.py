@@ -5,8 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from votesim.errors import DiscreteLogNotFound, GroupGenerationError
 from votesim.group import (
+    ELEMENT_MEMO_SIZE,
+    FIXED_BASE_MIN_USES,
     TINY_GROUP,
+    FixedBase,
     GroupParams,
+    WindowTable,
     build_dlog_table,
     default_group,
     discrete_log_bounded,
@@ -140,3 +144,89 @@ def test_dlog_roundtrip_in_generated_group():
         exponent = rng.randrange(0, 60)
         target = params.exp(params.generator, exponent)
         assert discrete_log_bounded(params, target, 60) == exponent
+
+
+# fixed-base window tables and the element memo: every result must equal the
+# plain computation, on a hand-sized, the default and a generated group
+GROUPS = {
+    "tiny": TINY_GROUP,
+    "default": default_group(),
+    "generated24": generate_group(24, random.Random(7)),
+}
+
+
+def edge_exponents(order):
+    return [0, 1, 2, order - 1, order, order + 1, 2 * order, -1, -order, -order - 1,
+            2**300, 2**300 + 1, -(2**300)]
+
+
+exponents = st.one_of(st.integers(-(2**40), 2**40), st.integers(-(2**310), 2**310),
+                      st.integers(2**300, 2**320))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(GROUPS)), data=st.data())
+def test_table_exp_matches_pow(name, data):
+    group = GROUPS[name]
+    p, q, g = group.modulus, group.order, group.generator
+    # members, non-members, 0, and values outside [0, p) alike
+    base = data.draw(st.one_of(st.integers(1, q - 1).map(lambda e: pow(g, e, p)),
+                               st.integers(-p, 2 * p)))
+    assert group.fixed_base(base, FIXED_BASE_MIN_USES - 1) is base
+    fixed = group.fixed_base(base, FIXED_BASE_MIN_USES)
+    assert type(fixed) is FixedBase and fixed == base
+    # a FixedBase raised in another group is a plain int there
+    other = GROUPS["tiny"] if group is not GROUPS["tiny"] else GROUPS["generated24"]
+    for e in edge_exponents(q) + data.draw(st.lists(exponents, min_size=1, max_size=6)):
+        assert group.exp(g, e) == pow(g, e % q, p)
+        assert group.exp(fixed, e) == pow(base, e % q, p)
+        assert other.exp(fixed, e) == pow(base, e % other.order, other.modulus)
+
+
+def test_window_table_widths():
+    with pytest.raises(ValueError):
+        WindowTable(2, 23, 4, 3)
+    for width in (4, 8):
+        table = WindowTable(2, 23, 4, width)
+        assert [table.exp(e) for e in range(16)] == [pow(2, e, 23) for e in range(16)]
+
+
+def uncached_is_element(group, value):
+    return 1 <= value <= group.modulus - 1 and pow(value, group.order, group.modulus) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(GROUPS)), data=st.data())
+def test_is_element_memo_matches_uncached(name, data):
+    group = GROUPS[name]
+    p, q, g = group.modulus, group.order, group.generator
+    fresh = GroupParams(p, q, g)  # starts with an empty memo
+    values = data.draw(st.lists(st.one_of(
+        st.sampled_from([0, 1, g, p - 1, p, p + 1, -1]),
+        st.integers(1, q - 1).map(lambda e: pow(g, e, p)),
+        st.integers(-p, 2 * p),
+    ), max_size=40))
+    for value in values + values[::-1]:
+        assert fresh.is_element(value) == uncached_is_element(group, value)
+        assert group.is_element(value) == uncached_is_element(group, value)
+
+
+def test_is_element_memo_is_bounded_and_keyed_by_int():
+    group = GroupParams(TINY_GROUP.modulus, TINY_GROUP.order, TINY_GROUP.generator)
+    values = list(range(-300, 300))
+    for value in values + values[::-1]:
+        assert group.is_element(value) == uncached_is_element(group, value)
+    assert len(group._element_memo) == ELEMENT_MEMO_SIZE
+
+    fresh = GroupParams(TINY_GROUP.modulus, TINY_GROUP.order, TINY_GROUP.generator)
+    assert fresh.is_element(fresh.fixed_base(4, FIXED_BASE_MIN_USES))
+    assert [type(key) for key in fresh._element_memo] == [int]
+
+
+def test_caches_stay_out_of_equality_and_repr():
+    group = GroupParams(TINY_GROUP.modulus, TINY_GROUP.order, TINY_GROUP.generator)
+    group.exp(group.generator, 3)
+    group.is_element(4)
+    assert group == TINY_GROUP and hash(group) == hash(TINY_GROUP)
+    assert repr(group) == "GroupParams(modulus=23, order=11, generator=2)"
+    assert default_group() is default_group()

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from votesim.adversary import Behavior, VoterRole
 from votesim.errors import AmbiguousMode, MissingShares, NoConsistentResult
+from votesim.group import ELEMENT_MEMO_SIZE, GroupParams, WindowTable, default_group
 from votesim.hev import Ciphertext, DecryptionShare
 from votesim.hevs import (
     SamplingPlan,
@@ -19,6 +21,7 @@ from votesim.hevs import (
     resolve_sample_size,
     run_sampled_election,
 )
+from votesim.simnet import ElectionConfig, run_election
 
 PIECES = {1: 8, 2: 9, 3: 4}  # g**3, g**5, g**2 in the mod-23 group
 
@@ -313,3 +316,31 @@ def test_distinct_garbage_across_samples(big):
         if results[0].element != results[1].element:
             distinct += 1
     assert distinct == trials
+
+
+def test_election_tables_die_with_the_election(monkeypatch):
+    built = []
+    original = WindowTable.__init__
+
+    def counting_init(self, *args):
+        built.append(args[-1])
+        original(self, *args)
+
+    monkeypatch.setattr(WindowTable, "__init__", counting_init)
+    for seed in range(50):
+        # t = n so that most aggregates also have enough distinct voters
+        config = ElectionConfig(protocol="hevs", n=12, k=8, t_policy=12, p_fail=0.2, seed=seed)
+        assert run_election(config).sample_tallies is not None
+    assert built.count(4) > 50 * 8  # every sampled key and some aggregates
+
+    group = default_group()
+    assert set(vars(group)) == {"modulus", "order", "generator", "_generator_table", "_element_memo"}
+    assert isinstance(group._generator_table, WindowTable)
+    assert 0 < len(group._element_memo) <= ELEMENT_MEMO_SIZE
+    assert all(type(key) is int and type(verdict) is bool
+               for key, verdict in group._element_memo.items())
+    gc.collect()
+    objects = gc.get_objects()
+    generator_tables = {id(o._generator_table) for o in objects if type(o) is GroupParams}
+    live_tables = {id(o) for o in objects if type(o) is WindowTable}
+    assert live_tables and live_tables <= generator_tables
