@@ -1,8 +1,11 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from votesim.adversary import AdversaryConfig, Behavior, assign_roles
 from votesim.experiments import (
     CSV_COLUMNS,
     TrialConfig,
@@ -17,8 +20,21 @@ from votesim.experiments import (
     run_trial,
     sweep_csv,
 )
-from votesim.hevs import reliability_probability_with_replacement
-from votesim.seeding import derive_seed
+from votesim.hevs import make_sampling_plan, reliability_probability_with_replacement
+from votesim.seeding import derive_seed, spawn
+
+#: per-trial outcomes, sampling plans and roles written by an earlier build
+TRIAL_PIN = Path(__file__).resolve().parent / "data" / "symbolic_trials.json"
+
+#: name -> symbolic grid point whose per-trial outcomes are pinned
+PINNED_POINTS = {
+    "n50_p0.25_k8_fake": TrialConfig(n=50, p_fail=0.25, k=8),
+    "n200_p0.2_k16_mc3_silent": TrialConfig(n=200, p_fail=0.2, k=16, min_consistency=3,
+                                            behavior="silent"),
+    "n12_p0.3_k4_silent": TrialConfig(n=12, p_fail=0.3, k=4, behavior="silent"),
+    "n20_p0.05_k3_mc4_fake": TrialConfig(n=20, p_fail=0.05, k=3, min_consistency=4),
+}
+PINNED_TRIALS = 200
 
 
 def test_trial_config_validation():
@@ -166,3 +182,36 @@ def test_trial_seeds_are_stable():
     assert derive_seed("trial", 1, 0) == derive_seed("trial", 1, 0)
     assert derive_seed("trial", 1, 0) != derive_seed("trial", 1, 1)
     assert derive_seed("trial", 1, 0) != derive_seed("trial", 2, 0)
+
+
+def pinned_draws() -> dict:
+    """Per-trial symbolic outcomes, two sampling plans and one role draw."""
+    trials = {
+        name: "".join(str(int(run_trial(config, derive_seed("trial", 1, index))))
+                      for index in range(PINNED_TRIALS))
+        for name, config in PINNED_POINTS.items()
+    }
+    plans = {
+        "seed1_n30_k5_sqrt-half": make_sampling_plan(spawn("plan-pin", 1), 30, 5, "sqrt-half"),
+        "seed2_n7_k3_sizes1-4-7": make_sampling_plan(spawn("plan-pin", 2), 7, 3, [1, 4, 7]),
+    }
+    roles = assign_roles(spawn("roles-pin", 1), 20, AdversaryConfig(0.3, Behavior.SILENT))
+    return {
+        "trials": trials,
+        "plans": {name: [list(ms) for ms in plan.multisets] for name, plan in plans.items()},
+        "roles": [[r.voter_id, r.honest, r.behavior and r.behavior.value] for r in roles],
+    }
+
+
+def pinned_text() -> str:
+    return json.dumps(pinned_draws(), indent=1, sort_keys=True) + "\n"
+
+
+def test_symbolic_trials_plans_and_roles_are_pinned():
+    # GOLDEN_SWEEP pins averaged accuracies only; drifts that cancel show here.
+    assert pinned_text() == TRIAL_PIN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # After a deliberate change to seeded draws: PYTHONPATH=src python tests/test_experiments.py
+    TRIAL_PIN.write_text(pinned_text(), encoding="utf-8")
