@@ -1,16 +1,19 @@
 """Monte Carlo reliability experiments for the sampled-key election.
 
-A trial runs one full election and scores it correct when the mode decision
+A trial runs one election and scores it correct when the mode decision
 equals the honest vote sum (disrupting voters submit 0, so that sum is well
-defined). Two evaluation modes share the same seeded world - roles, votes,
-sampling plan - per trial:
+defined). Both evaluation modes share one draw of the seeded world per trial:
+an honesty flag per voter, a vote per honest voter, then the sampling plan.
 
-* "full" runs the actual group arithmetic end to end.
-* "symbolic" skips the crypto: a sample decodes to the true tally iff it
-  contains no disruptive voter, and every disrupted sample yields its own
-  unique garbage value, which is exactly the regime the full pipeline is in
-  once garbage elements stop colliding. The two modes agree trial-for-trial
-  on small instances, and symbolic is what makes thousand-trial sweeps cheap.
+* "full" runs the actual group arithmetic end to end and takes the mode
+  decision over the decoded samples.
+* "symbolic" skips the crypto and scores the trial correct iff at least
+  min_consistency samples are clean, i.e. hold no disruptive voter. That is
+  the mode decision once garbage elements stop colliding: a clean sample
+  decodes to the true tally, a silent voter blocks its sample, and each
+  fake-share sample yields its own garbage value, which never reaches a count
+  of 2. The two modes agree trial-for-trial, and symbolic is what makes
+  thousand-trial sweeps cheap.
 
 Accuracy per grid point is averaged over the configured seeds, and
 `expected_accuracy` provides the exact analytic value for cross-checking.
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .adversary import AdversaryConfig, Behavior, assign_roles
+from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
 from .group import default_group
 from .hevs import (
@@ -99,36 +102,24 @@ class SweepRow:
 def run_trial(config: TrialConfig, seed: int) -> bool:
     """One election; True when the mode decision equals the honest sum."""
     world = spawn(seed, "world")
-    adversary = AdversaryConfig(config.p_fail, Behavior(config.behavior))
-    roles = assign_roles(world, config.n, adversary)
-    votes = [world.randrange(2) if role.honest else 0 for role in roles]
+    p_fail, draw = config.p_fail, world._randbelow
+    # The draws of assign_roles, then randrange(2) per honest voter; see make_sampling_plan.
+    honest = [world.random() >= p_fail for _ in range(config.n)]
+    votes = [draw(2) if flag else 0 for flag in honest]
     plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
-    truth = sum(votes)
 
     if config.mode == "symbolic":
-        silent = Behavior(config.behavior) is Behavior.SILENT
-        honest = [role.honest for role in roles]
-        candidates: list[int | None] = []
-        for j, multiset in enumerate(plan.multisets):
-            clean = all(honest[i - 1] for i in multiset)
-            if clean:
-                candidates.append(truth)
-            else:
-                # Silence blocks the sample outright; fake data produces a
-                # per-sample-unique garbage value, encoded as a sentinel that
-                # can never equal a real tally.
-                candidates.append(None if silent else -(j + 1))
-    else:
-        results = run_sampled_election(
-            default_group(), votes, roles, plan, spawn(seed, "crypto")
-        )
-        candidates = results
+        bad = {i for i, flag in enumerate(honest, 1) if not flag}
+        clean = sum(bad.isdisjoint(multiset) for multiset in plan.multisets)
+        return clean >= config.min_consistency
 
+    behavior = Behavior(config.behavior)
+    roles = [VoterRole(i, flag, None if flag else behavior) for i, flag in enumerate(honest, 1)]
+    results = run_sampled_election(default_group(), votes, roles, plan, spawn(seed, "crypto"))
     try:
-        decision = mode_decision(candidates, config.min_consistency)
+        return mode_decision(results, config.min_consistency) == sum(votes)
     except (NoConsistentResult, AmbiguousMode):
         return False
-    return decision == truth
 
 
 def run_point(config: TrialConfig) -> SweepRow:

@@ -277,7 +277,9 @@ class Government:
         self._require(GovernmentPhase.COLLECTING_KEYS)
         if len(self.pieces) != self.n_voters:
             raise PhaseError(f"have {len(self.pieces)} key pieces, need {self.n_voters}")
-        self.public_key = combine_public_key(self.params, self.pieces.values())
+        # Every voter raises the key once, to its nonce.
+        key = combine_public_key(self.params, self.pieces.values())
+        self.public_key = self.params.fixed_base(key, self.n_voters)
         self.phase = GovernmentPhase.COLLECTING_VOTES
         return self.public_key
 
@@ -302,7 +304,9 @@ class Government:
     def decryption_request(self) -> DecryptionRequest:
         self._require(GovernmentPhase.AGGREGATED)
         self.phase = GovernmentPhase.COLLECTING_SHARES
-        return DecryptionRequest(self.aggregate_ct)
+        # Every voter raises c1 once, to its secret key.
+        c1, c2 = self.aggregate_ct.c1, self.aggregate_ct.c2
+        return DecryptionRequest(Ciphertext(self.params.fixed_base(c1, self.n_voters), c2))
 
     def receive_share(self, share: DecryptionShare) -> None:
         self._require(GovernmentPhase.COLLECTING_SHARES)

@@ -104,7 +104,12 @@ def resolve_sample_size(policy, n: int) -> int:
 
 
 def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> SamplingPlan:
-    """Draw k multisets of size t uniformly with replacement from [1, n]."""
+    """Draw k multisets of size t uniformly with replacement from [1, n].
+
+    Each index is ``rng._randbelow(n) + 1``: CPython's ``randrange(1, n + 1)``
+    without its argument checks, so the stream and every seeded output stay
+    those of ``randrange``. ``experiments.run_trial`` draws votes the same way.
+    """
     if n < 1:
         raise ValueError("population must be at least 1")
     if k < 1:
@@ -115,9 +120,8 @@ def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> Sam
             raise ValueError(f"got {len(sizes)} sample sizes for k={k}")
     else:
         sizes = [resolve_sample_size(t_policy, n)] * k
-    multisets = tuple(
-        tuple(rng.randrange(1, n + 1) for _ in range(size)) for size in sizes
-    )
+    draw = rng._randbelow
+    multisets = tuple(tuple([draw(n) + 1 for _ in range(size)]) for size in sizes)
     return SamplingPlan(population=n, multisets=multisets)
 
 

@@ -152,6 +152,71 @@ def test_accuracy_matches_analytic_prediction():
     assert abs(row.accuracy - predicted) <= 3 * stderr + 1e-9
 
 
+#: width of the accepted band around expected_accuracy, in binomial sigma
+BAND_Z = 4.0
+#: two-sided normal probability beyond BAND_Z sigma (6.3e-5)
+BAND_ALPHA = math.erfc(BAND_Z / math.sqrt(2))
+
+
+def within_band(successes: int, trials: int, p: float) -> bool:
+    """Is successes/trials within BAND_Z binomial sigma of p?
+
+    Within a few failures of p = 1 (or successes of p = 0) the count is
+    Poisson-like and sigma understates its tail, so a count outside the band
+    still passes when its exact binomial tail is no rarer than BAND_ALPHA / 2.
+    The false-alarm rate is then BAND_ALPHA at every p.
+    """
+    deviation = successes / trials - p
+    if abs(deviation) <= BAND_Z * math.sqrt(p * (1 - p) / trials):
+        return True
+    if p <= 0.0 or p >= 1.0:
+        return False
+    span = range(successes, trials + 1) if deviation > 0 else range(successes + 1)
+    log_p, log_q, head = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
+    tail = sum(
+        math.exp(head - math.lgamma(i + 1) - math.lgamma(trials - i + 1)
+                 + i * log_p + (trials - i) * log_q)
+        for i in span
+    )
+    return tail >= BAND_ALPHA / 2
+
+
+def test_within_band_falls_back_to_the_exact_tail():
+    assert within_band(1999, 2000, 0.99999)      # 6.7 sigma, yet 1 failure in 50 runs
+    assert not within_band(1996, 2000, 0.99999)
+    assert not within_band(906, 2000, 0.5)       # 4.2 sigma low
+    assert within_band(2000, 2000, 1.0) and not within_band(1999, 2000, 1.0)
+    assert within_band(0, 2000, 0.0) and not within_band(1, 2000, 0.0)
+
+
+@pytest.mark.parametrize("n, p_fail, k, min_consistency, behavior", [
+    (1, 0.5, 2, 2, "silent"),
+    (10, 0.0, 4, 2, "fake_share"),
+    (10, 0.1, 4, 2, "silent"),
+    (10, 0.3, 6, 3, "fake_share"),
+    (20, 0.05, 3, 4, "fake_share"),   # min_consistency above k
+    (25, 0.05, 8, 2, "silent"),
+    (25, 0.2, 8, 4, "fake_share"),
+    (30, 1.0, 4, 2, "silent"),
+    (50, 0.1, 8, 2, "fake_share"),
+    (50, 0.25, 12, 3, "silent"),
+    (100, 0.02, 16, 2, "fake_share"),
+    (100, 0.15, 16, 5, "silent"),
+    (200, 0.05, 12, 3, "fake_share"),
+    (200, 0.3, 16, 2, "silent"),
+    (500, 0.01, 8, 2, "fake_share"),
+    (500, 0.1, 16, 4, "silent"),
+])
+def test_symbolic_point_within_4_sigma_of_expected_accuracy(n, p_fail, k, min_consistency,
+                                                            behavior):
+    config = TrialConfig(n=n, p_fail=p_fail, k=k, min_consistency=min_consistency,
+                         trials=2000, seeds=(1,), behavior=behavior)
+    row = run_point(config)
+    expected = expected_accuracy(n, p_fail, k, row.t, min_consistency)
+    assert within_band(round(row.accuracy * config.trials), config.trials, expected), (
+        row.accuracy, expected)
+
+
 def test_accuracy_grows_with_k():
     low = run_point(TrialConfig(n=40, p_fail=0.1, k=2, trials=400, seeds=(1,)))
     high = run_point(TrialConfig(n=40, p_fail=0.1, k=12, trials=400, seeds=(1,)))

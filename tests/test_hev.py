@@ -27,6 +27,7 @@ from votesim.hev import (
     recover_tally,
     run_hev,
 )
+from votesim.group import FIXED_BASE_MIN_USES, FixedBase
 
 
 def make_share(params, voter_id, secret):
@@ -214,6 +215,28 @@ def test_reencryption_freshness(big, rng):
         if a.c1 != b.c1 and a.c2 != b.c2:
             differing += 1
     assert differing >= 198  # >= 99% of re-encryptions differ in both parts
+
+
+@pytest.mark.parametrize("n", [FIXED_BASE_MIN_USES - 1, FIXED_BASE_MIN_USES])
+def test_government_marks_key_and_request_as_fixed_bases(big, n):
+    # Every voter raises the broadcast key and the request's c1 once each.
+    rng = random.Random(n)
+    government = Government(big, n)
+    voters = [Voter(i, big, n, rng) for i in range(1, n + 1)]
+    for voter in voters:
+        government.receive_key_piece(voter.voter_id, voter.make_key_piece())
+    key = government.broadcast_public_key()
+    for voter in voters:
+        voter.receive_public_key(key)
+        government.receive_ciphertext(voter.voter_id, voter.cast_vote(1))
+    government.aggregate_votes()
+    request = government.decryption_request()
+    marked = FixedBase if n >= FIXED_BASE_MIN_USES else int
+    assert type(key) is marked
+    assert type(request.aggregate.c1) is marked
+    for voter in voters:
+        government.receive_share(voter.handle_decryption_request(request))
+    assert government.decrypt_tally() == n
 
 
 def test_voter_state_machine_rejects_out_of_phase(tiny):
