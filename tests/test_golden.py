@@ -3,6 +3,8 @@
 ``replay`` only checks the code against itself, so a change in how a protocol
 consumes randomness would pass it. These fixtures were written by an earlier
 build; a run must reproduce every transcript byte and every outcome field.
+``rsa_keys.json`` likewise pins seeded ``signer_keygen`` keys and
+``generate_group`` parameters over a grid of sizes.
 
 After a deliberate change to seeded output, rewrite the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` and say so in the change.
@@ -13,12 +15,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import random
+
 import pytest
 
+from votesim.bsv import signer_keygen
+from votesim.group import generate_group
 from votesim.simnet import ElectionConfig, run_election, transcript_lines
 
 DATA = Path(__file__).resolve().parent / "data"
 OUTCOMES = DATA / "outcomes.json"
+KEY_PIN = DATA / "rsa_keys.json"
+
+#: modulus sizes and rng seeds of the pinned signer keys and groups
+KEY_BITS = (16, 17, 33, 128, 256, 512)
+GROUP_BITS = (16, 24, 32)
+PIN_SEEDS = (1, 2, 3, 4)
 
 #: name -> (config, error the case must exercise, or None for a clean run)
 CASES = {
@@ -56,6 +68,31 @@ def test_golden_transcript(name):
     assert outcome_fields(outcome) == json.loads(OUTCOMES.read_text(encoding="utf-8"))[name]
 
 
+def pinned_keys() -> dict:
+    """Seeded signer keys as (modulus, public_exponent, private_exponent) and
+    groups as (modulus, order, generator), per size and seed."""
+    rsa = {}
+    for bits in KEY_BITS:
+        for seed in PIN_SEEDS:
+            keys = signer_keygen(random.Random(seed), bits)
+            rsa[f"bits{bits}_seed{seed}"] = [keys.modulus, keys.public_exponent, keys.private_exponent]
+    groups = {}
+    for bits in GROUP_BITS:
+        for seed in PIN_SEEDS:
+            params = generate_group(bits, random.Random(seed))
+            groups[f"bits{bits}_seed{seed}"] = [params.modulus, params.order, params.generator]
+    return {"signer_keygen": rsa, "generate_group": groups}
+
+
+def pinned_keys_text() -> str:
+    return json.dumps(pinned_keys(), indent=1, sort_keys=True) + "\n"
+
+
+def test_keygen_and_groups_are_pinned():
+    # one 256-bit key in the bsv transcript is the only other pin on keygen
+    assert pinned_keys_text() == KEY_PIN.read_text(encoding="utf-8")
+
+
 def write_fixtures() -> None:
     DATA.mkdir(exist_ok=True)
     outcomes = {}
@@ -64,6 +101,7 @@ def write_fixtures() -> None:
         (DATA / f"{name}.transcript").write_text(transcript_text(outcome), encoding="utf-8")
         outcomes[name] = outcome_fields(outcome)
     OUTCOMES.write_text(json.dumps(outcomes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    KEY_PIN.write_text(pinned_keys_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":
