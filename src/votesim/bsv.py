@@ -10,6 +10,13 @@ window.
 Digests are hashed rather than signed raw: multiplying two raw RSA
 signatures would forge a third, and the unforgeability tests rely on the
 hash breaking that structure.
+
+The signer signs by the Chinese Remainder Theorem (Quisquater and Couvreur,
+1982): two half-width exponentiations, mod p and mod q, recombined by
+Garner's formula. That gives the same signature as pow(blinded, d, modulus)
+in under half the time. Key generation draws primes as before, and every
+candidate that passes trial division still faces 25 Miller-Rabin rounds,
+so seeded keys are unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import AlreadySigned, GroupGenerationError, IneligibleVoter, PhaseError
@@ -38,9 +45,28 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class SignerKeys:
+    """An RSA keypair that keeps its primes, as a PKCS#1 private key does.
+
+    p and q are taken to be distinct odd primes; only their product is
+    checked. The CRT exponents d mod (p-1), d mod (q-1) and the coefficient
+    q^-1 mod p are computed once here and play no part in == or repr.
+    """
+
     modulus: int
     public_exponent: int
     private_exponent: int
+    p: int
+    q: int
+    _dp: int = field(init=False, compare=False, repr=False)
+    _dq: int = field(init=False, compare=False, repr=False)
+    _q_inv: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.p * self.q != self.modulus:
+            raise ValueError("p * q must equal the modulus")
+        object.__setattr__(self, "_dp", self.private_exponent % (self.p - 1))
+        object.__setattr__(self, "_dq", self.private_exponent % (self.q - 1))
+        object.__setattr__(self, "_q_inv", pow(self.q, -1, self.p))
 
     @property
     def public(self) -> RsaPublicKey:
@@ -48,7 +74,7 @@ class SignerKeys:
 
 
 #: Classic tiny RSA textbook key (61 * 53), for hand-checkable unit tests only.
-TEST_SIGNER_KEYS = SignerKeys(modulus=3233, public_exponent=17, private_exponent=2753)
+TEST_SIGNER_KEYS = SignerKeys(modulus=3233, public_exponent=17, private_exponent=2753, p=61, q=53)
 
 
 @dataclass(frozen=True)
@@ -92,7 +118,7 @@ def signer_keygen(rng: random.Random, bits: int = 1024) -> SignerKeys:
         lam = math.lcm(p - 1, q - 1)
         for e in (65537, 257, 17, 7, 5, 3):
             if e < lam and math.gcd(e, lam) == 1:
-                return SignerKeys(p * q, e, pow(e, -1, lam))
+                return SignerKeys(p * q, e, pow(e, -1, lam), p, q)
 
 
 def make_ballot(content: str, rng: random.Random) -> Ballot:
@@ -155,9 +181,16 @@ class SignerRegistry:
 
 
 def sign_blinded(keys: SignerKeys, blinded: int, voter_id, registry: SignerRegistry) -> int:
-    """Issue the blind signature after the eligibility and once-only checks."""
+    """Issue the blind signature after the eligibility and once-only checks.
+
+    Signs by the CRT: one half-width pow per prime, recombined by Garner's
+    formula. The result equals pow(blinded, d, modulus) for every integer,
+    because e * d = 1 mod (p-1) keeps d mod (p-1) above 0, and likewise for q.
+    """
     registry.check_and_mark(voter_id)
-    return pow(blinded, keys.private_exponent, keys.modulus)
+    p, q = keys.p, keys.q
+    s_q = pow(blinded, keys._dq, q)
+    return s_q + (pow(blinded, keys._dp, p) - s_q) * keys._q_inv % p * q
 
 
 def unblind(signed_blind: int, state: BlindingState, pub: RsaPublicKey) -> int:

@@ -22,6 +22,7 @@ Every ``exp`` result still equals ``pow(base, exponent % order, modulus)``.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -33,18 +34,28 @@ _SMALL_PRIMES = (
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
+#: trial division covers every prime below this bound
+SIEVE_BOUND = 1000
+_SIEVE_PRIMES = frozenset(
+    n for n in range(2, SIEVE_BOUND) if all(n % d for d in range(2, math.isqrt(n) + 1)))
+#: product of the primes below SIEVE_BOUND: one gcd with it trial-divides by all of them
+_SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
+
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first 25 primes as bases.
+    """Trial division by the primes below SIEVE_BOUND, then Miller-Rabin with
+    the first 25 primes as bases.
 
-    Deterministic for n < 3.3e24 and overwhelmingly reliable beyond, which is
-    ample for the 256-bit simulation parameters used here.
+    The trial division is one gcd with the product of those primes, so most
+    composites cost no modexp. Miller-Rabin with these bases is deterministic
+    for n < 3.3e24, where the gcd changes the cost but never the verdict, and
+    overwhelmingly reliable beyond, which is ample for the 256-bit simulation
+    parameters used here.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _SIEVE_PRODUCT) != 1:
+        return n in _SIEVE_PRIMES
     d = n - 1
     s = 0
     while d % 2 == 0:

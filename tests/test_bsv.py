@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votesim.bsv import (
     TEST_SIGNER_KEYS,
     Ballot,
     Ledger,
     RejectReason,
+    SignerKeys,
     SignerRegistry,
     ballot_digest,
     blind,
@@ -18,6 +20,7 @@ from votesim.bsv import (
     verify_ballot,
 )
 from votesim.errors import AlreadySigned, IneligibleVoter, PhaseError
+from votesim.group import is_probable_prime
 
 SIGN_WINDOW = (1, 3)
 POST_WINDOW = (3, 5)
@@ -61,6 +64,66 @@ def test_keygen_structure_and_determinism():
     assert a.modulus.bit_length() in (127, 128)
     with pytest.raises(ValueError):
         signer_keygen(random.Random(1), bits=8)
+
+
+def test_keygen_keeps_its_primes():
+    assert (TEST_SIGNER_KEYS.p, TEST_SIGNER_KEYS.q) == (61, 53)
+    for bits in (16, 17, 33, 128):
+        keys = signer_keygen(random.Random(bits), bits)
+        assert keys.p * keys.q == keys.modulus
+        assert keys.p != keys.q
+        assert is_probable_prime(keys.p) and is_probable_prime(keys.q)
+
+
+def test_signer_keys_reject_factors_that_miss_the_modulus():
+    with pytest.raises(ValueError):
+        SignerKeys(modulus=3233, public_exponent=17, private_exponent=2753, p=61, q=59)
+    with pytest.raises(ValueError):
+        SignerKeys(modulus=3234, public_exponent=17, private_exponent=2753, p=61, q=53)
+
+
+def test_crt_parameters_stay_out_of_eq_and_repr():
+    keys = signer_keygen(random.Random(5), bits=128)
+    assert repr(keys) == (f"SignerKeys(modulus={keys.modulus}, public_exponent={keys.public_exponent}, "
+                          f"private_exponent={keys.private_exponent}, p={keys.p}, q={keys.q})")
+    same = SignerKeys(keys.modulus, keys.public_exponent, keys.private_exponent, keys.p, keys.q)
+    assert same == keys and hash(same) == hash(keys)
+
+
+def plain_signature(keys, blinded):
+    return pow(blinded, keys.private_exponent, keys.modulus)
+
+
+def crt_signature(keys, blinded):
+    return sign_blinded(keys, blinded, 1, SignerRegistry([1]))
+
+
+def edge_inputs(keys):
+    """0, 1, the primes and their multiples, N - 1, N, values above N and negatives."""
+    n, p, q = keys.modulus, keys.p, keys.q
+    edges = [0, 1, 2, p, q, 2 * p, 3 * q, (q - 1) * p, (p - 1) * q, n - 1, n, n + 1, n + p,
+             2 * n, 5 * n + q, n * n, -1, -p, -q, -n, -n - 1, -(n * n) + 3]
+    return edges + [-x for x in edges]
+
+
+def test_crt_signature_matches_plain_rsa_on_every_test_key_input():
+    n = TEST_SIGNER_KEYS.modulus
+    for blinded in [*range(-n - 5, 2 * n + 5), *edge_inputs(TEST_SIGNER_KEYS)]:
+        assert crt_signature(TEST_SIGNER_KEYS, blinded) == plain_signature(TEST_SIGNER_KEYS, blinded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.integers(16, 128), seed=st.integers(0, 2 ** 32), data=st.data())
+def test_crt_signature_matches_plain_rsa(bits, seed, data):
+    keys = signer_keygen(random.Random(seed), bits)
+    n = keys.modulus
+    blinded = data.draw(st.one_of(st.sampled_from(edge_inputs(keys)),
+                                  st.integers(-3 * n, 3 * n),
+                                  st.builds(lambda k: k * keys.p, st.integers(-2 * keys.q, 2 * keys.q)),
+                                  st.builds(lambda k: k * keys.q, st.integers(-2 * keys.p, 2 * keys.p))))
+    assert crt_signature(keys, blinded) == plain_signature(keys, blinded)
+    for edge in edge_inputs(keys):
+        assert crt_signature(keys, edge) == plain_signature(keys, edge)
 
 
 def test_make_ballot_nonce_width(rng):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import votesim.group
 from votesim.errors import DiscreteLogNotFound, GroupGenerationError
 from votesim.group import (
     ELEMENT_MEMO_SIZE,
@@ -105,6 +106,117 @@ def test_is_probable_prime_small_cases():
         expected = all(n % d for d in range(2, n))
         assert is_probable_prime(n) == expected, n
     assert not is_probable_prime(3233)
+
+
+_REFERENCE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                    53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def reference_is_probable_prime(n):
+    """The predicate before trial division by one gcd: 25 trial divisions, then
+    Miller-Rabin with the same 25 bases."""
+    if n < 2:
+        return False
+    for p in _REFERENCE_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _REFERENCE_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+PRIMES_BELOW_1000 = [n for n in range(2, 1000) if all(n % d for d in range(2, n))]
+
+#: Carmichael numbers, and strong pseudoprimes to the first prime bases up to 41
+#: (the last one sets the 3.3e24 bound below which 25 bases are deterministic)
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+    52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+    252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
+    488881, 512461, 825265, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+    3474749660383, 341550071728321, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_sieved_prime_test_matches_reference_below_3000():
+    for n in range(-3, 3000):
+        assert is_probable_prime(n) == reference_is_probable_prime(n), n
+
+
+def test_sieved_prime_test_rejects_pseudoprimes():
+    for n in PSEUDOPRIMES:
+        assert not is_probable_prime(n), n
+        assert not reference_is_probable_prime(n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(0, 2 ** 600), st.integers(0, 2 ** 64), st.integers(-2 ** 70, 0)))
+def test_sieved_prime_test_matches_reference(n):
+    assert is_probable_prime(n) == reference_is_probable_prime(n)
+
+
+def next_reference_prime(n):
+    while not reference_is_probable_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(1000, 2 ** 600), y=st.integers(1000, 2 ** 300))
+def test_sieved_prime_test_matches_reference_on_primes_and_semiprimes(x, y):
+    p, q = next_reference_prime(x), next_reference_prime(y)
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert not is_probable_prime(p * q)
+    assert not reference_is_probable_prime(p * q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([p for p in PRIMES_BELOW_1000 if p > 100]),
+       q=st.sampled_from([p for p in PRIMES_BELOW_1000 if p > 100]))
+def test_sieved_prime_test_rejects_products_of_sieve_primes(p, q):
+    assert not is_probable_prime(p * q)
+    assert not reference_is_probable_prime(p * q)
+
+
+def count_pows(monkeypatch):
+    """Count the modexps is_probable_prime makes, through the module's `pow`."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(votesim.group, "pow", counting_pow, raising=False)
+    return calls
+
+
+def test_small_factors_cost_no_modexp(monkeypatch):
+    calls = count_pows(monkeypatch)
+    big_prime = 2 ** 127 - 1
+    for p in PRIMES_BELOW_1000:
+        assert is_probable_prime(p)
+        assert not is_probable_prime(p * 1009)
+        assert not is_probable_prime(p * big_prime)
+    assert calls == []
+
+
+def test_miller_rabin_keeps_25_rounds(monkeypatch):
+    calls = count_pows(monkeypatch)
+    assert is_probable_prime(2 ** 127 - 1)
+    assert [args[0] for args in calls] == list(_REFERENCE_BASES)
 
 
 def test_dlog_examples(tiny):
