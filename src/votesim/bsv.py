@@ -47,8 +47,8 @@ class RsaPublicKey:
 class SignerKeys:
     """An RSA keypair that keeps its primes, as a PKCS#1 private key does.
 
-    p and q are taken to be distinct odd primes; only their product is
-    checked. The CRT exponents d mod (p-1), d mod (q-1) and the coefficient
+    p and q are taken to be distinct odd primes; only their size and their
+    product are checked. The CRT exponents d mod (p-1), d mod (q-1) and the coefficient
     q^-1 mod p are computed once here and play no part in == or repr.
     """
 
@@ -62,8 +62,8 @@ class SignerKeys:
     _q_inv: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.p * self.q != self.modulus:
-            raise ValueError("p * q must equal the modulus")
+        if min(self.p, self.q) < 3 or self.p * self.q != self.modulus:
+            raise ValueError("p and q must be odd primes whose product is the modulus")
         object.__setattr__(self, "_dp", self.private_exponent % (self.p - 1))
         object.__setattr__(self, "_dq", self.private_exponent % (self.q - 1))
         object.__setattr__(self, "_q_inv", pow(self.q, -1, self.p))

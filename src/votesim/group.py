@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import DiscreteLogNotFound, GroupGenerationError
 
+#: the Miller-Rabin bases
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
