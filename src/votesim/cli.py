@@ -29,6 +29,15 @@ def _str_list(text: str) -> tuple[str, ...]:
 def _t_policy(text: str):
     return int(text) if text.lstrip("-").isdigit() else text
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+def _bool(text: str) -> bool:
+    """A config-file switch: 1/0, true/false or yes/no, in any case."""
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}") from None
+
 def _int_range(text: str) -> tuple[int, ...]:
     """A single integer, a comma list, or lo:hi[:step] (hi inclusive)."""
     if ":" in text:
@@ -144,7 +153,7 @@ def _cmd_bsv_run(args) -> int:
     }
     parsers = {"n": int, "seed": int, "votes": _str_list, "candidates": _str_list,
                "replay_voters": _int_list, "rsa_bits": int,
-               "no_anonymize": lambda s: s.lower() in ("1", "true", "yes")}
+               "no_anonymize": _bool}
     resolved = _resolve(args, defaults, parsers)
     _echo_config(resolved)
     schedule = simnet.Schedule(anonymize=not resolved["no_anonymize"])
@@ -209,7 +218,10 @@ def _cmd_analytic(args) -> int:
 
 def _cmd_replay(args) -> int:
     with open(args.transcript, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CorruptTranscript(f"{args.transcript}: not UTF-8 text: {exc}") from exc
     outcome = simnet.replay(lines)
     print(f"replay ok records={len(outcome.transcript)}")
     sys.stdout.write(_result_text(outcome))

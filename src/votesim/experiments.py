@@ -4,9 +4,11 @@ A trial runs one election and scores it correct when the mode decision
 equals the honest vote sum (disrupting voters submit 0, so that sum is well
 defined). Both evaluation modes share one draw of the seeded world per trial:
 an honesty flag per voter, a vote per honest voter, then the sampling plan.
+The votes and the plan's indices are drawn in bulk by ``seeding.draws``,
+which consumes the stream exactly as one ``randrange`` call per value would.
 
-* "full" runs the actual group arithmetic end to end and takes the mode
-  decision over the decoded samples.
+* "full" spreads the votes over the honest voters, runs the actual group
+  arithmetic end to end and takes the mode decision over the decoded samples.
 * "symbolic" skips the crypto and scores the trial correct iff at least
   min_consistency samples are clean, i.e. hold no disruptive voter. That is
   the mode decision once garbage elements stop colliding: a clean sample
@@ -36,7 +38,7 @@ from .hevs import (
     resolve_sample_size,
     run_sampled_election,
 )
-from .seeding import derive_seed, spawn
+from .seeding import derive_seed, draws, spawn
 
 #: column order of the sweep CSV; header row is mandatory
 CSV_COLUMNS = ("n", "p_fail", "k", "min_consistency", "t", "trials", "seeds", "accuracy", "mode")
@@ -102,10 +104,10 @@ class SweepRow:
 def run_trial(config: TrialConfig, seed: int) -> bool:
     """One election; True when the mode decision equals the honest sum."""
     world = spawn(seed, "world")
-    p_fail, draw = config.p_fail, world._randbelow
-    # The draws of assign_roles, then randrange(2) per honest voter; see make_sampling_plan.
+    p_fail = config.p_fail
+    # The draws of assign_roles, then randrange(2) per honest voter; see seeding.draws.
     honest = [world.random() >= p_fail for _ in range(config.n)]
-    votes = [draw(2) if flag else 0 for flag in honest]
+    honest_votes = draws(world, 0, 2, sum(honest))
     plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
 
     if config.mode == "symbolic":
@@ -113,6 +115,8 @@ def run_trial(config: TrialConfig, seed: int) -> bool:
         clean = sum(bad.isdisjoint(multiset) for multiset in plan.multisets)
         return clean >= config.min_consistency
 
+    drawn = iter(honest_votes)
+    votes = [next(drawn) if flag else 0 for flag in honest]
     behavior = Behavior(config.behavior)
     roles = [VoterRole(i, flag, None if flag else behavior) for i, flag in enumerate(honest, 1)]
     results = run_sampled_election(default_group(), votes, roles, plan, spawn(seed, "crypto"))

@@ -18,6 +18,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .adversary import Behavior, VoterRole, extra_vote_ciphertext, fake_decryption_share
@@ -32,6 +33,7 @@ from .hev import (
     encrypt_vote,
     keygen_share,
 )
+from .seeding import draws
 
 #: recorder callback signature used by the transcript layer:
 #: (phase, sender, receiver, payload) -> None
@@ -106,9 +108,8 @@ def resolve_sample_size(policy, n: int) -> int:
 def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> SamplingPlan:
     """Draw k multisets of size t uniformly with replacement from [1, n].
 
-    Each index is ``rng._randbelow(n) + 1``: CPython's ``randrange(1, n + 1)``
-    without its argument checks, so the stream and every seeded output stay
-    those of ``randrange``. ``experiments.run_trial`` draws votes the same way.
+    The indices are drawn in order, one ``randrange(1, n + 1)`` each, through
+    ``seeding.draws``.
     """
     if n < 1:
         raise ValueError("population must be at least 1")
@@ -120,8 +121,8 @@ def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> Sam
             raise ValueError(f"got {len(sizes)} sample sizes for k={k}")
     else:
         sizes = [resolve_sample_size(t_policy, n)] * k
-    draw = rng._randbelow
-    multisets = tuple(tuple([draw(n) + 1 for _ in range(size)]) for size in sizes)
+    indices = iter(draws(rng, 1, n + 1, sum(sizes)))
+    multisets = tuple(tuple(islice(indices, size)) for size in sizes)
     return SamplingPlan(population=n, multisets=multisets)
 
 

@@ -120,7 +120,10 @@ class ElectionConfig:
             raise ConfigError("n must be at least 1")
         if not 0.0 <= self.p_fail <= 1.0:
             raise ConfigError("p_fail must be in [0, 1]")
-        Behavior(self.behavior)
+        try:
+            Behavior(self.behavior)
+        except ValueError:
+            raise ConfigError(f"unknown behavior {self.behavior!r}") from None
         if self.votes is not None:
             if len(self.votes) != self.n:
                 raise ConfigError(f"got {len(self.votes)} votes for n={self.n}")

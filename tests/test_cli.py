@@ -240,3 +240,41 @@ def test_sweep_min_consistency(capsys):
                                         "--seeds", "1", "--mode", mode])
         assert code == 0
         assert out.splitlines()[1] == f"6,0,3,4,2,4,1,0,{mode}"
+
+
+def test_unknown_behavior_in_config_file_exit_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("behavior = bogus\n")
+    code, out, err = run_cli(capsys, ["hev-run", "--config", str(config)])
+    assert (code, out) == (3, "")
+    assert "error config" in err and "bogus" in err
+
+
+def test_replay_of_non_utf8_file_is_corrupt(tmp_path, capsys):
+    transcript = tmp_path / "run.transcript"
+    transcript.write_bytes(b"votesim-transcript 1 {\xff\xfe}\n")
+    code, out, err = run_cli(capsys, ["replay", str(transcript)])
+    assert (code, out) == (4, "")
+    assert "error protocol" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+])
+def test_bsv_config_switch_words(tmp_path, capsys, text, value):
+    config = tmp_path / "bsv.cfg"
+    config.write_text(f"no_anonymize = {text}\n")
+    code, _, err = run_cli(capsys, ["bsv-run", "--config", str(config),
+                                    "--n", "2", "--rsa-bits", "256"])
+    assert code == 0
+    assert f'"no_anonymize": {str(value).lower()}' in err
+
+
+@pytest.mark.parametrize("text", ["maybe", "2", "on", "y"])
+def test_bsv_config_switch_rejects_other_words(tmp_path, capsys, text):
+    config = tmp_path / "bsv.cfg"
+    config.write_text(f"no_anonymize = {text}\n")
+    code, out, err = run_cli(capsys, ["bsv-run", "--config", str(config),
+                                      "--n", "2", "--rsa-bits", "256"])
+    assert (code, out) == (3, "")
+    assert "error config" in err and "no_anonymize" in err
