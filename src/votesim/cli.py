@@ -52,18 +52,26 @@ def _int_range(text: str) -> tuple[int, ...]:
     return _int_list(text)
 
 
+def _read_lines(path: str, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 text file; raises `error` when it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines, '#' comments; keys mirror the flag names."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(_read_lines(path, ConfigError), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -217,12 +225,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    with open(args.transcript, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise CorruptTranscript(f"{args.transcript}: not UTF-8 text: {exc}") from exc
-    outcome = simnet.replay(lines)
+    outcome = simnet.replay(_read_lines(args.transcript, CorruptTranscript))
     print(f"replay ok records={len(outcome.transcript)}")
     sys.stdout.write(_result_text(outcome))
     return 0

@@ -37,9 +37,9 @@ def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:
     missing, whose word top bytes are mapped and filtered by one
     ``bytes.translate``. A round cannot draw a word the loop would not,
     since every value the loop still has to make takes at least one word.
-    This relies on CPython filling ``getrandbits`` from its first word up,
-    least significant first; the seeded fixtures pin it. Any other input,
-    including subclasses with their own ``random``, takes the loop itself.
+    This relies on CPython's ``getrandbits`` word order (its first word is
+    the least significant 32 bits, and so on up), which the seeded fixtures
+    pin. Any other input, and any subclass, takes the loop itself.
     """
     n = stop - start
     if type(rng) is not random.Random or not (0 <= start and stop <= 256 and 1 <= n <= 255):

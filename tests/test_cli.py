@@ -278,3 +278,11 @@ def test_bsv_config_switch_rejects_other_words(tmp_path, capsys, text):
                                       "--n", "2", "--rsa-bits", "256"])
     assert (code, out) == (3, "")
     assert "error config" in err and "no_anonymize" in err
+
+
+def test_non_utf8_config_file_exit_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"n = 3\xff\n")
+    code, out, err = run_cli(capsys, ["hev-run", "--config", str(config)])
+    assert (code, out) == (3, "")
+    assert "error config" in err and "UTF-8" in err
