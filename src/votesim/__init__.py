@@ -34,9 +34,7 @@ from .hev import (
     Ciphertext,
     DecryptionRequest,
     DecryptionShare,
-    Government,
     KeyShare,
-    Voter,
     aggregate,
     combine_decrypt,
     combine_public_key,

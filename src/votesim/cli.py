@@ -11,10 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import experiments, simnet
+from .adversary import Behavior
 from .errors import ConfigError, CorruptTranscript, ProtocolError, VotesimError
+from .experiments import TRIAL_BEHAVIORS, TrialConfig
 from .hevs import reliability_probability
+from .simnet import ElectionConfig, Schedule
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -75,29 +80,57 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, parsers: dict) -> dict:
+@dataclass(frozen=True)
+class _Setting:
+    """One CLI setting, declared once: flag, parser, default and help.
+
+    Its config-file key is the flag's name with underscores. --help shows
+    `shown` as its default, else the rendered default, and none for None. A
+    setting parsed by `_bool` is a switch: the flag alone turns it on.
+    """
+
+    flag: str
+    parse: Callable[[str], object] = str
+    default: object = None
+    help: str = ""
+    shown: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        shown = self.shown
+        if shown is None and self.default is not None:
+            # 0.0 shows as 0, a tuple as a comma list
+            values = self.default if isinstance(self.default, tuple) else (self.default,)
+            shown = ",".join(format(v, "g") if isinstance(v, float) else str(v) for v in values)
+        text = self.help if shown is None else f"{self.help} [default: {shown}]"
+        if self.parse is _bool:
+            parser.add_argument(self.flag, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(self.flag, type=self.parse, choices=self.choices, help=text)
+
+
+def _resolve(args: argparse.Namespace, settings: tuple[_Setting, ...]) -> dict:
     """Merge precedence: defaults < config file < explicit flags."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = _read_config_file(config_path)
-        unknown = set(file_values) - set(defaults)
+    by_key = {s.flag[2:].replace("-", "_"): s for s in settings}
+    if args.seed is not None and "seed" not in by_key:
+        hint = "; set the trial seeds with --seeds" if "seeds" in by_key else ""
+        raise ConfigError(f"{args.command} does not use --seed{hint}")
+    resolved = {key: s.default for key, s in by_key.items()}
+    if args.config:
+        file_values = _read_config_file(args.config)
+        unknown = set(file_values) - set(by_key)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, text in file_values.items():
             try:
-                resolved[key] = parsers.get(key, str)(text)
+                resolved[key] = by_key[key].parse(text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from exc
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in by_key:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
     return resolved
-
-
-def _echo_config(resolved: dict) -> None:
-    print("config " + json.dumps(resolved, sort_keys=True, default=str), file=sys.stderr)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -106,13 +139,6 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _outcome_or_fail(config: simnet.ElectionConfig) -> simnet.ElectionOutcome:
-    outcome = simnet.run_election(config)
-    if not outcome.ok:
-        raise ProtocolError(f"{outcome.error}: {outcome.error_detail}")
-    return outcome
 
 
 def _result_text(outcome: simnet.ElectionOutcome) -> str:
@@ -125,55 +151,14 @@ def _result_text(outcome: simnet.ElectionOutcome) -> str:
     return "".join(f"tally {name} {count}\n" for name, count in sorted(outcome.counts.items()))
 
 
-def _cmd_hev_run(args) -> int:
-    """hev-run, and hevs-run with its sampling settings on top."""
-    sampled = args.command == "hevs-run"
-    defaults = {
-        "n": 10 if sampled else 3, "seed": 1, "votes": None, "p_fail": 0.0,
-        "behavior": "fake_share", "extra_value": 2, "group_bits": None,
-        "transcript_out": None, "out": None,
-    }
-    if sampled:
-        defaults.update(k=6, t=None, min_consistency=2)
-    parsers = {"n": int, "seed": int, "votes": _int_list, "k": int, "t": _t_policy,
-               "min_consistency": int, "p_fail": float, "extra_value": int, "group_bits": int}
-    resolved = _resolve(args, defaults, parsers)
-    _echo_config(resolved)
-    sampling = {"k": resolved["k"], "t_policy": resolved["t"],
-                "min_consistency": resolved["min_consistency"]} if sampled else {}
-    config = simnet.ElectionConfig(
-        protocol="hevs" if sampled else "hev", n=resolved["n"], seed=resolved["seed"],
-        votes=resolved["votes"], p_fail=resolved["p_fail"], behavior=resolved["behavior"],
-        extra_vote_value=resolved["extra_value"], group_bits=resolved["group_bits"], **sampling,
-    )
-    outcome = _outcome_or_fail(config)
+def _run_election(config: ElectionConfig, resolved: dict) -> int:
+    """Run one election; write its transcript, any ledger dump and its result lines."""
+    outcome = simnet.run_election(config)
+    if not outcome.ok:
+        raise ProtocolError(f"{outcome.error}: {outcome.error_detail}")
     if resolved["transcript_out"]:
         simnet.write_transcript(outcome, resolved["transcript_out"])
-    _write_output(_result_text(outcome), resolved["out"])
-    return 0
-
-
-def _cmd_bsv_run(args) -> int:
-    defaults = {
-        "n": 5, "seed": 1, "votes": None, "candidates": ("for", "against"),
-        "replay_voters": (), "rsa_bits": 512, "no_anonymize": False,
-        "ledger_out": None, "transcript_out": None, "out": None,
-    }
-    parsers = {"n": int, "seed": int, "votes": _str_list, "candidates": _str_list,
-               "replay_voters": _int_list, "rsa_bits": int,
-               "no_anonymize": _bool}
-    resolved = _resolve(args, defaults, parsers)
-    _echo_config(resolved)
-    schedule = simnet.Schedule(anonymize=not resolved["no_anonymize"])
-    config = simnet.ElectionConfig(
-        protocol="bsv", n=resolved["n"], seed=resolved["seed"], votes=resolved["votes"],
-        candidates=tuple(resolved["candidates"]), rsa_bits=resolved["rsa_bits"],
-        replay_voters=tuple(resolved["replay_voters"]), schedule=schedule,
-    )
-    outcome = _outcome_or_fail(config)
-    if resolved["transcript_out"]:
-        simnet.write_transcript(outcome, resolved["transcript_out"])
-    if resolved["ledger_out"]:
+    if resolved.get("ledger_out"):
         with open(resolved["ledger_out"], "w", encoding="utf-8") as fh:
             for line in outcome.ledger_dump:
                 fh.write(line + "\n")
@@ -181,17 +166,30 @@ def _cmd_bsv_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    defaults = {
-        "n": (50,), "p_fail": (0.01,), "k": (6,), "min_consistency": 2,
-        "t": "sqrt-half", "trials": 1000, "seeds": (1, 2, 3),
-        "mode": "symbolic", "behavior": "fake_share", "out": None,
-    }
-    parsers = {"n": _int_list, "p_fail": _float_list, "k": _int_list,
-               "min_consistency": int, "t": _t_policy, "trials": int,
-               "seeds": _int_list, "mode": str, "behavior": str}
-    resolved = _resolve(args, defaults, parsers)
-    _echo_config(resolved)
+def _cmd_hev_run(resolved: dict) -> int:
+    """hev-run, and hevs-run with its sampling settings on top."""
+    sampled = "k" in resolved
+    sampling = {"k": resolved["k"], "t_policy": resolved["t"],
+                "min_consistency": resolved["min_consistency"]} if sampled else {}
+    config = ElectionConfig(
+        protocol="hevs" if sampled else "hev", n=resolved["n"], seed=resolved["seed"],
+        votes=resolved["votes"], p_fail=resolved["p_fail"], behavior=resolved["behavior"],
+        extra_vote_value=resolved["extra_value"], group_bits=resolved["group_bits"], **sampling,
+    )
+    return _run_election(config, resolved)
+
+
+def _cmd_bsv_run(resolved: dict) -> int:
+    schedule = Schedule(anonymize=not resolved["no_anonymize"])
+    config = ElectionConfig(
+        protocol="bsv", n=resolved["n"], seed=resolved["seed"], votes=resolved["votes"],
+        candidates=tuple(resolved["candidates"]), rsa_bits=resolved["rsa_bits"],
+        replay_voters=tuple(resolved["replay_voters"]), schedule=schedule,
+    )
+    return _run_election(config, resolved)
+
+
+def _cmd_sweep(resolved: dict) -> int:
     try:
         configs = experiments.grid(
             resolved["n"], resolved["p_fail"], resolved["k"],
@@ -206,11 +204,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_analytic(args) -> int:
-    defaults = {"n": (50,), "m": (5,), "t": 25, "out": None}
-    parsers = {"n": _int_range, "m": _int_range, "t": int}
-    resolved = _resolve(args, defaults, parsers)
-    _echo_config(resolved)
+def _cmd_analytic(resolved: dict) -> int:
     ns, ms, t = resolved["n"], resolved["m"], resolved["t"]
     try:
         if len(ns) == 1 and len(ms) == 1:
@@ -231,89 +225,98 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+_SEED = _Setting("--seed", int, ElectionConfig.seed, "rng seed")
+_OUT = _Setting("--out", help="write results here instead of stdout")
+_TRANSCRIPT_OUT = _Setting("--transcript-out", help="write the transcript here")
+
+
+def _hev_settings(n: int, sampled: bool) -> tuple[_Setting, ...]:
+    """The hev-run and hevs-run settings; hevs-run adds its sampling settings after --votes."""
+    sampling = (
+        _Setting("--k", int, 6, "number of samplings"),
+        _Setting("--t", _t_policy, ElectionConfig.t_policy,
+                 "sample size: integer, half, sqrt, sqrt-half", shown="half"),
+        _Setting("--min-consistency", int, ElectionConfig.min_consistency, "required mode count"),
+    ) if sampled else ()
+    return (
+        _SEED, _OUT,
+        _Setting("--n", int, n, "number of voters"),
+        _Setting("--votes", _int_list, ElectionConfig.votes, "comma list of 0/1 honest votes",
+                 shown="random"),
+        *sampling,
+        _Setting("--p-fail", float, ElectionConfig.p_fail, "malicious probability"),
+        _Setting("--behavior", str, ElectionConfig.behavior, "malicious behavior",
+                 choices=tuple(b.value for b in Behavior)),
+        _Setting("--extra-value", int, ElectionConfig.extra_vote_value,
+                 "vote value for extra_vote cheaters"),
+        _Setting("--group-bits", int, ElectionConfig.group_bits,
+                 "generate a fresh group of this modulus size", shown="pinned 257-bit group"),
+        _TRANSCRIPT_OUT,
+    )
+
+
+#: name -> (help, handler, settings) for every subcommand that takes settings
+_COMMANDS = {
+    "hev-run": ("one homomorphic election, all voters keyed", _cmd_hev_run,
+                _hev_settings(3, sampled=False)),
+    "hevs-run": ("one sampled-key election with mode decision", _cmd_hev_run,
+                 _hev_settings(10, sampled=True)),
+    "bsv-run": ("one blind-signature election over the ledger", _cmd_bsv_run, (
+        _SEED, _OUT,
+        _Setting("--n", int, 5, "number of voters"),
+        _Setting("--votes", _str_list, ElectionConfig.votes, "comma list of candidate choices",
+                 shown="random"),
+        _Setting("--candidates", _str_list, ElectionConfig.candidates, "candidate set"),
+        _Setting("--replay-voters", _int_list, ElectionConfig.replay_voters,
+                 "voter ids that submit their ballot twice", shown="none"),
+        _Setting("--rsa-bits", int, ElectionConfig.rsa_bits, "signer modulus size"),
+        _Setting("--no-anonymize", _bool, not Schedule.anonymize,
+                 "keep sender ids on posted ballots", shown="anonymized"),
+        _Setting("--ledger-out", help="write the accepted-ballot dump here"),
+        _TRANSCRIPT_OUT,
+    )),
+    "sweep": ("Monte Carlo accuracy sweep, CSV output", _cmd_sweep, (
+        _OUT,
+        _Setting("--n", _int_list, (50,), "voter counts"),
+        _Setting("--p-fail", _float_list, (0.01,), "malicious probabilities"),
+        _Setting("--k", _int_list, (6,), "sampling counts"),
+        _Setting("--min-consistency", int, TrialConfig.min_consistency,
+                 "required mode count, at least 2"),
+        _Setting("--t", _t_policy, TrialConfig.t_policy, "sample size policy"),
+        _Setting("--trials", int, TrialConfig.trials, "trials per point per seed"),
+        _Setting("--seeds", _int_list, TrialConfig.seeds, "seeds to average over"),
+        _Setting("--mode", str, TrialConfig.mode, "trial evaluation mode",
+                 choices=("symbolic", "full")),
+        _Setting("--behavior", str, TrialConfig.behavior, "malicious behavior",
+                 choices=TRIAL_BEHAVIORS),
+    )),
+    "analytic": ("single-sample reliability probabilities", _cmd_analytic, (
+        _OUT,
+        _Setting("--n", _int_range, (50,), "electorate size(s), int/list/lo:hi[:step]"),
+        _Setting("--m", _int_range, (5,), "uncooperative count(s)"),
+        _Setting("--t", int, 25, "sample size"),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="votesim",
         description="Simulators for blind-signature and homomorphic-encryption voting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (text, handler, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="flat key = value file; flags override it")
-        p.add_argument("--seed", type=int, help="rng seed [default: 1]")
-        p.add_argument("--out", help="write results here instead of stdout")
-
-    def add_hev_flags(p, n_default, sampled=False):
-        """The hev-run and hevs-run flags; hevs-run adds its sampling flags after --votes."""
-        p.add_argument("--n", type=int, help=f"number of voters [default: {n_default}]")
-        p.add_argument("--votes", type=_int_list, help="comma list of 0/1 honest votes [default: random]")
-        if sampled:
-            p.add_argument("--k", type=int, help="number of samplings [default: 6]")
-            p.add_argument("--t", type=_t_policy,
-                           help="sample size: integer, half, sqrt, sqrt-half [default: half]")
-            p.add_argument("--min-consistency", dest="min_consistency", type=int,
-                           help="required mode count [default: 2]")
-        p.add_argument("--p-fail", dest="p_fail", type=float, help="malicious probability [default: 0]")
-        p.add_argument("--behavior", choices=["fake_share", "silent", "extra_vote"],
-                       help="malicious behavior [default: fake_share]")
-        p.add_argument("--extra-value", dest="extra_value", type=int,
-                       help="vote value for extra_vote cheaters [default: 2]")
-        p.add_argument("--group-bits", dest="group_bits", type=int,
-                       help="generate a fresh group of this modulus size [default: pinned 257-bit group]")
-        p.add_argument("--transcript-out", dest="transcript_out", help="write the transcript here")
-
-    p = sub.add_parser("hev-run", help="one homomorphic election, all voters keyed")
-    add_common(p)
-    add_hev_flags(p, 3)
-    p.set_defaults(func=_cmd_hev_run)
-
-    p = sub.add_parser("hevs-run", help="one sampled-key election with mode decision")
-    add_common(p)
-    add_hev_flags(p, 10, sampled=True)
-    p.set_defaults(func=_cmd_hev_run)
-
-    p = sub.add_parser("bsv-run", help="one blind-signature election over the ledger")
-    add_common(p)
-    p.add_argument("--n", type=int, help="number of voters [default: 5]")
-    p.add_argument("--votes", type=_str_list, help="comma list of candidate choices [default: random]")
-    p.add_argument("--candidates", type=_str_list, help="candidate set [default: for,against]")
-    p.add_argument("--replay-voters", dest="replay_voters", type=_int_list,
-                   help="voter ids that submit their ballot twice [default: none]")
-    p.add_argument("--rsa-bits", dest="rsa_bits", type=int, help="signer modulus size [default: 512]")
-    p.add_argument("--no-anonymize", dest="no_anonymize", action="store_true", default=None,
-                   help="keep sender ids on posted ballots [default: anonymized]")
-    p.add_argument("--ledger-out", dest="ledger_out", help="write the accepted-ballot dump here")
-    p.add_argument("--transcript-out", dest="transcript_out", help="write the transcript here")
-    p.set_defaults(func=_cmd_bsv_run)
-
-    p = sub.add_parser("sweep", help="Monte Carlo accuracy sweep, CSV output")
-    add_common(p)
-    p.add_argument("--n", type=_int_list, help="voter counts [default: 50]")
-    p.add_argument("--p-fail", dest="p_fail", type=_float_list,
-                   help="malicious probabilities [default: 0.01]")
-    p.add_argument("--k", type=_int_list, help="sampling counts [default: 6]")
-    p.add_argument("--min-consistency", dest="min_consistency", type=int,
-                   help="required mode count, at least 2 [default: 2]")
-    p.add_argument("--t", type=_t_policy,
-                   help="sample size policy [default: sqrt-half]")
-    p.add_argument("--trials", type=int, help="trials per point per seed [default: 1000]")
-    p.add_argument("--seeds", type=_int_list, help="seeds to average over [default: 1,2,3]")
-    p.add_argument("--mode", choices=["symbolic", "full"],
-                   help="trial evaluation mode [default: symbolic]")
-    p.add_argument("--behavior", choices=["fake_share", "silent"],
-                   help="malicious behavior [default: fake_share]")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("analytic", help="single-sample reliability probabilities")
-    add_common(p)
-    p.add_argument("--n", type=_int_range, help="electorate size(s), int/list/lo:hi[:step] [default: 50]")
-    p.add_argument("--m", type=_int_range, help="uncooperative count(s) [default: 5]")
-    p.add_argument("--t", type=int, help="sample size [default: 25]")
-    p.set_defaults(func=_cmd_analytic)
+        if _SEED not in settings:
+            _SEED.add_to(p)  # listed in --help everywhere; _resolve rejects it here
+        for setting in settings:
+            setting.add_to(p)
+        p.set_defaults(func=handler, settings=settings)
 
     p = sub.add_parser("replay", help="re-run a transcript and verify it matches")
     p.add_argument("transcript", help="transcript file produced by --transcript-out")
-    p.set_defaults(func=_cmd_replay)
+    p.set_defaults(func=_cmd_replay, settings=None)
 
     return parser
 
@@ -325,7 +328,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        if args.settings is None:
+            return args.func(args)
+        resolved = _resolve(args, args.settings)
+        print("config " + json.dumps(resolved, sort_keys=True, default=str), file=sys.stderr)
+        return args.func(resolved)
     except ConfigError as exc:
         print(f"error config: {exc}", file=sys.stderr)
         return 3

@@ -6,24 +6,22 @@ holder. Votes are 0/1 encoded in the exponent, ciphertexts multiply to an
 encryption of the sum, and the tally comes back out through a bounded
 discrete log.
 
-Free functions implement the individual protocol steps; :class:`Voter` and
-:class:`Government` wrap them in explicit state machines so out-of-phase
-messages fail loudly. ``votesim.simnet`` instead runs plain HEV as the k = 1,
-every-voter-once case of the sampled-key pipeline in ``votesim.hevs``.
+Free functions implement the individual protocol steps. Whole elections,
+both :func:`run_hev` and ``votesim.simnet``, run through the one pipeline in
+``votesim.hevs``: plain HEV is its k = 1 case, one sample holding every voter
+once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import (
     EmptyBallotSet,
     EmptyShareSet,
     MissingShares,
-    PhaseError,
     RefuseSingletonAggregate,
 )
 from .group import GroupParams, discrete_log_bounded
@@ -186,153 +184,20 @@ def recover_tally(
     return discrete_log_bounded(params, encoded_sum, n, table=table)
 
 
-class VoterPhase(Enum):
-    INIT = "init"
-    KEYED = "keyed"
-    VOTED = "voted"
-    DECRYPTED = "decrypted"
-
-
-class GovernmentPhase(Enum):
-    COLLECTING_KEYS = "collecting_keys"
-    COLLECTING_VOTES = "collecting_votes"
-    AGGREGATED = "aggregated"
-    COLLECTING_SHARES = "collecting_shares"
-    DONE = "done"
-
-
-class Voter:
-    """Single-threaded voter state machine: init -> keyed -> voted -> decrypted."""
-
-    def __init__(self, voter_id: int, params: GroupParams, n_voters: int, rng: random.Random):
-        self.voter_id = voter_id
-        self.params = params
-        self.n_voters = n_voters
-        self.rng = rng
-        self.phase = VoterPhase.INIT
-        self.key_share: KeyShare | None = None
-        self.public_key: int | None = None
-        self.ciphertext: Ciphertext | None = None
-
-    def _require(self, phase: VoterPhase) -> None:
-        if self.phase is not phase:
-            raise PhaseError(f"voter {self.voter_id} is in {self.phase.value}, not {phase.value}")
-
-    def make_key_piece(self) -> int:
-        self._require(VoterPhase.INIT)
-        self.key_share = keygen_share(self.rng, self.params, self.voter_id)
-        self.phase = VoterPhase.KEYED
-        return self.key_share.public_piece
-
-    def receive_public_key(self, public_key: int) -> None:
-        self._require(VoterPhase.KEYED)
-        self.public_key = public_key
-
-    def cast_vote(self, vote: int) -> Ciphertext:
-        self._require(VoterPhase.KEYED)
-        if self.public_key is None:
-            raise PhaseError(f"voter {self.voter_id} has no public key to encrypt under")
-        self.ciphertext = encrypt_vote(self.params, self.public_key, vote, self.rng)
-        self.phase = VoterPhase.VOTED
-        return self.ciphertext
-
-    def handle_decryption_request(self, request: DecryptionRequest) -> DecryptionShare:
-        self._require(VoterPhase.VOTED)
-        # In a single-voter election the aggregate necessarily equals the own
-        # ciphertext and the sum is that vote by definition, so the privacy
-        # refusal only applies when there is someone to hide among.
-        own = self.ciphertext if self.n_voters > 1 else None
-        share = decryption_share(self.params, self.key_share, request, own)
-        self.phase = VoterPhase.DECRYPTED
-        return share
-
-
-class Government:
-    """Government state machine: collect keys, broadcast, collect votes,
-    aggregate exactly n of them, collect shares, decode."""
-
-    def __init__(self, params: GroupParams, n_voters: int):
-        if n_voters < 1:
-            raise ValueError("need at least one voter")
-        self.params = params
-        self.n_voters = n_voters
-        self.phase = GovernmentPhase.COLLECTING_KEYS
-        self.pieces: dict[int, int] = {}
-        self.public_key: int | None = None
-        self.ciphertexts: dict[int, Ciphertext] = {}
-        self.aggregate_ct: Ciphertext | None = None
-        self.shares: list[DecryptionShare] = []
-
-    def _require(self, phase: GovernmentPhase) -> None:
-        if self.phase is not phase:
-            raise PhaseError(f"government is in {self.phase.value}, not {phase.value}")
-
-    def receive_key_piece(self, voter_id: int, piece: int) -> None:
-        self._require(GovernmentPhase.COLLECTING_KEYS)
-        if voter_id in self.pieces:
-            raise PhaseError(f"duplicate key piece from voter {voter_id}")
-        self.pieces[voter_id] = piece
-
-    def broadcast_public_key(self) -> int:
-        self._require(GovernmentPhase.COLLECTING_KEYS)
-        if len(self.pieces) != self.n_voters:
-            raise PhaseError(f"have {len(self.pieces)} key pieces, need {self.n_voters}")
-        # Every voter raises the key once, to its nonce.
-        key = combine_public_key(self.params, self.pieces.values())
-        self.public_key = self.params.fixed_base(key, self.n_voters)
-        self.phase = GovernmentPhase.COLLECTING_VOTES
-        return self.public_key
-
-    def receive_ciphertext(self, voter_id: int, ciphertext: Ciphertext) -> None:
-        self._require(GovernmentPhase.COLLECTING_VOTES)
-        if voter_id in self.ciphertexts:
-            raise PhaseError(f"duplicate ciphertext from voter {voter_id}")
-        self.ciphertexts[voter_id] = ciphertext
-
-    def aggregate_votes(self) -> Ciphertext:
-        self._require(GovernmentPhase.COLLECTING_VOTES)
-        # Partial turnout is rejected outright: the unmasking algebra only
-        # cancels when every key holder's vote is in the product.
-        if len(self.ciphertexts) != self.n_voters:
-            raise PhaseError(
-                f"have {len(self.ciphertexts)} ciphertexts, need all {self.n_voters}"
-            )
-        self.aggregate_ct = aggregate(self.params, list(self.ciphertexts.values()))
-        self.phase = GovernmentPhase.AGGREGATED
-        return self.aggregate_ct
-
-    def decryption_request(self) -> DecryptionRequest:
-        self._require(GovernmentPhase.AGGREGATED)
-        self.phase = GovernmentPhase.COLLECTING_SHARES
-        # Every voter raises c1 once, to its secret key.
-        c1, c2 = self.aggregate_ct.c1, self.aggregate_ct.c2
-        return DecryptionRequest(Ciphertext(self.params.fixed_base(c1, self.n_voters), c2))
-
-    def receive_share(self, share: DecryptionShare) -> None:
-        self._require(GovernmentPhase.COLLECTING_SHARES)
-        self.shares.append(share)
-
-    def decrypt_tally(self, table: dict[int, int] | None = None) -> int:
-        self._require(GovernmentPhase.COLLECTING_SHARES)
-        encoded = combine_decrypt(self.params, self.shares, self.aggregate_ct, self.pieces.keys())
-        tally = recover_tally(self.params, encoded, self.n_voters, table=table)
-        self.phase = GovernmentPhase.DONE
-        return tally
-
-
 def run_hev(params: GroupParams, votes: Sequence[int], rng: random.Random) -> int:
-    """Drive a full honest election over the given votes and return the tally."""
+    """Run one honest election over the given votes and return the tally.
+
+    This is the sampled-key pipeline with one sample holding every voter
+    once. The rng draws every secret key, then every nonce, in voter order.
+    """
+    # hevs and adversary build on this module's protocol steps.
+    from .adversary import VoterRole
+    from .hevs import SamplingPlan, run_sampled_election
+
     n = len(votes)
-    government = Government(params, n)
-    voters = [Voter(i + 1, params, n, rng) for i in range(n)]
-    for voter in voters:
-        government.receive_key_piece(voter.voter_id, voter.make_key_piece())
-    public_key = government.broadcast_public_key()
-    for voter, vote in zip(voters, votes):
-        voter.receive_public_key(public_key)
-        government.receive_ciphertext(voter.voter_id, voter.cast_vote(vote))
-    government.aggregate_votes()
-    request = government.decryption_request()
-    for voter in voters:
-        government.receive_share(voter.handle_decryption_request(request))
-    return government.decrypt_tally()
+    if n < 1:
+        raise ValueError("need at least one voter")
+    plan = SamplingPlan(n, (tuple(range(1, n + 1)),))
+    roles = [VoterRole(i, honest=True) for i in range(1, n + 1)]
+    (result,) = run_sampled_election(params, votes, roles, plan, rng)
+    return result.tally

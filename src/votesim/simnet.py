@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from . import bsv
@@ -74,14 +74,6 @@ class Schedule:
             raise ConfigError("phase windows must satisfy start < end")
         if self.sign_window[1] > self.post_window[0]:
             raise ConfigError("signing window must close before posting opens")
-
-    def to_dict(self) -> dict:
-        return {
-            "sign_window": list(self.sign_window),
-            "post_window": list(self.post_window),
-            "anonymize": self.anonymize,
-            "delivery_salt": self.delivery_salt,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
@@ -153,23 +145,8 @@ class ElectionConfig:
                 raise ConfigError(f"rsa_bits must be at least {bsv.MIN_RSA_BITS}")
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "seed": self.seed,
-            "votes": list(self.votes) if self.votes is not None else None,
-            "candidates": list(self.candidates),
-            "k": self.k,
-            "t_policy": self.t_policy,
-            "min_consistency": self.min_consistency,
-            "p_fail": self.p_fail,
-            "behavior": self.behavior,
-            "extra_vote_value": self.extra_vote_value,
-            "group_bits": self.group_bits,
-            "rsa_bits": self.rsa_bits,
-            "replay_voters": list(self.replay_voters),
-            "schedule": self.schedule.to_dict(),
-        }
+        """Every field, the schedule as a nested dict; JSON renders tuples as lists."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ElectionConfig":

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from votesim.cli import build_parser, main
@@ -286,3 +288,64 @@ def test_non_utf8_config_file_exit_config(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["hev-run", "--config", str(config)])
     assert (code, out) == (3, "")
     assert "error config" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["sweep", "--seed", "5"], "--seeds"),
+    (["analytic", "--seed", "9"], "--seed"),
+])
+def test_seed_flag_where_nothing_uses_it_exits_config(tmp_path, capsys, argv, hint):
+    # --help still lists --seed on these commands; giving it is an error, as
+    # a "seed = ..." config line there already is.
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "error config" in err and hint in err
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 5\n")
+    code, out, err = run_cli(capsys, [argv[0], "--config", str(config)])
+    assert (code, out) == (3, "")
+    assert "seed" in err
+
+
+# What each subcommand shows in --help and echoes when given no settings.
+DEFAULTS = {
+    "hev-run": (
+        ["1", "3", "random", "0", "fake_share", "2", "pinned 257-bit group"],
+        '{"behavior": "fake_share", "extra_value": 2, "group_bits": null, "n": 3, "out": null, '
+        '"p_fail": 0.0, "seed": 1, "transcript_out": null, "votes": null}',
+    ),
+    "hevs-run": (
+        ["1", "10", "random", "6", "half", "2", "0", "fake_share", "2", "pinned 257-bit group"],
+        '{"behavior": "fake_share", "extra_value": 2, "group_bits": null, "k": 6, '
+        '"min_consistency": 2, "n": 10, "out": null, "p_fail": 0.0, "seed": 1, "t": null, '
+        '"transcript_out": null, "votes": null}',
+    ),
+    "bsv-run": (
+        ["1", "5", "random", "for,against", "none", "512", "anonymized"],
+        '{"candidates": ["for", "against"], "ledger_out": null, "n": 5, "no_anonymize": false, '
+        '"out": null, "replay_voters": [], "rsa_bits": 512, "seed": 1, "transcript_out": null, '
+        '"votes": null}',
+    ),
+    "sweep": (
+        ["1", "50", "0.01", "6", "2", "sqrt-half", "1000", "1,2,3", "symbolic", "fake_share"],
+        '{"behavior": "fake_share", "k": [6], "min_consistency": 2, "mode": "symbolic", '
+        '"n": [50], "out": null, "p_fail": [0.01], "seeds": [1, 2, 3], "t": "sqrt-half", '
+        '"trials": 1000}',
+    ),
+    "analytic": (
+        ["1", "50", "5", "25"],
+        '{"m": [5], "n": [50], "out": null, "t": 25}',
+    ),
+}
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_defaults_in_help_and_config_echo_are_pinned(capsys, command):
+    shown, echo = DEFAULTS[command]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert re.findall(r"\[default: ([^\]]*)\]", text) == shown
+    code, _, err = run_cli(capsys, [command])
+    assert code == 0
+    assert err == f"config {echo}\n"

@@ -8,16 +8,13 @@ from votesim.errors import (
     EmptyBallotSet,
     EmptyShareSet,
     MissingShares,
-    PhaseError,
     RefuseSingletonAggregate,
 )
 from votesim.hev import (
     Ciphertext,
     DecryptionRequest,
     DecryptionShare,
-    Government,
     KeyShare,
-    Voter,
     aggregate,
     combine_decrypt,
     combine_public_key,
@@ -27,7 +24,6 @@ from votesim.hev import (
     recover_tally,
     run_hev,
 )
-from votesim.group import FIXED_BASE_MIN_USES, FixedBase
 
 
 def make_share(params, voter_id, secret):
@@ -215,71 +211,3 @@ def test_reencryption_freshness(big, rng):
         if a.c1 != b.c1 and a.c2 != b.c2:
             differing += 1
     assert differing >= 198  # >= 99% of re-encryptions differ in both parts
-
-
-@pytest.mark.parametrize("n", [FIXED_BASE_MIN_USES - 1, FIXED_BASE_MIN_USES])
-def test_government_marks_key_and_request_as_fixed_bases(big, n):
-    # Every voter raises the broadcast key and the request's c1 once each.
-    rng = random.Random(n)
-    government = Government(big, n)
-    voters = [Voter(i, big, n, rng) for i in range(1, n + 1)]
-    for voter in voters:
-        government.receive_key_piece(voter.voter_id, voter.make_key_piece())
-    key = government.broadcast_public_key()
-    for voter in voters:
-        voter.receive_public_key(key)
-        government.receive_ciphertext(voter.voter_id, voter.cast_vote(1))
-    government.aggregate_votes()
-    request = government.decryption_request()
-    marked = FixedBase if n >= FIXED_BASE_MIN_USES else int
-    assert type(key) is marked
-    assert type(request.aggregate.c1) is marked
-    for voter in voters:
-        government.receive_share(voter.handle_decryption_request(request))
-    assert government.decrypt_tally() == n
-
-
-def test_voter_state_machine_rejects_out_of_phase(tiny):
-    voter = Voter(1, tiny, 2, random.Random(0))
-    with pytest.raises(PhaseError):
-        voter.cast_vote(1)  # not keyed yet
-    voter.make_key_piece()
-    with pytest.raises(PhaseError):
-        voter.make_key_piece()
-    with pytest.raises(PhaseError):
-        voter.cast_vote(1)  # keyed but no public key received
-    voter.receive_public_key(12)
-    voter.cast_vote(1)
-    with pytest.raises(PhaseError):
-        voter.cast_vote(0)
-
-
-def test_voter_refuses_singleton_aggregate_when_others_exist(tiny):
-    voter = Voter(1, tiny, 2, random.Random(0))
-    voter.make_key_piece()
-    voter.receive_public_key(12)
-    ct = voter.cast_vote(1)
-    with pytest.raises(RefuseSingletonAggregate):
-        voter.handle_decryption_request(DecryptionRequest(ct))
-
-
-def test_government_state_machine_rejects_out_of_phase(tiny):
-    government = Government(tiny, 2)
-    government.receive_key_piece(1, 8)
-    with pytest.raises(PhaseError):
-        government.receive_key_piece(1, 8)  # duplicate
-    with pytest.raises(PhaseError):
-        government.broadcast_public_key()  # one piece missing
-    government.receive_key_piece(2, 9)
-    government.broadcast_public_key()
-    government.receive_ciphertext(1, Ciphertext(16, 3))
-    with pytest.raises(PhaseError):
-        government.aggregate_votes()  # turnout below n is rejected
-    government.receive_ciphertext(2, Ciphertext(18, 9))
-    government.aggregate_votes()
-    with pytest.raises(PhaseError):
-        government.receive_ciphertext(1, Ciphertext(4, 12))
-    request = government.decryption_request()
-    assert request.pending
-    with pytest.raises(MissingShares):
-        government.decrypt_tally()

@@ -5,10 +5,23 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from votesim import hevs
 from votesim.adversary import Behavior, VoterRole
-from votesim.errors import AmbiguousMode, MissingShares, NoConsistentResult
-from votesim.group import ELEMENT_MEMO_SIZE, GroupParams, WindowTable, default_group
-from votesim.hev import Ciphertext, DecryptionShare
+from votesim.errors import (
+    AmbiguousMode,
+    MissingShares,
+    NoConsistentResult,
+    RefuseSingletonAggregate,
+)
+from votesim.group import (
+    ELEMENT_MEMO_SIZE,
+    FIXED_BASE_MIN_USES,
+    FixedBase,
+    GroupParams,
+    WindowTable,
+    default_group,
+)
+from votesim.hev import Ciphertext, DecryptionShare, run_hev
 from votesim.hevs import (
     SamplingPlan,
     SampleResult,
@@ -344,3 +357,71 @@ def test_election_tables_die_with_the_election(monkeypatch):
     generator_tables = {id(o._generator_table) for o in objects if type(o) is GroupParams}
     live_tables = {id(o) for o in objects if type(o) is WindowTable}
     assert live_tables and live_tables <= generator_tables
+
+
+class ScriptedRng(random.Random):
+    """Answers every randrange call with the next scripted value."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def randrange(self, *args):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("n", [FIXED_BASE_MIN_USES - 1, FIXED_BASE_MIN_USES])
+def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, n):
+    # Every voter raises every sampled key once, to its nonce; each distinct
+    # voter of sample j raises the j-th request's c1 once, to its secret.
+    raised = []
+    encrypt, share = hevs.encrypt_vote, hevs.decryption_share
+
+    def spy_encrypt(params, key, *rest):
+        raised.append(("key", int(key), type(key)))
+        return encrypt(params, key, *rest)
+
+    def spy_share(params, key_share, request, *rest):
+        raised.append(("c1", int(request.aggregate.c1), type(request.aggregate.c1)))
+        return share(params, key_share, request, *rest)
+
+    payloads = {}
+
+    def recorder(phase, sender, receiver, payload):
+        payloads[payload["tag"]] = payload
+
+    monkeypatch.setattr(hevs, "encrypt_vote", spy_encrypt)
+    monkeypatch.setattr(hevs, "decryption_share", spy_share)
+    # sample 0 holds all n voters; sample 1 holds n - 1 of them, voter 2 twice
+    plan = SamplingPlan(n, (tuple(range(1, n + 1)), (2, *range(2, n + 1))))
+    results = run_sampled_election(big, [1] * n, honest_roles(n), plan, random.Random(n),
+                                   recorder=recorder)
+    assert [r.tally for r in results] == [n, n]
+    marked = FixedBase if n >= FIXED_BASE_MIN_USES else int
+    keys = [int(key, 16) for key in payloads["sampled_keys"]["keys"]]
+    c1s = [int(c1, 16) for c1, _ in payloads["decrypt_request"]["aggregates"]]
+    assert set(raised) == {("key", keys[0], marked), ("key", keys[1], marked),
+                           ("c1", c1s[0], marked), ("c1", c1s[1], int)}
+    assert len(raised) == 2 * n + n + (n - 1)
+
+
+def test_honest_voter_refuses_an_aggregate_equal_to_its_own_ciphertext(tiny):
+    # Secrets (3, 5, 2), then nonces (1, 4, 7). Nonces 4 and 7 cancel in the
+    # order-11 group, so the ciphertexts of voters 2 and 3 (votes 0) multiply
+    # to (1, 1): the aggregate is voter 1's own ciphertext.
+    plan = SamplingPlan(3, ((1, 2, 3),))
+    rng = ScriptedRng([3, 5, 2, 1, 4, 7])
+    with pytest.raises(RefuseSingletonAggregate):
+        run_sampled_election(tiny, [1, 0, 0], honest_roles(3), plan, rng)
+    # With one voter the aggregate is always the own ciphertext, and the sum
+    # is that vote anyway, so the voter answers.
+    for vote in (0, 1):
+        rng = ScriptedRng([3, 4])
+        (result,) = run_sampled_election(tiny, [vote], honest_roles(1),
+                                         SamplingPlan(1, ((1,),)), rng)
+        assert result.tally == vote
+
+
+def test_run_hev_rejects_an_empty_electorate(big):
+    with pytest.raises(ValueError):
+        run_hev(big, [], random.Random(0))
