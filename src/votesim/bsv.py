@@ -14,9 +14,9 @@ hash breaking that structure.
 The signer signs by the Chinese Remainder Theorem (Quisquater and Couvreur,
 1982): two half-width exponentiations, mod p and mod q, recombined by
 Garner's formula. That gives the same signature as pow(blinded, d, modulus)
-in under half the time. Key generation draws primes as before, and every
-candidate that passes trial division still faces 25 Miller-Rabin rounds,
-so seeded keys are unchanged.
+in under half the time. Key generation tests each random candidate with the
+Baillie-PSW test of ``group.is_probable_prime``; ``tests/data/rsa_keys.json``
+pins the keys it returns for fixed seeds.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from . import bsv
@@ -146,7 +146,9 @@ class ElectionConfig:
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; JSON renders tuples as lists."""
-        return asdict(self)
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["schedule"] = {f.name: getattr(self.schedule, f.name) for f in fields(Schedule)}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ElectionConfig":

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,7 +141,10 @@ def reference_is_probable_prime(n):
 PRIMES_BELOW_1000 = [n for n in range(2, 1000) if all(n % d for d in range(2, n))]
 
 #: Carmichael numbers, and strong pseudoprimes to the first prime bases up to 41
-#: (the last one sets the 3.3e24 bound below which 25 bases are deterministic)
+#: (the last one sets the 3.3e24 bound below which 25 bases are deterministic);
+#: then strong pseudoprimes to base 2 that only the Lucas test rejects, two of
+#: them squares of Wieferich primes (1093**2, 3511**2); then strong Lucas
+#: pseudoprimes that only the base-2 round rejects. None has a factor below 1000.
 PSEUDOPRIMES = (
     561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
     52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
@@ -148,6 +152,8 @@ PSEUDOPRIMES = (
     488881, 512461, 825265, 2047, 1373653, 25326001, 3215031751, 2152302898747,
     3474749660383, 341550071728321, 3825123056546413051,
     318665857834031151167461, 3317044064679887385961981,
+    1678541, 2284453, 3125281, 3375041, 4513841, 21359521, 1194649, 12327121,
+    1711469, 2263127, 2518889, 2624399,
 )
 
 
@@ -214,10 +220,19 @@ def test_small_factors_cost_no_modexp(monkeypatch):
     assert calls == []
 
 
-def test_miller_rabin_keeps_25_rounds(monkeypatch):
+def test_prime_costs_one_modexp(monkeypatch):
+    # the base-2 round is the only pow; the Lucas test doubles by hand
     calls = count_pows(monkeypatch)
-    assert is_probable_prime(2 ** 127 - 1)
-    assert [args[0] for args in calls] == list(_REFERENCE_BASES)
+    n = 2 ** 127 - 1
+    assert is_probable_prime(n)
+    assert calls == [(2, (n - 1) // 2, n)]
+
+
+def test_lucas_test_rejects_a_square_at_once():
+    # no D has (D/n) = -1 for a square n, so only the square check ends this
+    start = time.perf_counter()
+    assert not votesim.group._is_strong_lucas_probable_prime((2 ** 61 - 1) ** 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dlog_examples(tiny):

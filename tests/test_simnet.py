@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -218,3 +219,15 @@ def test_config_roundtrips_through_dict():
     config = ElectionConfig(protocol="hevs", n=5, k=3, seed=4, p_fail=0.3,
                             t_policy="sqrt", votes=(1, 0, 1, 1, 0))
     assert ElectionConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_dict_matches_asdict():
+    configs = [
+        ElectionConfig(protocol="hevs", n=5, k=3, seed=4, p_fail=0.3,
+                       t_policy="sqrt", votes=(1, 0, 1, 1, 0)),
+        ElectionConfig(protocol="bsv", n=4, replay_voters=(2, 3), group_bits=24,
+                       schedule=Schedule(sign_window=(0, 2), post_window=(4, 9),
+                                         anonymize=False, delivery_salt=7)),
+    ]
+    for config in configs:
+        assert config.to_dict() == dataclasses.asdict(config)
