@@ -1,4 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints its pinned output.
+
+The expected stdout of demo ``demos/<name>.py`` is ``tests/data/demos/<name>.out``.
+"""
 
 import os
 import subprocess
@@ -9,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+FIXTURES = ROOT / "tests" / "data" / "demos"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
@@ -18,4 +22,5 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    expected = (FIXTURES / f"{script.stem}.out").read_text(encoding="utf-8")
+    assert proc.stdout == expected
