@@ -25,7 +25,6 @@ from .errors import (
 from .group import (
     TINY_GROUP,
     GroupParams,
-    build_dlog_table,
     default_group,
     discrete_log_bounded,
     generate_group,

@@ -28,7 +28,6 @@ class AdversaryConfig:
 
     p_fail: float
     behavior: Behavior = Behavior.FAKE_SHARE
-    extra_vote_value: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.p_fail <= 1.0:
@@ -51,6 +50,15 @@ def assign_roles(rng: random.Random, n: int, config: AdversaryConfig) -> list[Vo
     return roles
 
 
+def draw_fake_exponent(rng: random.Random, params: GroupParams, true_secret: int | None) -> int:
+    """A random secret-key-domain exponent, redrawn while it equals the true
+    secret so that a share raised to it is genuinely wrong."""
+    exponent = params.random_scalar(rng)
+    while exponent == true_secret:
+        exponent = params.random_scalar(rng)
+    return exponent
+
+
 def fake_decryption_share(
     rng: random.Random,
     params: GroupParams,
@@ -63,13 +71,10 @@ def fake_decryption_share(
     exponent rather than the voter's secret key.
 
     An explicit exponent lets a voter reuse the same fake value across
-    several sampled keys; when drawing fresh, a draw colliding with the true
-    secret is redrawn so the response is genuinely wrong.
+    several sampled keys; otherwise one is drawn by draw_fake_exponent.
     """
     if exponent is None:
-        exponent = params.random_scalar(rng)
-        while exponent == true_secret:
-            exponent = params.random_scalar(rng)
+        exponent = draw_fake_exponent(rng, params, true_secret)
     return DecryptionShare(voter_id, params.exp(aggregate_c1, exponent))
 
 

@@ -105,7 +105,7 @@ def _random_prime(rng: random.Random, bits: int, attempts: int = 100_000) -> int
     raise GroupGenerationError(f"no {bits}-bit prime found in {attempts} attempts")
 
 
-def signer_keygen(rng: random.Random, bits: int = 1024) -> SignerKeys:
+def signer_keygen(rng: random.Random, bits: int) -> SignerKeys:
     """Generate an RSA keypair with a modulus of roughly `bits` bits."""
     if bits < MIN_RSA_BITS:
         raise ValueError(f"modulus below {MIN_RSA_BITS} bits leaves no room for digests")
@@ -121,9 +121,14 @@ def signer_keygen(rng: random.Random, bits: int = 1024) -> SignerKeys:
                 return SignerKeys(p * q, e, pow(e, -1, lam), p, q)
 
 
+def is_ballot_content(content) -> bool:
+    """Ballot content is a nonempty string without tabs or newlines."""
+    return isinstance(content, str) and content != "" and not any(c in content for c in "\t\n\r")
+
+
 def make_ballot(content: str, rng: random.Random) -> Ballot:
     """Pair the vote content with a fresh 32-byte nonce."""
-    if not content or any(c in content for c in "\t\n\r"):
+    if not is_ballot_content(content):
         raise ValueError("ballot content must be nonempty, without tabs or newlines")
     return Ballot(content, int.from_bytes(rng.randbytes(NONCE_BYTES), "big"))
 

@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="flat key = value file; flags override it")
         if _SEED not in settings:
-            _SEED.add_to(p)  # listed in --help everywhere; _resolve rejects it here
+            # accepted only so that _resolve can reject it with a hint
+            p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
         for setting in settings:
             setting.add_to(p)
         p.set_defaults(func=handler, settings=settings)
@@ -333,9 +334,6 @@ def main(argv=None) -> int:
         resolved = _resolve(args, args.settings)
         print("config " + json.dumps(resolved, sort_keys=True, default=str), file=sys.stderr)
         return args.func(resolved)
-    except ConfigError as exc:
-        print(f"error config: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error io: {exc}", file=sys.stderr)
         return 3

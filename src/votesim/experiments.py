@@ -24,7 +24,7 @@ Accuracy per grid point is averaged over the configured seeds, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .adversary import Behavior, VoterRole
@@ -39,9 +39,6 @@ from .hevs import (
     run_sampled_election,
 )
 from .seeding import derive_seed, draws, spawn
-
-#: column order of the sweep CSV; header row is mandatory
-CSV_COLUMNS = ("n", "p_fail", "k", "min_consistency", "t", "trials", "seeds", "accuracy", "mode")
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
 
@@ -99,6 +96,10 @@ class SweepRow:
     seeds: int
     accuracy: float
     mode: str
+
+
+#: column order of the sweep CSV, SweepRow's field order; header row is mandatory
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def run_trial(config: TrialConfig, seed: int) -> bool:
@@ -175,17 +176,8 @@ def grid(
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join((
-            format_number(row.n),
-            format_number(row.p_fail),
-            format_number(row.k),
-            format_number(row.min_consistency),
-            format_number(row.t),
-            format_number(row.trials),
-            format_number(row.seeds),
-            format_number(row.accuracy),
-            row.mode,
-        )))
+        values = (getattr(row, name) for name in CSV_COLUMNS)
+        lines.append(",".join(v if isinstance(v, str) else format_number(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

@@ -334,36 +334,16 @@ def generate_group(bits: int, rng: random.Random, max_attempts: int | None = Non
     raise GroupGenerationError(f"no safe prime of {bits} bits found in {attempts} attempts")
 
 
-def build_dlog_table(params: GroupParams, bound: int) -> dict[int, int]:
-    """Precompute {g**t: t} for t in [0, bound], reusable across decodes."""
-    table: dict[int, int] = {}
-    acc = 1
-    for t in range(bound + 1):
-        table.setdefault(acc, t)
-        acc = acc * params.generator % params.modulus
-    return table
-
-
-def discrete_log_bounded(
-    params: GroupParams,
-    target: int,
-    bound: int,
-    table: dict[int, int] | None = None,
-) -> int:
+def discrete_log_bounded(params: GroupParams, target: int, bound: int) -> int:
     """Recover t with generator**t == target, searching t in [0, bound].
 
     The tally of a vote is bounded by the electorate size, so a linear scan
-    (or a precomputed table for repeated decodes) is sufficient. Raises
-    DiscreteLogNotFound when no exponent within the bound matches, which
-    signals a corrupted aggregate or a bound that is too small.
+    is sufficient. Raises DiscreteLogNotFound when no exponent within the
+    bound matches, which signals a corrupted aggregate or a bound that is
+    too small.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if table is not None:
-        t = table.get(target)
-        if t is not None and t <= bound:
-            return t
-        raise DiscreteLogNotFound(target, bound)
     acc = 1
     for t in range(bound + 1):
         if acc == target:

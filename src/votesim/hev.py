@@ -54,10 +54,9 @@ class DecryptionShare:
 
 @dataclass(frozen=True)
 class DecryptionRequest:
-    """The aggregate forwarded for decryption, with the action-pending marker."""
+    """The aggregate forwarded to the voters for decryption."""
 
     aggregate: Ciphertext
-    pending: bool = True
 
 
 def keygen_share(rng: random.Random, params: GroupParams, voter_id: int) -> KeyShare:
@@ -172,16 +171,11 @@ def combine_decrypt(
     return params.mul(aggregate_ct.c2, params.inv(mask))
 
 
-def recover_tally(
-    params: GroupParams,
-    encoded_sum: int,
-    n: int,
-    table: dict[int, int] | None = None,
-) -> int:
+def recover_tally(params: GroupParams, encoded_sum: int, n: int) -> int:
     """Decode g**tally into the tally; the tally is bounded by the electorate."""
     if n < 1:
         raise ValueError("electorate size must be at least 1")
-    return discrete_log_bounded(params, encoded_sum, n, table=table)
+    return discrete_log_bounded(params, encoded_sum, n)
 
 
 def run_hev(params: GroupParams, votes: Sequence[int], rng: random.Random) -> int:

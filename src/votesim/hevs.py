@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .adversary import Behavior, VoterRole, extra_vote_ciphertext, fake_decryption_share
+from .adversary import Behavior, VoterRole, draw_fake_exponent, fake_decryption_share
 from .errors import AmbiguousMode, DiscreteLogNotFound, MissingShares, NoConsistentResult
 from .group import GroupParams, discrete_log_bounded
 from .hev import (
@@ -30,6 +30,7 @@ from .hev import (
     DecryptionShare,
     aggregate,
     decryption_share,
+    encrypt_value,
     encrypt_vote,
     keygen_share,
 )
@@ -63,7 +64,6 @@ class SamplingPlan:
 class SampledKey:
     """One sampled public key and how often each voter's piece went into it."""
 
-    sample_index: int
     key: int
     multiplicity: Mapping[int, int]
 
@@ -139,7 +139,7 @@ def combine_sampled_public_key(
         # A piece sampled once goes in as is: plain HEV then pays no modexp here.
         piece = pieces[voter_id]
         key = params.mul(key, piece if count == 1 else params.exp(piece, count))
-    return SampledKey(sample_index, key, dict(mult))
+    return SampledKey(key, dict(mult))
 
 
 def combine_sampled_decrypt(
@@ -149,7 +149,6 @@ def combine_sampled_decrypt(
     sample_index: int,
     aggregate_ct: Ciphertext,
     bound: int,
-    table: dict[int, int] | None = None,
 ) -> SampleResult:
     """Unmask one sample using the sampled voters' responses.
 
@@ -168,7 +167,7 @@ def combine_sampled_decrypt(
         mask = params.mul(mask, partial if count == 1 else params.exp(partial, count))
     element = params.mul(aggregate_ct.c2, params.inv(mask))
     try:
-        tally = discrete_log_bounded(params, element, bound, table=table)
+        tally = discrete_log_bounded(params, element, bound)
     except DiscreteLogNotFound:
         tally = None
     return SampleResult(sample_index, element, tally)
@@ -227,11 +226,10 @@ def run_sampled_election(
     roles: Sequence[VoterRole],
     plan: SamplingPlan,
     rng: random.Random,
-    dlog_table: dict[int, int] | None = None,
     recorder: Recorder | None = None,
 ) -> list[SampleResult]:
     """run_pipeline with every voter drawing from the one rng, in voter order."""
-    return run_pipeline(params, votes, roles, plan, [rng] * len(votes), dlog_table, recorder)
+    return run_pipeline(params, votes, roles, plan, [rng] * len(votes), recorder)
 
 
 def run_pipeline(
@@ -240,7 +238,6 @@ def run_pipeline(
     roles: Sequence[VoterRole],
     plan: SamplingPlan,
     voter_rngs: Sequence[random.Random],
-    dlog_table: dict[int, int] | None = None,
     recorder: Recorder | None = None,
 ) -> list[SampleResult]:
     """Run the full k-sample pipeline over the given votes and roles.
@@ -275,7 +272,8 @@ def run_pipeline(
 
     ciphertexts: list[list[Ciphertext]] = []
     for i in range(n):
-        encrypt = extra_vote_ciphertext if roles[i].behavior is Behavior.EXTRA_VOTE else encrypt_vote
+        # an extra-vote cheater encrypts its value with no 0/1 check
+        encrypt = encrypt_value if roles[i].behavior is Behavior.EXTRA_VOTE else encrypt_vote
         row = [encrypt(params, key, votes[i], voter_rngs[i]) for key in keys]
         ciphertexts.append(row)
         if recorder:
@@ -304,10 +302,7 @@ def run_pipeline(
             continue
         fake_exponent = None
         if role.behavior is Behavior.FAKE_SHARE:
-            secret = key_shares[i].secret_key
-            fake_exponent = params.random_scalar(voter_rngs[i])
-            while fake_exponent == secret:
-                fake_exponent = params.random_scalar(voter_rngs[i])
+            fake_exponent = draw_fake_exponent(voter_rngs[i], params, key_shares[i].secret_key)
         answered = [j for j in range(plan.k) if voter_id in sampled_keys[j].multiplicity]
         for j in answered:
             if fake_exponent is not None:
@@ -328,8 +323,7 @@ def run_pipeline(
     results = []
     for j in range(plan.k):
         try:
-            result = combine_sampled_decrypt(params, responses[j], plan, j,
-                                             aggregates[j], n, table=dlog_table)
+            result = combine_sampled_decrypt(params, responses[j], plan, j, aggregates[j], n)
         except MissingShares:
             result = SampleResult(j, None, None)
         results.append(result)

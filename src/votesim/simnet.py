@@ -85,6 +85,10 @@ class Schedule:
         )
 
 
+#: ElectionConfig fields that hold an int (never a bool); group_bits may also be None
+_INT_FIELDS = ("n", "seed", "k", "min_consistency", "extra_vote_value", "group_bits", "rsa_bits")
+
+
 @dataclass(frozen=True)
 class ElectionConfig:
     """Everything a run needs; fully determines the transcript via the seed."""
@@ -108,6 +112,10 @@ class ElectionConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "group_bits" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if not 0.0 <= self.p_fail <= 1.0:
@@ -119,7 +127,8 @@ class ElectionConfig:
         if self.votes is not None:
             if len(self.votes) != self.n:
                 raise ConfigError(f"got {len(self.votes)} votes for n={self.n}")
-            if self.protocol in ("hev", "hevs") and any(v not in (0, 1) for v in self.votes):
+            if self.protocol in ("hev", "hevs") and any(
+                    type(v) is not int or v not in (0, 1) for v in self.votes):
                 raise ConfigError("hev/hevs votes must be 0 or 1")
             if self.protocol == "bsv" and any(v not in self.candidates for v in self.votes):
                 raise ConfigError(f"bsv votes must be among the candidates {list(self.candidates)}")
@@ -139,8 +148,13 @@ class ElectionConfig:
                 raise ConfigError("bsv does not model p_fail; use replay_voters")
             if not self.candidates:
                 raise ConfigError("bsv needs a candidate set")
-            if any(not 1 <= v <= self.n for v in self.replay_voters):
+            if not all(map(bsv.is_ballot_content, self.candidates)):
+                raise ConfigError("bsv candidates must be nonempty, without tabs or newlines")
+            if any(type(v) is not int or not 1 <= v <= self.n for v in self.replay_voters):
                 raise ConfigError("replay_voters must be voter ids in [1, n]")
+            window = self.schedule.sign_window
+            if window[1] - window[0] < 2:
+                raise ConfigError("signing window needs at least two rounds (request, response)")
             if self.rsa_bits < bsv.MIN_RSA_BITS:
                 raise ConfigError(f"rsa_bits must be at least {bsv.MIN_RSA_BITS}")
 
@@ -191,19 +205,14 @@ def _resolve_group(config: ElectionConfig) -> GroupParams:
     return generate_group(config.group_bits, spawn(config.seed, "group"))
 
 
-def _derive_world(config: ElectionConfig) -> tuple[list[VoterRole], list]:
-    """Roles and the plaintext each voter will submit, drawn from the seed."""
-    adversary = AdversaryConfig(config.p_fail, Behavior(config.behavior), config.extra_vote_value)
+def _derive_world(config: ElectionConfig) -> tuple[list[VoterRole], list[int]]:
+    """Roles and the plaintext each hev/hevs voter will submit, drawn from the seed."""
+    adversary = AdversaryConfig(config.p_fail, Behavior(config.behavior))
     roles = assign_roles(spawn(config.seed, "roles"), config.n, adversary)
     vote_rng = spawn(config.seed, "votes")
     submitted = []
-    for i in range(config.n):
-        if config.protocol == "bsv":
-            intent = config.votes[i] if config.votes is not None else vote_rng.choice(config.candidates)
-            submitted.append(intent)
-            continue
+    for i, role in enumerate(roles):
         intent = config.votes[i] if config.votes is not None else vote_rng.randrange(2)
-        role = roles[i]
         if role.honest:
             submitted.append(intent)
         elif role.behavior is Behavior.EXTRA_VOTE:
@@ -300,9 +309,9 @@ def _run_hevs(config: ElectionConfig, messages: list[Message], partial: dict) ->
 
 def _run_bsv(config: ElectionConfig, messages: list[Message]) -> dict:
     schedule = config.schedule
-    if schedule.sign_window[1] - schedule.sign_window[0] < 2:
-        raise ConfigError("signing window needs at least two rounds (request, response)")
-    _, choices = _derive_world(config)
+    vote_rng = spawn(config.seed, "votes")
+    choices = config.votes if config.votes is not None else [
+        vote_rng.choice(config.candidates) for _ in range(config.n)]
     keys = bsv.signer_keygen(spawn(config.seed, "rsa"), config.rsa_bits)
     pub = keys.public
     ledger = bsv.Ledger(pub, schedule.sign_window, schedule.post_window)
@@ -375,7 +384,7 @@ def replay(lines: Iterable[str]) -> ElectionOutcome:
         raise CorruptTranscript("missing transcript header")
     try:
         config = ElectionConfig.from_dict(json.loads(lines[0][len(TRANSCRIPT_MAGIC) + 1:]))
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (ValueError, LookupError, TypeError, ConfigError) as exc:
         raise CorruptTranscript(f"unreadable header: {exc}") from exc
     outcome = run_election(config)
     expected = transcript_lines(outcome)

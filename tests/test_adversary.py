@@ -66,10 +66,11 @@ def test_assign_roles_deterministic_per_seed():
 
 
 def test_fake_share_redraws_true_secret(tiny):
-    # first draw collides with the true secret and must be rejected
-    rng = ScriptedRng([5, 9])
-    share = fake_decryption_share(rng, tiny, aggregate_c1=2, voter_id=1, true_secret=5)
-    assert share.partial == tiny.exp(2, 9)
+    # draws colliding with the true secret are rejected until one differs
+    for script in ([5, 9], [5, 5, 9]):
+        rng = ScriptedRng(script)
+        share = fake_decryption_share(rng, tiny, aggregate_c1=2, voter_id=1, true_secret=5)
+        assert share.partial == tiny.exp(2, 9)
 
 
 def test_fake_share_uses_pinned_exponent(tiny):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -148,7 +149,8 @@ def test_help_lists_defaults(capsys):
         assert excinfo.value.code == 0
         text = capsys.readouterr().out
         assert "default" in text
-        assert "--seed" in text
+        listed = re.search(r"--seed\b", text) is not None
+        assert listed == (command in ("hev-run", "hevs-run", "bsv-run"))
 
 
 def test_out_writes_file_and_keeps_stdout_clean(tmp_path, capsys):
@@ -327,13 +329,13 @@ DEFAULTS = {
         '"votes": null}',
     ),
     "sweep": (
-        ["1", "50", "0.01", "6", "2", "sqrt-half", "1000", "1,2,3", "symbolic", "fake_share"],
+        ["50", "0.01", "6", "2", "sqrt-half", "1000", "1,2,3", "symbolic", "fake_share"],
         '{"behavior": "fake_share", "k": [6], "min_consistency": 2, "mode": "symbolic", '
         '"n": [50], "out": null, "p_fail": [0.01], "seeds": [1, 2, 3], "t": "sqrt-half", '
         '"trials": 1000}',
     ),
     "analytic": (
-        ["1", "50", "5", "25"],
+        ["50", "5", "25"],
         '{"m": [5], "n": [50], "out": null, "t": 25}',
     ),
 }
@@ -349,3 +351,19 @@ def test_defaults_in_help_and_config_echo_are_pinned(capsys, command):
     code, _, err = run_cli(capsys, [command])
     assert code == 0
     assert err == f"config {echo}\n"
+
+
+def test_bsv_candidate_with_tab_or_newline_exits_config(tmp_path, capsys):
+    # make_ballot refuses such content, and a tally line would carry the tab
+    for candidates, votes in (("a\tb,c", "a\tb,c"), ("a\nb,c", "c,c"), ("a\tb,c", "c,c")):
+        code, out, err = run_cli(capsys, ["bsv-run", "--n", "2", "--rsa-bits", "64",
+                                          "--candidates", candidates, "--votes", votes])
+        assert (code, out) == (3, "")
+        assert "error config" in err and "candidates" in err
+    header = ElectionConfig(protocol="bsv", n=2, rsa_bits=64).to_dict()
+    header["candidates"] = ["a\tb", "c"]
+    transcript = tmp_path / "run.transcript"
+    transcript.write_text(f"votesim-transcript 1 {json.dumps(header)}\n")
+    code, out, err = run_cli(capsys, ["replay", str(transcript)])
+    assert (code, out) == (4, "")
+    assert "error protocol" in err and "candidates" in err

@@ -13,7 +13,6 @@ from votesim.group import (
     FixedBase,
     GroupParams,
     WindowTable,
-    build_dlog_table,
     default_group,
     discrete_log_bounded,
     generate_group,
@@ -240,16 +239,8 @@ def test_dlog_examples(tiny):
     assert discrete_log_bounded(tiny, 9, 10) == 5  # 2**5 = 32 = 9 mod 23
     with pytest.raises(DiscreteLogNotFound):
         discrete_log_bounded(tiny, 7, 10)  # 7 is not a power of 2 mod 23
-
-
-def test_dlog_table_matches_scan(tiny):
-    table = build_dlog_table(tiny, 10)
-    for exponent in range(11):
-        target = tiny.exp(tiny.generator, exponent)
-        assert discrete_log_bounded(tiny, target, 10, table=table) == exponent
-        assert discrete_log_bounded(tiny, target, 10) == exponent
     with pytest.raises(DiscreteLogNotFound):
-        discrete_log_bounded(tiny, 9, 3, table=table)  # exponent 5 above bound 3
+        discrete_log_bounded(tiny, 9, 3)  # exponent 5 above bound 3
 
 
 def test_dlog_rejects_negative_bound(tiny):

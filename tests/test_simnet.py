@@ -196,6 +196,32 @@ def test_replay_rejects_bad_header():
         replay(["votesim-transcript 1 {broken json"])
 
 
+BAD_HEADERS = {
+    "n float": ("hev", {"n": 3.0}),
+    "k float": ("hevs", {"k": 3.0}),
+    "group_bits fractional": ("hev", {"group_bits": 20.5}),
+    "rsa_bits float": ("bsv", {"rsa_bits": 64.0}),
+    "replay_voters float": ("bsv", {"replay_voters": [1.0]}),
+    "hev votes float": ("hev", {"votes": [1.0, 0, 1]}),
+    "hev votes bool": ("hev", {"votes": [True, 0, 1]}),
+    "extra_vote_value fractional": ("hev", {"extra_vote_value": 2.5, "behavior": "extra_vote",
+                                            "p_fail": 1.0}),
+    "one-round signing window": ("bsv", {"schedule": {"sign_window": [1, 2],
+                                                      "post_window": [3, 5],
+                                                      "anonymize": True, "delivery_salt": 0}}),
+    "one-item posting window": ("hev", {"schedule": {"sign_window": [1, 3], "post_window": [3],
+                                                     "anonymize": True, "delivery_salt": 0}}),
+}
+
+
+@pytest.mark.parametrize("protocol, fields", BAD_HEADERS.values(), ids=BAD_HEADERS)
+def test_replay_reports_an_invalid_header_as_corrupt(protocol, fields):
+    header = ElectionConfig(protocol=protocol, n=3, rsa_bits=64).to_dict()
+    header.update(fields)
+    with pytest.raises(CorruptTranscript, match="unreadable header"):
+        replay([f"votesim-transcript 1 {json.dumps(header)}"])
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ElectionConfig(protocol="mystery", n=3)
@@ -213,6 +239,8 @@ def test_config_validation():
         ElectionConfig(protocol="hev", n=2, p_fail=1.5)
     with pytest.raises(ConfigError):
         Schedule(sign_window=(1, 4), post_window=(3, 5))
+    with pytest.raises(ConfigError):
+        ElectionConfig(protocol="bsv", n=2, candidates=("a\tb", "c"), votes=("c", "c"))
 
 
 def test_config_roundtrips_through_dict():
