@@ -23,7 +23,11 @@ Accuracy per grid point is averaged over the configured seeds, and
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -129,30 +133,182 @@ def run_trial(config: TrialConfig, seed: int) -> bool:
 
 def run_point(config: TrialConfig) -> SweepRow:
     """Accuracy at one grid point, averaged over the configured seeds."""
-    per_seed = []
-    for seed in config.seeds:
-        correct = sum(
-            run_trial(config, derive_seed("trial", seed, index))
-            for index in range(config.trials)
-        )
-        per_seed.append(correct / config.trials)
-    return SweepRow(
-        n=config.n,
-        p_fail=config.p_fail,
-        k=config.k,
-        min_consistency=config.min_consistency,
-        t=resolve_sample_size(config.t_policy, config.n),
-        trials=config.trials,
-        seeds=len(config.seeds),
-        accuracy=sum(per_seed) / len(per_seed),
-        mode=config.mode,
-    )
+    return run_sweep([config])[0]
 
 
-def run_sweep(configs: Sequence[TrialConfig]) -> list[SweepRow]:
+def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> list[SweepRow]:
+    """One row per grid point, using every CPU in the process's affinity set.
+
+    The sweep's (point, seed, trial) list is cut into runs of consecutive
+    trials, and the workers take runs from a shared queue (a pipe) until it
+    is empty: this process is one worker and ``os.fork`` children are the
+    others, each sending back its correct-trial count per (point, seed).
+    Worker i is held on the set's i-th CPU (wrapping round) for the call,
+    and this process gets its affinity back before returning. A worker slowed by a
+    busy CPU just takes fewer runs, so the sweep's time follows the CPU time
+    it gets rather than its slowest CPU. The bytes of a row cannot depend on
+    ``workers`` or on who ran which trial: each trial draws only from its own
+    ``derive_seed("trial", seed, index)`` stream, and a point's accuracy is
+    computed from integer counts by one fixed float expression. To use fewer
+    CPUs, narrow the affinity set, e.g. with ``taskset -c 0 votesim sweep ...``.
+
+    ``workers=None`` means one worker per CPU in ``os.sched_getaffinity(0)``,
+    or 1 while other threads are running, since a forked child holds only the
+    calling thread. The count is capped at the number of trials. ``workers=1``
+    runs every trial in this process, in sweep order, so a patch or tracer
+    that records state here sees all of them.
+
+    An exception in a child is re-raised here with its type; the children
+    are killed on any error and always reaped.
+    """
     if not configs:
         raise ValueError("empty sweep grid")
-    return [run_point(config) for config in configs]
+    if workers is None:
+        workers = 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+    elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
+    groups = [(config, seed) for config in configs for seed in config.seeds]
+    starts = list(itertools.accumulate((config.trials for config, _ in groups), initial=0))
+    total = starts.pop()
+    workers = min(workers, total)
+    if workers == 1:
+        counts = [0] * len(groups)
+        _add_counts(groups, starts, 0, total, counts)
+    else:
+        counts = _forked_counts(groups, starts, total, workers)
+
+    rows = []
+    position = 0
+    for config in configs:
+        per_seed = [correct / config.trials
+                    for correct in counts[position:position + len(config.seeds)]]
+        position += len(config.seeds)
+        rows.append(SweepRow(
+            n=config.n,
+            p_fail=config.p_fail,
+            k=config.k,
+            min_consistency=config.min_consistency,
+            t=resolve_sample_size(config.t_policy, config.n),
+            trials=config.trials,
+            seeds=len(config.seeds),
+            accuracy=sum(per_seed) / len(per_seed),
+            mode=config.mode,
+        ))
+    return rows
+
+
+#: queue runs per worker: enough that the last runs even out unequal trials
+_RUNS_PER_WORKER = 64
+#: at most 1024 four-byte run ids, so the queue fits an empty pipe in one write
+_MAX_RUNS = 1024
+
+
+def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[int]) -> None:
+    """Add the correct trials at sweep positions lo..hi-1 to counts per (point, seed)."""
+    group = bisect.bisect_right(starts, lo) - 1
+    while group < len(groups) and starts[group] < hi:
+        config, seed = groups[group]
+        first = max(lo - starts[group], 0)
+        for index in range(first, min(hi - starts[group], config.trials)):
+            counts[group] += run_trial(config, derive_seed("trial", seed, index))
+        group += 1
+
+
+def _drain(groups, starts: list[int], runs: list[tuple[int, int]], queue: int) -> list[int]:
+    """Run the queue's runs until it is empty; counts per (point, seed)."""
+    counts = [0] * len(groups)
+    while token := os.read(queue, 4):
+        _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts)
+    return counts
+
+
+def _pin(cpus) -> None:
+    """Keep this process on cpus. Left alone, Linux may start a forked worker
+    on its parent's CPU and leave both there for hundreds of milliseconds
+    while another CPU idles. Placement only, so a refusal is ignored."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[int]:
+    """Sum of every worker's counts; workers 1..W-1 are forked children."""
+    # Imported here, so a process that never forks a sweep does not load them.
+    import pickle
+    import signal
+
+    size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
+    runs = [(total * i // size, total * (i + 1) // size) for i in range(size)]
+    # Filled and closed before the first fork, so an empty queue reads as EOF.
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(size)))
+    finally:
+        os.close(feed)
+    cpus = sorted(os.sched_getaffinity(0))
+    children = []  # (pid, read end of the child's result pipe)
+    try:
+        for worker in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _child_main(groups, starts, runs, queue, write_end, cpus[worker % len(cpus)])
+            os.close(write_end)
+            children.append((pid, read_end))
+        _pin({cpus[0]})
+        counts = _drain(groups, starts, runs, queue)
+        for pid, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"sweep worker {pid} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            counts = [a + b for a, b in zip(counts, value)]
+        return counts
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _pin(cpus)
+        os.close(queue)
+        for pid, read_end in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+
+
+def _child_main(groups, starts, runs, queue: int, write_end: int, cpu: int):
+    """Drain the queue in a forked child, write (ok, counts or exception), exit.
+
+    Leaving through ``os._exit`` skips the parent's atexit handlers and never
+    flushes the stdout and stderr buffers the child inherited.
+    """
+    import pickle
+
+    try:
+        _pin({cpu})
+        try:
+            payload = (True, _drain(groups, starts, runs, queue))
+        except BaseException as exc:  # sent to the parent, which raises it
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload)
+            pickle.loads(data)
+        except Exception:  # an exception that cannot be rebuilt from its args
+            data = pickle.dumps((False, RuntimeError(f"sweep worker failed: {payload[1]!r}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def grid(

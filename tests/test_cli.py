@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import votesim
 from votesim.cli import build_parser, main
 from votesim.simnet import ElectionConfig, run_election
 
@@ -76,6 +81,22 @@ def test_sweep_golden_output(capsys):
     code, out, _ = run_cli(capsys, GOLDEN_SWEEP_ARGS)
     assert code == 0
     assert out == GOLDEN_SWEEP
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["default-affinity", "one-cpu"])
+def test_sweep_subprocess_prints_golden_csv_once(one_cpu):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(votesim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cpu = min(os.sched_getaffinity(0))
+    # runs in the child between fork and exec, so only the child is narrowed
+    pin = (lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None
+    proc = subprocess.run([sys.executable, "-m", "votesim.cli", *GOLDEN_SWEEP_ARGS], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=pin, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN_SWEEP
 
 
 def test_sweep_reads_config_file(tmp_path, capsys):

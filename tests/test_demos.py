@@ -18,6 +18,9 @@ FIXTURES = ROOT / "tests" / "data" / "demos"
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script):
     env = dict(os.environ)
+    # Block-buffered stdout, so a forked sweep worker that flushed the demo's
+    # pending output would print it twice.
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from votesim import experiments
 from votesim.adversary import AdversaryConfig, Behavior, assign_roles
 from votesim.experiments import (
     CSV_COLUMNS,
@@ -20,8 +27,12 @@ from votesim.experiments import (
     run_trial,
     sweep_csv,
 )
+from votesim.errors import DiscreteLogNotFound
 from votesim.hevs import make_sampling_plan, reliability_probability_with_replacement
 from votesim.seeding import derive_seed, spawn
+
+#: this process's CPU affinity before any test has run a sweep
+START_AFFINITY = os.sched_getaffinity(0)
 
 #: per-trial outcomes, sampling plans and roles written by an earlier build
 TRIAL_PIN = Path(__file__).resolve().parent / "data" / "symbolic_trials.json"
@@ -133,6 +144,180 @@ def test_grid_row_order():
         (1, 0.1, 3), (1, 0.1, 4), (1, 0.2, 3), (1, 0.2, 4),
         (2, 0.1, 3), (2, 0.1, 4), (2, 0.2, 3), (2, 0.2, 4),
     ]
+
+
+@st.composite
+def small_sweeps(draw):
+    """1-3 grid points; full mode only for n <= 6, so examples stay cheap."""
+    configs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        configs.append(TrialConfig(
+            n=n,
+            p_fail=draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0))),
+            k=draw(st.integers(1, 6)),
+            min_consistency=draw(st.integers(2, 4)),
+            trials=draw(st.integers(1, 7)),
+            seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))),
+            mode=draw(st.sampled_from(("symbolic", "full") if n <= 6 else ("symbolic",))),
+            behavior=draw(st.sampled_from(("fake_share", "silent"))),
+        ))
+    return configs
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs=small_sweeps())
+def test_parallel_sweep_csv_equals_serial(configs):
+    serial = sweep_csv(run_sweep(configs, workers=1))
+    for workers in (2, 3, 5):
+        assert sweep_csv(run_sweep(configs, workers=workers)) == serial, workers
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_default_workers_fork_one_child_per_extra_cpu(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    cpus = len(os.sched_getaffinity(0))
+    configs = grid((10,), (0.2,), (3,), trials=cpus, seeds=(1,))
+    assert run_sweep(configs) == run_sweep(configs, workers=1)
+    assert len(forks) == cpus - 1
+    # capped at the trial count: a one-trial sweep never forks
+    run_sweep(grid((10,), (0.2,), (3,), trials=1, seeds=(1,)), workers=4)
+    assert len(forks) == cpus - 1
+
+
+def test_default_workers_stay_in_process_while_other_threads_run(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        run_sweep(grid((10,), (0.2,), (3,), trials=4, seeds=(1,)))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True])
+def test_workers_must_be_a_positive_int(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(grid((10,), (0.2,), (3,), trials=2, seeds=(1,)), workers=workers)
+
+
+def _patch_trial(monkeypatch, parent, child):
+    """run_trial through parent(trial, config, seed) in this process and through
+    child(...) in forked workers, which inherit the patch."""
+    real_trial, parent_pid = experiments.run_trial, os.getpid()
+
+    def trial(config, seed):
+        wrapper = parent if os.getpid() == parent_pid else child
+        return wrapper(real_trial, config, seed)
+
+    monkeypatch.setattr(experiments, "run_trial", trial)
+
+
+def _raising(error):
+    def wrapper(real_trial, config, seed):
+        raise error
+    return wrapper
+
+
+def _slow(real_trial, config, seed):
+    time.sleep(0.005)
+    return real_trial(config, seed)
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The other worker's trials are slow, so the raising one takes a run first.
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_sweep_error_is_raised_with_its_type_and_children_are_reaped(monkeypatch, where):
+    raising = _raising(KeyError("boom"))
+    _patch_trial(monkeypatch, *((raising, _slow) if where == "parent" else (_slow, raising)))
+    with pytest.raises(KeyError, match="boom"):
+        run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))], workers=2)
+    _assert_no_children_left()
+
+
+def test_child_error_that_does_not_unpickle_becomes_runtime_error(monkeypatch):
+    # DiscreteLogNotFound(target, bound) cannot be rebuilt from its message alone
+    _patch_trial(monkeypatch, _slow, _raising(DiscreteLogNotFound(5, 3)))
+    with pytest.raises(RuntimeError, match="DiscreteLogNotFound"):
+        run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))], workers=2)
+    _assert_no_children_left()
+
+
+def test_a_slow_worker_takes_fewer_trials(monkeypatch):
+    in_parent = []
+
+    def counted(real_trial, config, seed):
+        in_parent.append(seed)
+        return real_trial(config, seed)
+
+    def very_slow(real_trial, config, seed):
+        time.sleep(0.05)
+        return real_trial(config, seed)
+
+    _patch_trial(monkeypatch, counted, very_slow)
+    configs = [TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))]
+    rows = run_sweep(configs, workers=2)
+    monkeypatch.undo()
+    assert rows == run_sweep(configs, workers=1)
+    # a fixed deal would give each worker 20
+    assert len(in_parent) >= 30
+    assert len(set(in_parent)) == len(in_parent)
+
+
+def test_each_worker_holds_its_own_cpu_and_the_affinity_comes_back(monkeypatch):
+    cpus = sorted(START_AFFINITY)
+
+    def on_cpu(cpu):
+        def wrapper(real_trial, config, seed):
+            assert os.sched_getaffinity(0) == {cpu}, (os.getpid(), os.sched_getaffinity(0))
+            return real_trial(config, seed)
+        return wrapper
+
+    _patch_trial(monkeypatch, on_cpu(cpus[0]), _slow)
+    run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=20, seeds=(7,))], workers=2)
+    monkeypatch.undo()
+    _patch_trial(monkeypatch, _slow, on_cpu(cpus[1 % len(cpus)]))
+    run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=20, seeds=(7,))], workers=2)
+    # also catches an earlier test's sweep that left this process pinned
+    assert os.sched_getaffinity(0) == START_AFFINITY
+
+
+def test_children_never_flush_the_parents_buffered_stdout():
+    script = (
+        "from votesim.experiments import grid, run_sweep\n"
+        "print('before', end='')\n"
+        "run_sweep(grid((10,), (0.2,), (3,), trials=6, seeds=(1,)), workers=3)\n"
+        "print(' after')\n"
+    )
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe must be block-buffered here
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before after\n"
 
 
 def test_format_number_six_significant_digits():
