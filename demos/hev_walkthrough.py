@@ -7,7 +7,6 @@ shares, and the decoded tally.
 
 from votesim.group import TINY_GROUP
 from votesim.hev import (
-    DecryptionRequest,
     KeyShare,
     aggregate,
     combine_decrypt,
@@ -41,8 +40,7 @@ total = aggregate(params, ciphertexts)
 print(f"aggregate ciphertext: ({total.c1}, {total.c2})")
 
 # --- threshold decryption: every key holder must contribute
-request = DecryptionRequest(total)
-responses = [decryption_share(params, share, request) for share in shares]
+responses = [decryption_share(params, share, total) for share in shares]
 print("decryption shares:", [r.partial for r in responses])
 
 encoded = combine_decrypt(params, responses, total, [1, 2, 3])

@@ -9,7 +9,7 @@ of the decoded tallies is the answer.
 
 import random
 
-from votesim.adversary import AdversaryConfig, Behavior, assign_roles
+from votesim.adversary import Behavior, assign_roles
 from votesim.errors import NoConsistentResult
 from votesim.group import default_group
 from votesim.hevs import make_sampling_plan, mode_decision, run_sampled_election
@@ -18,7 +18,7 @@ params = default_group()
 rng = random.Random(2)
 n, k = 20, 8
 
-roles = assign_roles(rng, n, AdversaryConfig(p_fail=0.2, behavior=Behavior.FAKE_SHARE))
+roles = assign_roles(rng, n, p_fail=0.2, behavior=Behavior.FAKE_SHARE)
 disruptors = [role.voter_id for role in roles if not role.honest]
 votes = [rng.randrange(2) if role.honest else 0 for role in roles]
 print(f"{n} voters, disruptors: {disruptors}, honest vote sum: {sum(votes)}")

@@ -9,7 +9,7 @@ plus the adversary model, a deterministic election simulator with replayable
 transcripts, and a Monte Carlo harness for reliability sweeps.
 """
 
-from .adversary import AdversaryConfig, Behavior, VoterRole, assign_roles
+from .adversary import Behavior, VoterRole, assign_roles
 from .errors import (
     AmbiguousMode,
     ConfigError,
@@ -31,7 +31,6 @@ from .group import (
 )
 from .hev import (
     Ciphertext,
-    DecryptionRequest,
     DecryptionShare,
     KeyShare,
     aggregate,
@@ -45,7 +44,6 @@ from .hev import (
 )
 from .hevs import (
     SampleResult,
-    SampledKey,
     SamplingPlan,
     combine_sampled_decrypt,
     combine_sampled_public_key,

@@ -6,10 +6,11 @@ holder. Votes are 0/1 encoded in the exponent, ciphertexts multiply to an
 encryption of the sum, and the tally comes back out through a bounded
 discrete log.
 
-Free functions implement the individual protocol steps. Whole elections,
-both :func:`run_hev` and ``votesim.simnet``, run through the one pipeline in
-``votesim.hevs``: plain HEV is its k = 1 case, one sample holding every voter
-once.
+Free functions implement the protocol steps over plain values (group
+elements as ints, Ciphertext pairs, DecryptionShare answers). Whole
+elections, both :func:`run_hev` and ``votesim.simnet``, run through the one
+pipeline in ``votesim.hevs``: plain HEV is its k = 1 case, one sample
+holding every voter once.
 """
 
 from __future__ import annotations
@@ -50,13 +51,6 @@ class DecryptionShare:
 
     voter_id: int
     partial: int
-
-
-@dataclass(frozen=True)
-class DecryptionRequest:
-    """The aggregate forwarded to the voters for decryption."""
-
-    aggregate: Ciphertext
 
 
 def keygen_share(rng: random.Random, params: GroupParams, voter_id: int) -> KeyShare:
@@ -125,19 +119,19 @@ def aggregate(params: GroupParams, ciphertexts: Sequence[Ciphertext]) -> Ciphert
 def decryption_share(
     params: GroupParams,
     share: KeyShare,
-    request: DecryptionRequest,
+    aggregate_ct: Ciphertext,
     own_ciphertext: Ciphertext | None = None,
 ) -> DecryptionShare:
-    """Raise the aggregate's first component to the voter's secret key.
+    """Raise the forwarded aggregate's first component to the voter's secret key.
 
-    When the voter's own ciphertext is supplied, a request whose aggregate
-    equals it is refused: decrypting it would reveal that single vote.
+    When the voter's own ciphertext is supplied, an aggregate equal to it is
+    refused: decrypting it would reveal that single vote.
     """
-    if own_ciphertext is not None and request.aggregate == own_ciphertext:
+    if own_ciphertext is not None and aggregate_ct == own_ciphertext:
         raise RefuseSingletonAggregate(
             f"voter {share.voter_id} refused: aggregate equals own ciphertext"
         )
-    return DecryptionShare(share.voter_id, params.exp(request.aggregate.c1, share.secret_key))
+    return DecryptionShare(share.voter_id, params.exp(aggregate_ct.c1, share.secret_key))
 
 
 def combine_decrypt(

@@ -26,7 +26,6 @@ from .errors import AmbiguousMode, DiscreteLogNotFound, MissingShares, NoConsist
 from .group import GroupParams, discrete_log_bounded
 from .hev import (
     Ciphertext,
-    DecryptionRequest,
     DecryptionShare,
     aggregate,
     decryption_share,
@@ -58,14 +57,6 @@ class SamplingPlan:
 
     def multiplicity(self, sample_index: int) -> Counter:
         return Counter(self.multisets[sample_index])
-
-
-@dataclass(frozen=True)
-class SampledKey:
-    """One sampled public key and how often each voter's piece went into it."""
-
-    key: int
-    multiplicity: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> Sam
 
 def combine_sampled_public_key(
     params: GroupParams, pieces: Mapping[int, int], plan: SamplingPlan, sample_index: int
-) -> SampledKey:
+) -> int:
     """Multiply the sampled pieces, counting repeats, into the j-th key."""
     mult = plan.multiplicity(sample_index)
     missing = [i for i in mult if i not in pieces]
@@ -139,7 +130,7 @@ def combine_sampled_public_key(
         # A piece sampled once goes in as is: plain HEV then pays no modexp here.
         piece = pieces[voter_id]
         key = params.mul(key, piece if count == 1 else params.exp(piece, count))
-    return SampledKey(key, dict(mult))
+    return key
 
 
 def combine_sampled_decrypt(
@@ -261,12 +252,12 @@ def run_pipeline(
                      {"tag": "key_piece", "voter_id": share.voter_id,
                       "piece": format(share.public_piece, "x")})
 
+    mults = [plan.multiplicity(j) for j in range(plan.k)]
     sampled_keys = [combine_sampled_public_key(params, pieces, plan, j) for j in range(plan.k)]
     # Every voter raises every sampled key once, to its nonce.
-    keys = [params.fixed_base(sk.key, n) for sk in sampled_keys]
+    keys = [params.fixed_base(key, n) for key in sampled_keys]
     if recorder:
-        payload = {"tag": "sampled_keys",
-                   "keys": [format(sk.key, "x") for sk in sampled_keys]}
+        payload = {"tag": "sampled_keys", "keys": [format(key, "x") for key in sampled_keys]}
         for i in range(1, n + 1):
             recorder("broadcast", "government", f"voter:{i}", payload)
 
@@ -289,10 +280,8 @@ def run_pipeline(
             recorder("decrypt_request", "government", f"voter:{i}", payload)
 
     # Each distinct voter sampled in j raises the j-th aggregate's c1 once.
-    requests = [
-        DecryptionRequest(Ciphertext(params.fixed_base(ct.c1, len(sk.multiplicity)), ct.c2))
-        for ct, sk in zip(aggregates, sampled_keys)
-    ]
+    requests = [Ciphertext(params.fixed_base(ct.c1, len(mult)), ct.c2)
+                for ct, mult in zip(aggregates, mults)]
     # responses[j] maps voter_id -> share, for the voters sampled in j
     responses: list[dict[int, DecryptionShare]] = [{} for _ in range(plan.k)]
     for i in range(n):
@@ -303,11 +292,10 @@ def run_pipeline(
         fake_exponent = None
         if role.behavior is Behavior.FAKE_SHARE:
             fake_exponent = draw_fake_exponent(voter_rngs[i], params, key_shares[i].secret_key)
-        answered = [j for j in range(plan.k) if voter_id in sampled_keys[j].multiplicity]
+        answered = [j for j in range(plan.k) if voter_id in mults[j]]
         for j in answered:
             if fake_exponent is not None:
-                share = fake_decryption_share(voter_rngs[i], params, requests[j].aggregate.c1,
-                                              voter_id, exponent=fake_exponent)
+                share = fake_decryption_share(params, requests[j].c1, voter_id, fake_exponent)
             else:
                 # With n = 1 the aggregate is the own ciphertext and the sum is
                 # that vote by definition, so only n > 1 is worth refusing.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from . import bsv
-from .adversary import AdversaryConfig, Behavior, VoterRole, assign_roles
+from .adversary import Behavior, VoterRole, assign_roles
 from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
 from .group import MIN_GROUP_BITS, GroupParams, default_group, generate_group
 from .hevs import (
@@ -70,6 +70,11 @@ class Schedule:
     delivery_salt: int = 0
 
     def __post_init__(self):
+        for window in (self.sign_window, self.post_window):
+            if type(window) is not tuple or len(window) != 2 or any(type(r) is not int for r in window):
+                raise ConfigError(f"phase windows must be pairs of integers, got {window!r}")
+        if type(self.anonymize) is not bool or type(self.delivery_salt) is not int:
+            raise ConfigError("anonymize must be a bool and delivery_salt an integer")
         if self.sign_window[0] >= self.sign_window[1] or self.post_window[0] >= self.post_window[1]:
             raise ConfigError("phase windows must satisfy start < end")
         if self.sign_window[1] > self.post_window[0]:
@@ -118,8 +123,8 @@ class ElectionConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError("n must be at least 1")
-        if not 0.0 <= self.p_fail <= 1.0:
-            raise ConfigError("p_fail must be in [0, 1]")
+        if type(self.p_fail) not in (int, float) or not 0.0 <= self.p_fail <= 1.0:
+            raise ConfigError(f"p_fail must be a number in [0, 1], got {self.p_fail!r}")
         try:
             Behavior(self.behavior)
         except ValueError:
@@ -207,8 +212,8 @@ def _resolve_group(config: ElectionConfig) -> GroupParams:
 
 def _derive_world(config: ElectionConfig) -> tuple[list[VoterRole], list[int]]:
     """Roles and the plaintext each hev/hevs voter will submit, drawn from the seed."""
-    adversary = AdversaryConfig(config.p_fail, Behavior(config.behavior))
-    roles = assign_roles(spawn(config.seed, "roles"), config.n, adversary)
+    roles = assign_roles(spawn(config.seed, "roles"), config.n, config.p_fail,
+                         Behavior(config.behavior))
     vote_rng = spawn(config.seed, "votes")
     submitted = []
     for i, role in enumerate(roles):

@@ -33,18 +33,17 @@ from votesim.experiments import (
 from votesim.group import TINY_GROUP, default_group
 from votesim.hev import (
     Ciphertext,
-    DecryptionRequest,
     KeyShare,
     aggregate,
     combine_decrypt,
     combine_public_key,
     decryption_share,
+    encrypt_value,
     encrypt_vote,
     keygen_share,
     recover_tally,
     run_hev,
 )
-from votesim.adversary import extra_vote_ciphertext
 from votesim.hevs import (
     SamplingPlan,
     make_sampling_plan,
@@ -81,12 +80,11 @@ def test_criterion_02_worked_trace():
     pk = combine_public_key(tiny, pieces)
     cts = [encrypt_vote(tiny, pk, v, nonce=r) for v, r in zip(votes, nonces)]
     agg = aggregate(tiny, cts)
-    request = DecryptionRequest(agg)
     partials = [tiny.exp(agg.c1, s) for s in secrets]
     mask = 1
     for value in partials:
         mask = tiny.mul(mask, value)
-    shares = [decryption_share(tiny, KeyShare(i + 1, s, pieces[i]), request)
+    shares = [decryption_share(tiny, KeyShare(i + 1, s, pieces[i]), agg)
               for i, s in enumerate(secrets)]
     encoded = combine_decrypt(tiny, shares, agg, [1, 2, 3])
     tally = recover_tally(tiny, encoded, 3)
@@ -222,11 +220,10 @@ def test_criterion_10_extra_vote_dominates():
     cts = [
         encrypt_vote(params, pk, 0, rng),
         encrypt_vote(params, pk, 0, rng),
-        extra_vote_ciphertext(params, pk, 3, rng),
+        encrypt_value(params, pk, 3, rng),
     ]
     agg = aggregate(params, cts)
-    request = DecryptionRequest(agg)
-    dshares = [decryption_share(params, s, request) for s in shares]
+    dshares = [decryption_share(params, s, agg) for s in shares]
     tally = recover_tally(params, combine_decrypt(params, dshares, agg, [1, 2, 3]), 3)
     report(10, "extra-vote cheater turns two against-votes into a 3",
            tally == 3, f"tally={tally}")

@@ -3,21 +3,20 @@ import random
 import pytest
 
 from votesim.adversary import (
-    AdversaryConfig,
     Behavior,
     VoterRole,
     assign_roles,
-    extra_vote_ciphertext,
+    draw_fake_exponent,
     fake_decryption_share,
 )
 from votesim.errors import DiscreteLogNotFound
 from votesim.hev import (
     Ciphertext,
-    DecryptionRequest,
     aggregate,
     combine_decrypt,
     combine_public_key,
     decryption_share,
+    encrypt_value,
     encrypt_vote,
     keygen_share,
     recover_tally,
@@ -35,46 +34,45 @@ class ScriptedRng:
         return self.values.pop(0)
 
 
-def test_config_validates_probability():
-    AdversaryConfig(0.0)
-    AdversaryConfig(1.0)
+def test_assign_roles_validates_probability(rng):
+    assign_roles(rng, 3, 0.0)
+    assign_roles(rng, 3, 1.0)
     with pytest.raises(ValueError):
-        AdversaryConfig(1.5)
+        assign_roles(rng, 3, 1.5)
     with pytest.raises(ValueError):
-        AdversaryConfig(-0.1)
+        assign_roles(rng, 3, -0.1)
 
 
 def test_assign_roles_extremes(rng):
-    all_honest = assign_roles(rng, 50, AdversaryConfig(0.0))
+    all_honest = assign_roles(rng, 50, 0.0)
     assert all(role.honest and role.behavior is None for role in all_honest)
-    all_bad = assign_roles(rng, 50, AdversaryConfig(1.0, Behavior.SILENT))
+    all_bad = assign_roles(rng, 50, 1.0, Behavior.SILENT)
     assert all(not role.honest and role.behavior is Behavior.SILENT for role in all_bad)
     assert [role.voter_id for role in all_bad] == list(range(1, 51))
 
 
 def test_assign_roles_concentration():
-    roles = assign_roles(random.Random(123), 10_000, AdversaryConfig(0.1))
+    roles = assign_roles(random.Random(123), 10_000, 0.1)
     fraction = sum(not role.honest for role in roles) / len(roles)
     assert abs(fraction - 0.1) < 0.01
 
 
 def test_assign_roles_deterministic_per_seed():
-    config = AdversaryConfig(0.3)
-    a = assign_roles(random.Random(7), 100, config)
-    b = assign_roles(random.Random(7), 100, config)
+    a = assign_roles(random.Random(7), 100, 0.3)
+    b = assign_roles(random.Random(7), 100, 0.3)
     assert a == b
 
 
 def test_fake_share_redraws_true_secret(tiny):
     # draws colliding with the true secret are rejected until one differs
     for script in ([5, 9], [5, 5, 9]):
-        rng = ScriptedRng(script)
-        share = fake_decryption_share(rng, tiny, aggregate_c1=2, voter_id=1, true_secret=5)
+        exponent = draw_fake_exponent(ScriptedRng(script), tiny, true_secret=5)
+        share = fake_decryption_share(tiny, aggregate_c1=2, voter_id=1, exponent=exponent)
         assert share.partial == tiny.exp(2, 9)
 
 
 def test_fake_share_uses_pinned_exponent(tiny):
-    share = fake_decryption_share(random.Random(0), tiny, 2, 1, exponent=3)
+    share = fake_decryption_share(tiny, 2, 1, exponent=3)
     assert share.partial == 8
 
 
@@ -83,9 +81,8 @@ def test_fake_share_corrupts_decryption(big, rng):
     shares = [keygen_share(rng, big, i + 1) for i in range(3)]
     pk = combine_public_key(big, [s.public_piece for s in shares])
     agg = aggregate(big, [encrypt_vote(big, pk, v, rng) for v in votes])
-    request = DecryptionRequest(agg)
-    honest = [decryption_share(big, s, request) for s in shares[:2]]
-    fake = fake_decryption_share(rng, big, agg.c1, 3, true_secret=shares[2].secret_key)
+    honest = [decryption_share(big, s, agg) for s in shares[:2]]
+    fake = fake_decryption_share(big, agg.c1, 3, draw_fake_exponent(rng, big, shares[2].secret_key))
     encoded = combine_decrypt(big, honest + [fake], agg, [1, 2, 3])
     with pytest.raises(DiscreteLogNotFound):
         recover_tally(big, encoded, 3)
@@ -98,11 +95,10 @@ def test_extra_vote_dominates_tally(big, rng):
     cts = [
         encrypt_vote(big, pk, 0, rng),
         encrypt_vote(big, pk, 0, rng),
-        extra_vote_ciphertext(big, pk, 3, rng),
+        encrypt_value(big, pk, 3, rng),
     ]
     agg = aggregate(big, cts)
-    request = DecryptionRequest(agg)
-    dshares = [decryption_share(big, s, request) for s in shares]
+    dshares = [decryption_share(big, s, agg) for s in shares]
     encoded = combine_decrypt(big, dshares, agg, [1, 2, 3])
     assert recover_tally(big, encoded, 3) == 3
 
@@ -110,7 +106,7 @@ def test_extra_vote_dominates_tally(big, rng):
 def test_extra_vote_value_one_is_honest(big, rng):
     secret = 42
     pk = big.exp(big.generator, secret)
-    ct = extra_vote_ciphertext(big, pk, 1, rng)
+    ct = encrypt_value(big, pk, 1, rng)
     encoded = big.mul(ct.c2, big.inv(big.exp(ct.c1, secret)))
     assert recover_tally(big, encoded, 1) == 1
 
@@ -119,7 +115,7 @@ def test_extra_vote_beyond_bound_is_undecodable(big, rng):
     n = 3
     secret = 42
     pk = big.exp(big.generator, secret)
-    ct = extra_vote_ciphertext(big, pk, n + 5, rng)
+    ct = encrypt_value(big, pk, n + 5, rng)
     encoded = big.mul(ct.c2, big.inv(big.exp(ct.c1, secret)))
     with pytest.raises(DiscreteLogNotFound):
         recover_tally(big, encoded, n)
@@ -127,7 +123,7 @@ def test_extra_vote_beyond_bound_is_undecodable(big, rng):
 
 def test_degenerate_adversary_reproduces_honest_tally(big):
     rng = random.Random(55)
-    roles = assign_roles(rng, 6, AdversaryConfig(0.0))
+    roles = assign_roles(rng, 6, 0.0)
     votes = [rng.randrange(2) for _ in range(6)]
     plan = make_sampling_plan(rng, 6, 5)
     results = run_sampled_election(big, votes, roles, plan, rng)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votesim import experiments
-from votesim.adversary import AdversaryConfig, Behavior, assign_roles
+from votesim.adversary import Behavior, assign_roles
 from votesim.experiments import (
     CSV_COLUMNS,
     TrialConfig,
@@ -445,7 +445,7 @@ def pinned_draws() -> dict:
         "seed1_n30_k5_sqrt-half": make_sampling_plan(spawn("plan-pin", 1), 30, 5, "sqrt-half"),
         "seed2_n7_k3_sizes1-4-7": make_sampling_plan(spawn("plan-pin", 2), 7, 3, [1, 4, 7]),
     }
-    roles = assign_roles(spawn("roles-pin", 1), 20, AdversaryConfig(0.3, Behavior.SILENT))
+    roles = assign_roles(spawn("roles-pin", 1), 20, 0.3, Behavior.SILENT)
     return {
         "trials": trials,
         "plans": {name: [list(ms) for ms in plan.multisets] for name, plan in plans.items()},

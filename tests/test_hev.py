@@ -12,7 +12,6 @@ from votesim.errors import (
 )
 from votesim.hev import (
     Ciphertext,
-    DecryptionRequest,
     DecryptionShare,
     KeyShare,
     aggregate,
@@ -88,18 +87,17 @@ def test_aggregate_rejects_empty(tiny):
 
 
 def test_decryption_share_worked_values(tiny):
-    request = DecryptionRequest(Ciphertext(2, 2))
-    assert decryption_share(tiny, make_share(tiny, 1, 3), request).partial == 8
-    assert decryption_share(tiny, make_share(tiny, 2, 5), request).partial == 9
+    agg = Ciphertext(2, 2)
+    assert decryption_share(tiny, make_share(tiny, 1, 3), agg).partial == 8
+    assert decryption_share(tiny, make_share(tiny, 2, 5), agg).partial == 9
 
 
 def test_decryption_share_refuses_own_aggregate(tiny):
     own = Ciphertext(16, 3)
-    request = DecryptionRequest(own)
     with pytest.raises(RefuseSingletonAggregate):
-        decryption_share(tiny, make_share(tiny, 1, 3), request, own_ciphertext=own)
+        decryption_share(tiny, make_share(tiny, 1, 3), own, own_ciphertext=own)
     # without the own-ciphertext check the share is produced
-    assert decryption_share(tiny, make_share(tiny, 1, 3), request).partial == tiny.exp(16, 3)
+    assert decryption_share(tiny, make_share(tiny, 1, 3), own).partial == tiny.exp(16, 3)
 
 
 def test_combine_decrypt_worked_value(tiny):
@@ -149,8 +147,7 @@ def test_full_worked_trace(tiny):
     cts = [encrypt_vote(tiny, pk, v, nonce=r) for v, r in zip(votes, nonces)]
     agg = aggregate(tiny, cts)
     assert agg == Ciphertext(2, 2)
-    request = DecryptionRequest(agg)
-    dshares = [decryption_share(tiny, s, request) for s in shares]
+    dshares = [decryption_share(tiny, s, agg) for s in shares]
     assert [d.partial for d in dshares] == [8, 9, 4]
     encoded = combine_decrypt(tiny, dshares, agg, [1, 2, 3])
     assert encoded == 4

@@ -99,12 +99,10 @@ def test_plan_is_deterministic():
 
 def test_sampled_key_worked_values(tiny):
     plan = SamplingPlan(population=3, multisets=((1, 1), (2, 3)))
-    first = combine_sampled_public_key(tiny, PIECES, plan, 0)
-    assert first.key == 18  # 8*8 = 64 = g**6 mod 23
-    assert first.multiplicity == {1: 2}
-    second = combine_sampled_public_key(tiny, PIECES, plan, 1)
-    assert second.key == 13  # 9*4 = 36 = g**7 mod 23
-    assert second.multiplicity == {2: 1, 3: 1}
+    assert combine_sampled_public_key(tiny, PIECES, plan, 0) == 18  # 8*8 = 64 = g**6 mod 23
+    assert plan.multiplicity(0) == {1: 2}
+    assert combine_sampled_public_key(tiny, PIECES, plan, 1) == 13  # 9*4 = 36 = g**7 mod 23
+    assert plan.multiplicity(1) == {2: 1, 3: 1}
 
 
 def test_sampled_key_requires_all_pieces(tiny):
@@ -118,9 +116,8 @@ def test_sampled_key_matches_exponent_sum(tiny, rng):
     pieces = {i: tiny.exp(tiny.generator, s) for i, s in secrets.items()}
     plan = make_sampling_plan(rng, 5, 4)
     for j in range(plan.k):
-        sampled = combine_sampled_public_key(tiny, pieces, plan, j)
-        exponent = sum(secrets[i] * c for i, c in sampled.multiplicity.items())
-        assert sampled.key == tiny.exp(tiny.generator, exponent)
+        exponent = sum(secrets[i] * c for i, c in plan.multiplicity(j).items())
+        assert combine_sampled_public_key(tiny, pieces, plan, j) == tiny.exp(tiny.generator, exponent)
 
 
 def sampled_pipeline(params, votes, plan, rng, tamper=None):
@@ -136,14 +133,14 @@ def sampled_pipeline(params, votes, plan, rng, tamper=None):
             nonce = params.random_nonce(rng)
             cts.append(Ciphertext(
                 params.exp(params.generator, nonce),
-                params.mul(params.exp(key.key, nonce), params.exp(params.generator, v)),
+                params.mul(params.exp(key, nonce), params.exp(params.generator, v)),
             ))
         agg = Ciphertext(1, 1)
         for ct in cts:
             agg = Ciphertext(params.mul(agg.c1, ct.c1), params.mul(agg.c2, ct.c2))
         shares = {
             i: DecryptionShare(i, params.exp(agg.c1, secrets[i]))
-            for i in key.multiplicity
+            for i in plan.multiplicity(j)
         }
         if tamper:
             shares = tamper(j, params, agg, shares)
@@ -331,6 +328,38 @@ def test_distinct_garbage_across_samples(big):
     assert distinct == trials
 
 
+def test_fake_share_voter_reuses_one_exponent(tiny, monkeypatch):
+    # In the mod-23 group about one first draw in ten equals the secret, so the
+    # redraw is exercised too. Every voter fakes, so no honest voter can refuse
+    # a small-group aggregate that happens to equal its own ballot.
+    secrets, exponents = {}, {}
+    keygen, fake = hevs.keygen_share, hevs.fake_decryption_share
+
+    def spy_keygen(rng, params, voter_id):
+        share = keygen(rng, params, voter_id)
+        secrets[voter_id] = share.secret_key
+        return share
+
+    def spy_fake(params, aggregate_c1, voter_id, exponent):
+        exponents.setdefault(voter_id, []).append(exponent)
+        return fake(params, aggregate_c1, voter_id, exponent)
+
+    monkeypatch.setattr(hevs, "keygen_share", spy_keygen)
+    monkeypatch.setattr(hevs, "fake_decryption_share", spy_fake)
+    roles = [VoterRole(i, False, Behavior.FAKE_SHARE) for i in range(1, 5)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        plan = make_sampling_plan(rng, 4, 5, 3)
+        secrets.clear()
+        exponents.clear()
+        run_sampled_election(tiny, [0] * 4, roles, plan, rng)
+        for voter_id, used in exponents.items():
+            assert len(used) == sum(voter_id in ms for ms in plan.multisets)
+            assert len(set(used)) == 1
+            assert used[0] != secrets[voter_id]
+        assert exponents.keys() == {i for ms in plan.multisets for i in ms}
+
+
 def test_election_tables_die_with_the_election(monkeypatch):
     built = []
     original = WindowTable.__init__
@@ -381,9 +410,9 @@ def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, 
         raised.append(("key", int(key), type(key)))
         return encrypt(params, key, *rest)
 
-    def spy_share(params, key_share, request, *rest):
-        raised.append(("c1", int(request.aggregate.c1), type(request.aggregate.c1)))
-        return share(params, key_share, request, *rest)
+    def spy_share(params, key_share, aggregate_ct, *rest):
+        raised.append(("c1", int(aggregate_ct.c1), type(aggregate_ct.c1)))
+        return share(params, key_share, aggregate_ct, *rest)
 
     payloads = {}
 

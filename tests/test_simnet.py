@@ -211,6 +211,18 @@ BAD_HEADERS = {
                                                       "anonymize": True, "delivery_salt": 0}}),
     "one-item posting window": ("hev", {"schedule": {"sign_window": [1, 3], "post_window": [3],
                                                      "anonymize": True, "delivery_salt": 0}}),
+    "float signing window": ("bsv", {"schedule": {"sign_window": [1.0, 3], "post_window": [3, 5],
+                                                  "anonymize": True, "delivery_salt": 0}}),
+    "bool posting window": ("hev", {"schedule": {"sign_window": [0, 1], "post_window": [True, 5],
+                                                 "anonymize": True, "delivery_salt": 0}}),
+    "string anonymize": ("bsv", {"schedule": {"sign_window": [1, 3], "post_window": [3, 5],
+                                              "anonymize": "no", "delivery_salt": 0}}),
+    "string delivery_salt": ("bsv", {"schedule": {"sign_window": [1, 3], "post_window": [3, 5],
+                                                  "anonymize": True, "delivery_salt": "0"}}),
+    "bool delivery_salt": ("bsv", {"schedule": {"sign_window": [1, 3], "post_window": [3, 5],
+                                                "anonymize": True, "delivery_salt": True}}),
+    "bool p_fail": ("hev", {"p_fail": True}),
+    "string p_fail": ("hevs", {"p_fail": "0.1"}),
 }
 
 
@@ -239,6 +251,20 @@ def test_config_validation():
         ElectionConfig(protocol="hev", n=2, p_fail=1.5)
     with pytest.raises(ConfigError):
         Schedule(sign_window=(1, 4), post_window=(3, 5))
+    with pytest.raises(ConfigError):
+        Schedule(sign_window=(1,))
+    with pytest.raises(ConfigError):
+        Schedule(post_window=(3.0, 5))
+    with pytest.raises(ConfigError):
+        Schedule(sign_window=(False, 3))
+    with pytest.raises(ConfigError):
+        Schedule(anonymize="no")
+    with pytest.raises(ConfigError):
+        Schedule(delivery_salt=True)
+    with pytest.raises(ConfigError):
+        ElectionConfig(protocol="hev", n=2, p_fail=True)
+    with pytest.raises(ConfigError):
+        ElectionConfig(protocol="hevs", n=2, p_fail="0.5")
     with pytest.raises(ConfigError):
         ElectionConfig(protocol="bsv", n=2, candidates=("a\tb", "c"), votes=("c", "c"))
 
