@@ -462,6 +462,53 @@ def test_symbolic_trials_plans_and_roles_are_pinned():
     assert pinned_text() == TRIAL_PIN.read_text(encoding="utf-8")
 
 
+#: the same pins past a byte: plan indices of 9 bits, and electorates large
+#: enough that honesty draws tie with the threshold's top byte (about 1 in 256)
+WIDE_PIN = TRIAL_PIN.with_name("symbolic_trials_wide.json")
+
+WIDE_POINTS = {
+    "n300_p0.25_k8_t6_fake": TrialConfig(n=300, p_fail=0.25, k=8, t_policy=6),
+    "n300_p0.125_k16_fake": TrialConfig(n=300, p_fail=0.125, k=16),
+    "n500_p0.1_k8_silent": TrialConfig(n=500, p_fail=0.1, k=8, behavior="silent"),
+    "n500_p0.25_k16_t6_mc3_fake": TrialConfig(n=500, p_fail=0.25, k=16, t_policy=6,
+                                              min_consistency=3),
+}
+
+
+def wide_pinned_draws() -> dict:
+    """Per-trial outcomes at n = 300 and 500, two plans there and two role draws,
+    with each multiset and each role draw written as one string."""
+    trials = {
+        name: "".join(str(int(run_trial(config, derive_seed("trial", 1, index))))
+                      for index in range(PINNED_TRIALS))
+        for name, config in WIDE_POINTS.items()
+    }
+    plans = {
+        "seed1_n300_k8_sqrt-half": make_sampling_plan(spawn("plan-pin-wide", 1), 300, 8, "sqrt-half"),
+        "seed2_n500_k16_sqrt-half": make_sampling_plan(spawn("plan-pin-wide", 2), 500, 16, "sqrt-half"),
+    }
+    roles = {
+        "seed1_n1000_p0.25_fake": assign_roles(spawn("roles-pin-wide", 1), 1000, 0.25),
+        "seed2_n1000_p0.1_silent": assign_roles(spawn("roles-pin-wide", 2), 1000, 0.1, Behavior.SILENT),
+    }
+    return {
+        "trials": trials,
+        "plans": {name: [" ".join(map(str, ms)) for ms in plan.multisets]
+                  for name, plan in plans.items()},
+        "roles": {name: "".join("1" if r.honest else r.behavior.value[0] for r in draw)
+                  for name, draw in roles.items()},
+    }
+
+
+def wide_pinned_text() -> str:
+    return json.dumps(wide_pinned_draws(), indent=1, sort_keys=True) + "\n"
+
+
+def test_wide_symbolic_trials_plans_and_roles_are_pinned():
+    assert wide_pinned_text() == WIDE_PIN.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     # After a deliberate change to seeded draws: PYTHONPATH=src python tests/test_experiments.py
     TRIAL_PIN.write_text(pinned_text(), encoding="utf-8")
+    WIDE_PIN.write_text(wide_pinned_text(), encoding="utf-8")
