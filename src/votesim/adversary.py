@@ -15,6 +15,7 @@ from enum import Enum
 
 from .group import GroupParams
 from .hev import DecryptionShare
+from .seeding import flags
 
 
 class Behavior(Enum):
@@ -33,14 +34,16 @@ class VoterRole:
 def assign_roles(
     rng: random.Random, n: int, p_fail: float, behavior: Behavior = Behavior.FAKE_SHARE
 ) -> list[VoterRole]:
-    """Make each voter malicious with probability p_fail, independently, adopting behavior."""
+    """Make each voter malicious with probability p_fail, independently, adopting behavior.
+
+    Voter i is malicious when the i-th ``rng.random()`` is below p_fail. The
+    draws are taken in bulk by ``seeding.flags``, which returns the negated
+    test and consumes the same Mersenne Twister words as that loop.
+    """
     if not 0.0 <= p_fail <= 1.0:
         raise ValueError(f"p_fail must be in [0, 1], got {p_fail}")
-    roles = []
-    for i in range(1, n + 1):
-        malicious = rng.random() < p_fail
-        roles.append(VoterRole(i, honest=not malicious, behavior=behavior if malicious else None))
-    return roles
+    return [VoterRole(i, honest=flag == 1, behavior=None if flag else behavior)
+            for i, flag in enumerate(flags(rng, p_fail, n), 1)]
 
 
 def draw_fake_exponent(rng: random.Random, params: GroupParams, true_secret: int) -> int:

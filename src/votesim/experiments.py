@@ -4,8 +4,13 @@ A trial runs one election and scores it correct when the mode decision
 equals the honest vote sum (disrupting voters submit 0, so that sum is well
 defined). Both evaluation modes share one draw of the seeded world per trial:
 an honesty flag per voter, a vote per honest voter, then the sampling plan.
-The votes and the plan's indices are drawn in bulk by ``seeding.draws``,
-which consumes the stream exactly as one ``randrange`` call per value would.
+Every part is drawn in bulk and consumes the stream exactly as the one-call-
+per-value loop would: the flags by ``seeding.flags`` (one ``random() >= p_fail``
+each, settled mostly on a word's top byte), the votes and the plan's indices by
+``seeding.draws`` (one ``randrange`` each, from words' top bytes below width 256
+and from their top 16 bits up to width 65535). Both rely on CPython's
+``random()`` construction and ``getrandbits`` word order, which the seeded
+fixtures pin.
 
 * "full" spreads the votes over the honest voters, runs the actual group
   arithmetic end to end and takes the mode decision over the decoded samples.
@@ -42,7 +47,7 @@ from .hevs import (
     resolve_sample_size,
     run_sampled_election,
 )
-from .seeding import derive_seed, draws, spawn
+from .seeding import derive_seed, draws, flags, spawn
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
 
@@ -72,6 +77,13 @@ class TrialConfig:
     behavior: str = "fake_share"
 
     def __post_init__(self):
+        for name in ("n", "k", "min_consistency", "trials"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.p_fail) not in (int, float):
+            raise ValueError(f"p_fail must be a number, got {self.p_fail!r}")
+        if any(type(seed) is not int for seed in self.seeds):
+            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be at least 1")
         if not 0.0 <= self.p_fail <= 1.0:
@@ -109,21 +121,26 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 def run_trial(config: TrialConfig, seed: int) -> bool:
     """One election; True when the mode decision equals the honest sum."""
     world = spawn(seed, "world")
-    p_fail = config.p_fail
-    # The draws of assign_roles, then randrange(2) per honest voter; see seeding.draws.
-    honest = [world.random() >= p_fail for _ in range(config.n)]
-    honest_votes = draws(world, 0, 2, sum(honest))
+    # The draws of assign_roles, then randrange(2) per honest voter, then the
+    # plan's randrange(1, n + 1) per index: seeding.flags takes the first and
+    # seeding.draws the other two, each from the same words as the loop.
+    honest = flags(world, config.p_fail, config.n)
+    honest_votes = draws(world, 0, 2, honest.count(1))
     plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
 
     if config.mode == "symbolic":
-        bad = {i for i, flag in enumerate(honest, 1) if not flag}
+        bad = set()
+        index = honest.find(0)
+        while index >= 0:
+            bad.add(index + 1)
+            index = honest.find(0, index + 1)
         clean = sum(bad.isdisjoint(multiset) for multiset in plan.multisets)
         return clean >= config.min_consistency
 
     drawn = iter(honest_votes)
     votes = [next(drawn) if flag else 0 for flag in honest]
     behavior = Behavior(config.behavior)
-    roles = [VoterRole(i, flag, None if flag else behavior) for i, flag in enumerate(honest, 1)]
+    roles = [VoterRole(i, flag == 1, None if flag else behavior) for i, flag in enumerate(honest, 1)]
     results = run_sampled_election(default_group(), votes, roles, plan, spawn(seed, "crypto"))
     try:
         return mode_decision(results, config.min_consistency) == sum(votes)

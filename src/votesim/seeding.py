@@ -1,15 +1,25 @@
-"""Deterministic seed derivation and bulk integer draws.
+"""Deterministic seed derivation and bulk draws.
 
 Every component that needs randomness gets its own child generator derived
 from (seed, labels...), so streams never interleave and adding draws in one
 place cannot shift results anywhere else.
+
+``draws`` and ``flags`` return what a loop of ``randrange`` or ``random()``
+calls would, and leave the generator in the same state, but for an exact
+``random.Random`` they take the loop's Mersenne Twister words from one
+``getrandbits`` call per round. That relies on CPython's ``getrandbits``
+word order (its first word is the least significant 32 bits, and so on up)
+and on its ``random()`` construction from two words; the seeded fixtures pin
+both. Any subclass takes the loop itself.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
+import sys
 
 
 def derive_seed(*parts) -> int:
@@ -31,26 +41,42 @@ def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:
     takes one 32-bit Mersenne Twister word per try, keeps its top
     ``n.bit_length()`` bits, and draws again while they are >= n.
 
-    For an exact ``random.Random`` and byte-sized values (0 <= start,
-    stop <= 256, 1 <= stop - start <= 255) the same words are drawn in
-    rounds: one ``getrandbits(32 * need)`` for the ``need`` values still
-    missing, whose word top bytes are mapped and filtered by one
-    ``bytes.translate``. A round cannot draw a word the loop would not,
-    since every value the loop still has to make takes at least one word.
-    This relies on CPython's ``getrandbits`` word order (its first word is
-    the least significant 32 bits, and so on up), which the seeded fixtures
-    pin. Any other input, and any subclass, takes the loop itself.
+    For an exact ``random.Random`` the same words are drawn in rounds: one
+    ``getrandbits(32 * need)`` for the ``need`` values still missing. A round
+    cannot draw a word the loop would not, since every value the loop still
+    has to make takes at least one word. Two widths take this path:
+
+    * byte-sized values (0 <= start, stop <= 256, 1 <= stop - start <= 255):
+      the words' top bytes are mapped and filtered by one ``bytes.translate``;
+    * 256 <= stop - start <= 65535: the words' top 16 bits are read as a
+      native ``memoryview`` of unsigned shorts, which needs a little-endian
+      host, then shifted and filtered in one comprehension.
+
+    Any other input, a big-endian host for the 16-bit path, and any subclass
+    take the loop itself.
     """
     n = stop - start
-    if type(rng) is not random.Random or not (0 <= start and stop <= 256 and 1 <= n <= 255):
-        draw = rng._randbelow
-        return [start + draw(n) for _ in range(count)]
-    table, reject = _byte_tables(start, n)
-    values = b""
-    while (need := count - len(values)) > 0:
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        values += words[3::4].translate(table, reject)
-    return list(values)
+    exact = type(rng) is random.Random
+    if exact and 0 <= start and stop <= 256 and 1 <= n <= 255:
+        table, reject = _byte_tables(start, n)
+        values = b""
+        while (need := count - len(values)) > 0:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            values += words[3::4].translate(table, reject)
+        return list(values)
+    if exact and 256 <= n <= 65535 and _LITTLE_ENDIAN:
+        shift = 16 - n.bit_length()
+        values = []
+        while (need := count - len(values)) > 0:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            values += [start + v for top in memoryview(words).cast("H")[1::2]
+                       if (v := top >> shift) < n]
+        return values
+    draw = rng._randbelow
+    return [start + draw(n) for _ in range(count)]
+
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 @functools.cache
@@ -60,3 +86,49 @@ def _byte_tables(start: int, n: int) -> tuple[bytes, bytes]:
     table = bytes(start + (b >> shift) if b >> shift < n else 0 for b in range(256))
     reject = bytes(b for b in range(256) if b >> shift >= n)
     return table, reject
+
+
+def flags(rng: random.Random, p: float, count: int) -> bytes:
+    """``count`` flags, 1 where ``rng.random() >= p`` and 0 elsewhere.
+
+    The result, and the state ``rng`` is left in, equal those of
+    ``bytes(rng.random() >= p for _ in range(count))``. CPython's
+    ``random()`` is m / 2**53 with m = (a >> 5) * 2**26 + (b >> 6), built
+    from two consecutive 32-bit words a and b. So for 0 <= p <= 1 the test
+    holds exactly when m >= T, where T = ceil(p * 2**53) (the product is
+    exact, being a power-of-two scaling).
+
+    For an exact ``random.Random`` the words come from one
+    ``getrandbits(64 * count)``. The top byte of a is the top byte of m, so
+    one ``bytes.translate`` of those bytes settles every flag whose byte
+    differs from T's top byte; the ties (about 1 in 256, found by
+    ``bytes.find``) are settled one by one on the full 53 bits. Any other p,
+    a count below 1, and any subclass take the loop itself.
+    """
+    if type(rng) is not random.Random or not 0.0 <= p <= 1.0 or count < 1:
+        return bytes(rng.random() >= p for _ in range(count))
+    threshold = math.ceil(p * 2.0 ** 53)
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    verdicts = words[3::8].translate(_flag_table(threshold >> 45))
+    tie = verdicts.find(_TIE)
+    if tie < 0:
+        return verdicts
+    verdicts = bytearray(verdicts)
+    while tie >= 0:
+        a = int.from_bytes(words[8 * tie:8 * tie + 4], "little")
+        b = int.from_bytes(words[8 * tie + 4:8 * tie + 8], "little")
+        verdicts[tie] = (a >> 5 << 26 | b >> 6) >= threshold
+        tie = verdicts.find(_TIE, tie + 1)
+    return bytes(verdicts)
+
+
+#: a top byte equal to the threshold's, left for the 53-bit comparison
+_TIE = 2
+
+
+@functools.cache
+def _flag_table(top: int) -> bytes:
+    """Translation table from a's top byte to 1 (m >= T), 0 (m < T) or a tie.
+
+    ``top`` is 256 when p == 1, and then no byte reaches it."""
+    return bytes(1 if b > top else 0 if b < top else _TIE for b in range(256))

@@ -65,6 +65,24 @@ def test_trial_config_validation():
             TrialConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(n=5.0), dict(n=True), dict(n="5"),
+    dict(k=3.0), dict(k=True),
+    dict(min_consistency=2.0), dict(min_consistency=True),
+    dict(trials=10.0), dict(trials=True),
+    dict(p_fail=True), dict(p_fail=False), dict(p_fail="0.1"), dict(p_fail=None),
+    dict(seeds=(1, 2.0)), dict(seeds=(True,)), dict(seeds=("1",)),
+])
+def test_trial_config_rejects_wrong_types(bad):
+    with pytest.raises(ValueError):
+        TrialConfig(**{**dict(n=5, p_fail=0.1, k=3), **bad})
+
+
+def test_trial_config_accepts_int_p_fail():
+    assert run_point(TrialConfig(n=5, p_fail=0, k=3, trials=3)).accuracy == 1.0
+    assert run_point(TrialConfig(n=5, p_fail=1, k=3, trials=3)).accuracy == 0.0
+
+
 def test_min_consistency_above_k_is_never_reached():
     # all voters honest, so every sample is clean and only the count falls short
     for mode in ("symbolic", "full"):
