@@ -4,13 +4,12 @@ A trial runs one election and scores it correct when the mode decision
 equals the honest vote sum (disrupting voters submit 0, so that sum is well
 defined). Both evaluation modes share one draw of the seeded world per trial:
 an honesty flag per voter, a vote per honest voter, then the sampling plan.
-Every part is drawn in bulk and consumes the stream exactly as the one-call-
-per-value loop would: the flags by ``seeding.flags`` (one ``random() >= p_fail``
-each, settled mostly on a word's top byte), the votes and the plan's indices by
-``seeding.draws`` (one ``randrange`` each, from words' top bytes below width 256
-and from their top 16 bits up to width 65535). Both rely on CPython's
-``random()`` construction and ``getrandbits`` word order, which the seeded
-fixtures pin.
+Each part is drawn in bulk from the words a one-call-per-value loop would
+take: the flags by ``seeding.flags`` (``random() >= p_fail``, settled on a
+word's top byte but for ties), the votes and the plan's indices by
+``seeding.draws`` (``randrange``, from words' top bytes below width 256 and
+their top 16 bits up to 65535). Both rely on CPython's ``random()``
+construction and ``getrandbits`` word order, which the seeded fixtures pin.
 
 * "full" spreads the votes over the honest voters, runs the actual group
   arithmetic end to end and takes the mode decision over the decoded samples.

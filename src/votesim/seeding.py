@@ -3,14 +3,6 @@
 Every component that needs randomness gets its own child generator derived
 from (seed, labels...), so streams never interleave and adding draws in one
 place cannot shift results anywhere else.
-
-``draws`` and ``flags`` return what a loop of ``randrange`` or ``random()``
-calls would, and leave the generator in the same state, but for an exact
-``random.Random`` they take the loop's Mersenne Twister words from one
-``getrandbits`` call per round. That relies on CPython's ``getrandbits``
-word order (its first word is the least significant 32 bits, and so on up)
-and on its ``random()`` construction from two words; the seeded fixtures pin
-both. Any subclass takes the loop itself.
 """
 
 from __future__ import annotations
@@ -52,6 +44,8 @@ def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:
       native ``memoryview`` of unsigned shorts, which needs a little-endian
       host, then shifted and filtered in one comprehension.
 
+    Both rely on CPython's ``getrandbits`` word order (its first word is the
+    least significant 32 bits, and so on up), which the seeded fixtures pin.
     Any other input, a big-endian host for the 16-bit path, and any subclass
     take the loop itself.
     """
@@ -102,8 +96,10 @@ def flags(rng: random.Random, p: float, count: int) -> bytes:
     ``getrandbits(64 * count)``. The top byte of a is the top byte of m, so
     one ``bytes.translate`` of those bytes settles every flag whose byte
     differs from T's top byte; the ties (about 1 in 256, found by
-    ``bytes.find``) are settled one by one on the full 53 bits. Any other p,
-    a count below 1, and any subclass take the loop itself.
+    ``bytes.find``) are settled one by one on the full 53 bits. This relies
+    on the word order ``draws`` relies on and on CPython's ``random()``
+    construction, both pinned by the seeded fixtures. Any other p, a count
+    below 1, and any subclass take the loop itself.
     """
     if type(rng) is not random.Random or not 0.0 <= p <= 1.0 or count < 1:
         return bytes(rng.random() >= p for _ in range(count))
