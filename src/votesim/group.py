@@ -7,15 +7,19 @@ arithmetic. Everything is simulation-grade: no constant-time hardening.
 
 Two caches make the hot paths cheap without changing any result:
 
-* ``GroupParams.exp`` raises the generator, and any :class:`FixedBase`, through
-  a fixed-base window table (:class:`WindowTable`, after Brickell, Gordon,
-  McCurley and Wilson, EUROCRYPT '92). The generator's table is built on its
-  first use and kept on the ``GroupParams`` instance; ``default_group()``
-  returns one shared instance, so that table lives as long as the process.
-  A ``FixedBase`` keeps its own table, which dies with the value: the
-  election pipeline marks each sampled key and busy aggregate this way.
+* ``GroupParams.exp`` raises the generator through a fixed-base table of
+  8-bit windows (:class:`WindowTable`, after Brickell, Gordon, McCurley and
+  Wilson, EUROCRYPT '92). It is built on its first use and kept on the
+  ``GroupParams`` instance; ``default_group()`` returns one shared instance,
+  so that table lives as long as the process. A :class:`FixedBase`, which the
+  election pipeline makes of each sampled key and busy aggregate, is raised
+  through its own Lim-Lee comb (:class:`CombTable`, CRYPTO '94), which dies
+  with the value. At 256-bit order a one-table comb costs about 1.7 ``pow``
+  calls to build and each exp then costs about 0.23 of one; a second table
+  costs another 0.9 ``pow`` and cuts each exp to about 0.19 of one.
 * ``GroupParams.is_element`` memoizes its verdicts on the instance, keyed by
-  plain ``int`` and bounded at ``ELEMENT_MEMO_SIZE`` entries.
+  plain ``int`` and bounded at ``ELEMENT_MEMO_SIZE`` entries. In a safe-prime
+  group a verdict is a Jacobi symbol, about a quarter of a ``pow``.
 
 Every ``exp`` result still equals ``pow(base, exponent % order, modulus)``.
 """
@@ -131,32 +135,24 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-_LOW_NIBBLES = bytes(b & 15 for b in range(256))
-_HIGH_NIBBLES = bytes(b >> 4 for b in range(256))
-
-
 class WindowTable:
-    """Fixed-base exponentiation by precomputed windows.
+    """Fixed-base exponentiation by precomputed 8-bit windows.
 
-    Row i holds base**(d * 2**(width*i)) for every width-bit digit d, so
-    base**e costs one modular multiplication per nonzero digit of e, against
-    roughly one per bit for ``pow``. The table covers exponents below 2**bits.
-    Digits come from ``int.to_bytes``, hence the widths 4 and 8.
+    Row i holds base**(d * 256**i) for every byte value d, so base**e costs one
+    modular multiplication per nonzero byte of e, against roughly one per bit
+    for ``pow``. The table covers exponents below 2**bits.
     """
 
-    __slots__ = ("modulus", "width", "rows")
+    __slots__ = ("modulus", "rows")
 
-    def __init__(self, base: int, modulus: int, bits: int, width: int):
-        if width not in (4, 8):
-            raise ValueError(f"window width must be 4 or 8, got {width}")
+    def __init__(self, base: int, modulus: int, bits: int):
         self.modulus = modulus
-        self.width = width
         self.rows = []
         step = base % modulus
-        for _ in range(-(-bits // width)):
+        for _ in range(-(-bits // 8)):
             power = step
             row = [1, power]
-            for _ in range((1 << width) - 2):
+            for _ in range(254):
                 power = power * step % modulus
                 row.append(power)
             self.rows.append(row)
@@ -164,13 +160,7 @@ class WindowTable:
 
     def exp(self, exponent: int) -> int:
         """base ** exponent for 0 <= exponent < 2**bits."""
-        data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
-        if self.width == 8:
-            digits = data
-        else:
-            digits = bytearray(2 * len(data))
-            digits[0::2] = data.translate(_LOW_NIBBLES)
-            digits[1::2] = data.translate(_HIGH_NIBBLES)
+        digits = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
         modulus = self.modulus
         acc = 1
         for row, digit in zip(self.rows, digits):
@@ -179,15 +169,80 @@ class WindowTable:
         return acc
 
 
-#: window width of the generator's table: it is built once per group and
-#: serves every key piece and nonce, so the wide window pays for itself
-GENERATOR_WINDOW = 8
-#: window width of a FixedBase's table, which serves a single election
-BASE_WINDOW = 4
-#: Fewest exps of one base for which a BASE_WINDOW table is cheaper than pow.
-#: At 256-bit order the table costs about 4 pow calls to build and each use
-#: then saves about 0.75 of one, so it breaks even between 5 and 6 uses.
-FIXED_BASE_MIN_USES = 6
+#: maps the ASCII digits of a bit string to the bytes 0 and 1
+_BIT_BYTES = bytes(c == ord("1") for c in range(256))
+
+
+class CombTable:
+    """Fixed-base exponentiation by the Lim-Lee comb (CRYPTO '94).
+
+    The comb has one or two tables. The exponent's bits are cut into
+    ``tables * teeth`` teeth of ``span`` bits each, tooth t holding bits
+    t*span to (t+1)*span - 1; ``teeth`` is 8, or fewer for exponents too short
+    to fill them. Table k holds, for every ``teeth``-bit digit d, the product
+    of base**(2**(t*span)) over the teeth t = k*teeth + i whose bit i is set
+    in d. Column c of the exponent, bit c of every tooth, then names one entry
+    per table, and base**e is ``span`` rounds of one squaring and one
+    multiplication per table. With 8 teeth, one table costs about one
+    squaring per bit and 255 multiplications to build; a second table adds
+    255 multiplications and halves the squarings of each exp.
+    """
+
+    __slots__ = ("modulus", "teeth", "span", "rows")
+
+    def __init__(self, base: int, modulus: int, bits: int, tables: int):
+        # a power of two, so that exp can gather the digits in log2(teeth) folds
+        self.teeth = teeth = 1 << min(3, (-(-bits // tables)).bit_length() - 1)
+        self.span = span = -(-bits // (tables * teeth))
+        self.modulus = modulus
+        powers = [base % modulus]
+        for _ in range(tables * teeth - 1):
+            power = powers[-1]
+            for _ in range(span):
+                power = power * power % modulus
+            powers.append(power)
+        self.rows = []
+        for k in range(tables):
+            row = [1]
+            for power in powers[k * teeth:(k + 1) * teeth]:
+                row += [entry * power % modulus for entry in row]
+            self.rows.append(row)
+
+    def exp(self, exponent: int) -> int:
+        """base ** exponent for 0 <= exponent < 2**bits."""
+        span, teeth = self.span, self.teeth
+        # One byte per bit of the exponent, lowest bit last; each fold adds
+        # the upper half of every group of teeth onto the lower half, shifted
+        # into bits of its own, until byte c of tooth k*teeth holds column c's
+        # digit of table k. No byte ever carries into the next.
+        merged = int.from_bytes(format(exponent, "b").encode().translate(_BIT_BYTES), "big")
+        folded = teeth
+        while folded > 1:
+            folded >>= 1
+            merged += merged >> (8 * span * folded) << folded
+        data = merged.to_bytes(len(self.rows) * teeth * span, "big")
+        modulus = self.modulus
+        if len(self.rows) == 1:
+            row = self.rows[0]
+            acc = 1
+            for digit in data[-span:]:
+                acc = acc * acc % modulus * row[digit] % modulus
+            return acc
+        low, high = self.rows
+        acc = 1
+        for low_digit, high_digit in zip(data[-span:], data[-(teeth + 1) * span:-teeth * span]):
+            acc = acc * acc % modulus * low[low_digit] % modulus * high[high_digit] % modulus
+        return acc
+
+
+#: Fewest exps of one base for which a one-table CombTable is cheaper than pow.
+#: At 256-bit order the table costs about 1.7 pow calls to build and each use
+#: then saves about 0.77 of one, so it breaks even between 2 and 3 uses.
+FIXED_BASE_MIN_USES = 3
+#: Fewest exps of one base for which a two-table CombTable is cheaper than one
+#: table. At 256-bit order the second table costs about 0.9 pow calls more to
+#: build and saves about 0.05 of one per exp: the costs cross at about 19 uses.
+TWO_TABLE_MIN_USES = 20
 #: most is_element verdicts one GroupParams instance remembers
 ELEMENT_MEMO_SIZE = 256
 
@@ -195,14 +250,16 @@ ELEMENT_MEMO_SIZE = 256
 class FixedBase(int):
     """A group element that will be raised to many exponents in one group.
 
-    ``group.exp`` raises it through a BASE_WINDOW table built on the first
-    such call and dropped with the value; every other group, and every other
+    ``group.exp`` raises it through a :class:`CombTable` built on the first
+    such call and dropped with the value: two tables when ``uses`` reaches
+    TWO_TABLE_MIN_USES, else one. Every other group, and every other
     operation, treats it as a plain int. Make one with ``GroupParams.fixed_base``.
     """
 
-    def __new__(cls, value: int, group: "GroupParams"):
+    def __new__(cls, value: int, group: "GroupParams", uses: int):
         self = super().__new__(cls, value)
         self.group = group
+        self.uses = uses
         self.table = None
         return self
 
@@ -234,14 +291,24 @@ class GroupParams:
     def is_element(self, value: int) -> bool:
         """Membership test for the order-q subgroup.
 
-        The verdict is memoized under the plain int, so the memo never keeps a
-        caller's object (such as a FixedBase and its table) alive.
+        When the modulus is the safe prime 2q + 1, as in every group this
+        module makes, the subgroup is the quadratic residues, and the Jacobi
+        symbol decides membership without a modexp. Any other group takes
+        pow(value, q, modulus) == 1. The verdict is memoized under the plain
+        int, so the memo never keeps a caller's object (such as a FixedBase and
+        its table) alive.
         """
         key = operator.index(value)
         memo = self._element_memo
         verdict = memo.get(key)
         if verdict is None:
-            verdict = 1 <= key <= self.modulus - 1 and pow(key, self.order, self.modulus) == 1
+            modulus = self.modulus
+            if not 1 <= key < modulus:
+                verdict = False
+            elif modulus == 2 * self.order + 1:
+                verdict = _jacobi(key, modulus) == 1
+            else:
+                verdict = pow(key, self.order, modulus) == 1
             if len(memo) >= ELEMENT_MEMO_SIZE:
                 del memo[next(iter(memo))]
             memo[key] = verdict
@@ -253,18 +320,19 @@ class GroupParams:
         if base == self.generator:
             table = self._generator_table
             if table is None:
-                table = WindowTable(base, self.modulus, self.order.bit_length(), GENERATOR_WINDOW)
+                table = WindowTable(base, self.modulus, self.order.bit_length())
                 object.__setattr__(self, "_generator_table", table)
             return table.exp(exponent)
         if type(base) is FixedBase and base.group is self:
             if base.table is None:
-                base.table = WindowTable(base, self.modulus, self.order.bit_length(), BASE_WINDOW)
+                tables = 2 if base.uses >= TWO_TABLE_MIN_USES else 1
+                base.table = CombTable(base, self.modulus, self.order.bit_length(), tables)
             return base.table.exp(exponent)
         return pow(base, exponent, self.modulus)
 
     def fixed_base(self, value: int, uses: int) -> int:
         """value as a FixedBase when `uses` exps will raise it, else as is."""
-        return FixedBase(value, self) if uses >= FIXED_BASE_MIN_USES else value
+        return FixedBase(value, self, uses) if uses >= FIXED_BASE_MIN_USES else value
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus

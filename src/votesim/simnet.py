@@ -33,6 +33,8 @@ from .hevs import (
 from .seeding import spawn
 
 TRANSCRIPT_MAGIC = "votesim-transcript 1"
+#: renders every transcript record and header: sorted keys, no spaces
+_TRANSCRIPT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 PHASE_ORDER = {
     "hev": ("key", "broadcast", "vote", "decrypt_request", "decrypt_share", "result"),
@@ -52,7 +54,7 @@ class Message:
     payload: dict
 
     def line(self) -> str:
-        blob = json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
+        blob = _TRANSCRIPT_JSON.encode(self.payload)
         return f"{self.phase}\t{self.sender}\t{self.receiver}\t{blob.encode('utf-8').hex()}"
 
 
@@ -367,7 +369,7 @@ def _run_bsv(config: ElectionConfig, messages: list[Message]) -> dict:
 
 
 def transcript_lines(outcome: ElectionOutcome) -> list[str]:
-    header = f"{TRANSCRIPT_MAGIC} {json.dumps(outcome.config.to_dict(), sort_keys=True, separators=(',', ':'))}"
+    header = f"{TRANSCRIPT_MAGIC} {_TRANSCRIPT_JSON.encode(outcome.config.to_dict())}"
     return [header] + [message.line() for message in outcome.transcript]
 
 

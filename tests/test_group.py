@@ -10,6 +10,8 @@ from votesim.group import (
     ELEMENT_MEMO_SIZE,
     FIXED_BASE_MIN_USES,
     TINY_GROUP,
+    TWO_TABLE_MIN_USES,
+    CombTable,
     FixedBase,
     GroupParams,
     WindowTable,
@@ -271,6 +273,8 @@ GROUPS = {
     "tiny": TINY_GROUP,
     "default": default_group(),
     "generated24": generate_group(24, random.Random(7)),
+    # order 5 in the integers mod 31, which is not 2 * 5 + 1
+    "nonsafe31": GroupParams(31, 5, 2),
 }
 
 
@@ -292,8 +296,10 @@ def test_table_exp_matches_pow(name, data):
     base = data.draw(st.one_of(st.integers(1, q - 1).map(lambda e: pow(g, e, p)),
                                st.integers(-p, 2 * p)))
     assert group.fixed_base(base, FIXED_BASE_MIN_USES - 1) is base
-    fixed = group.fixed_base(base, FIXED_BASE_MIN_USES)
-    assert type(fixed) is FixedBase and fixed == base
+    # uses on both sides of TWO_TABLE_MIN_USES give both comb shapes
+    uses = data.draw(st.integers(FIXED_BASE_MIN_USES, 64))
+    fixed = group.fixed_base(base, uses)
+    assert type(fixed) is FixedBase and fixed == base and fixed.uses == uses
     # a FixedBase raised in another group is a plain int there
     other = GROUPS["tiny"] if group is not GROUPS["tiny"] else GROUPS["generated24"]
     for e in edge_exponents(q) + data.draw(st.lists(exponents, min_size=1, max_size=6)):
@@ -303,11 +309,35 @@ def test_table_exp_matches_pow(name, data):
 
 
 def test_window_table_widths():
-    with pytest.raises(ValueError):
-        WindowTable(2, 23, 4, 3)
-    for width in (4, 8):
-        table = WindowTable(2, 23, 4, width)
-        assert [table.exp(e) for e in range(16)] == [pow(2, e, 23) for e in range(16)]
+    table = WindowTable(2, 23, 4)
+    assert [table.exp(e) for e in range(16)] == [pow(2, e, 23) for e in range(16)]
+
+
+def test_comb_table_matches_pow_at_every_small_width():
+    # every tooth count and span the bit lengths 1-40 give, and tails of
+    # exponents that fill or miss the top tooth
+    rng = random.Random(13)
+    for bits in range(1, 41):
+        modulus = rng.randrange(2**bits, 2**(bits + 8)) | 1
+        base = rng.randrange(-modulus, 2 * modulus)
+        exponents = [0, 1, 2**bits - 1, 2**(bits - 1)] + [rng.randrange(2**bits) for _ in range(20)]
+        for tables in (1, 2):
+            table = CombTable(base, modulus, bits, tables)
+            assert table.teeth * table.span * tables >= bits
+            assert [table.exp(e) for e in exponents] == [pow(base, e, modulus) for e in exponents]
+
+
+@pytest.mark.parametrize("name, entries", [("tiny", (16, 4)), ("default", (256, 256))])
+def test_fixed_base_builds_two_tables_from_the_crossover(name, entries):
+    group = GROUPS[name]
+    base = pow(group.generator, 7, group.modulus)
+    one_table, two_tables = entries
+    for uses, sizes in ((TWO_TABLE_MIN_USES - 1, [one_table]), (TWO_TABLE_MIN_USES, [two_tables] * 2)):
+        fixed = group.fixed_base(base, uses)
+        assert fixed.table is None
+        assert group.exp(fixed, 5) == pow(base, 5, group.modulus)
+        assert type(fixed.table) is CombTable
+        assert [len(row) for row in fixed.table.rows] == sizes
 
 
 def uncached_is_element(group, value):

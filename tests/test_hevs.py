@@ -16,6 +16,7 @@ from votesim.errors import (
 from votesim.group import (
     ELEMENT_MEMO_SIZE,
     FIXED_BASE_MIN_USES,
+    CombTable,
     FixedBase,
     GroupParams,
     WindowTable,
@@ -362,18 +363,18 @@ def test_fake_share_voter_reuses_one_exponent(tiny, monkeypatch):
 
 def test_election_tables_die_with_the_election(monkeypatch):
     built = []
-    original = WindowTable.__init__
+    original = CombTable.__init__
 
     def counting_init(self, *args):
         built.append(args[-1])
         original(self, *args)
 
-    monkeypatch.setattr(WindowTable, "__init__", counting_init)
+    monkeypatch.setattr(CombTable, "__init__", counting_init)
     for seed in range(50):
         # t = n so that most aggregates also have enough distinct voters
         config = ElectionConfig(protocol="hevs", n=12, k=8, t_policy=12, p_fail=0.2, seed=seed)
         assert run_election(config).sample_tallies is not None
-    assert built.count(4) > 50 * 8  # every sampled key and some aggregates
+    assert built.count(1) > 50 * 8  # every sampled key and some aggregates
 
     group = default_group()
     assert set(vars(group)) == {"modulus", "order", "generator", "_generator_table", "_element_memo"}
@@ -384,7 +385,7 @@ def test_election_tables_die_with_the_election(monkeypatch):
     gc.collect()
     objects = gc.get_objects()
     generator_tables = {id(o._generator_table) for o in objects if type(o) is GroupParams}
-    live_tables = {id(o) for o in objects if type(o) is WindowTable}
+    live_tables = {id(o) for o in objects if type(o) in (WindowTable, CombTable)}
     assert live_tables and live_tables <= generator_tables
 
 
