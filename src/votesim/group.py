@@ -79,14 +79,13 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     sign = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
             sign = -sign
-        a %= n
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
     return sign if n == 1 else 0
 
 

@@ -233,8 +233,13 @@ def _honest_sum(roles: Sequence[VoterRole], submitted: Sequence[int]) -> int:
     return sum(v for role, v in zip(roles, submitted) if role.honest)
 
 
-def run_election(config: ElectionConfig) -> ElectionOutcome:
-    """Run one election; protocol failures become structured outcomes."""
+def run_election(config: ElectionConfig, *, _blind_signatures: dict | None = None) -> ElectionOutcome:
+    """Run one election; protocol failures become structured outcomes.
+
+    ``_blind_signatures`` is for ``replay`` alone: a transcript's claimed bsv
+    blind signatures by voter id, each taken only once the public key
+    confirms it (see ``_run_bsv``).
+    """
     messages: list[Message] = []
     partial: dict = {}
     try:
@@ -243,7 +248,7 @@ def run_election(config: ElectionConfig) -> ElectionOutcome:
         elif config.protocol == "hevs":
             fields = _run_hevs(config, messages, partial)
         else:
-            fields = _run_bsv(config, messages)
+            fields = _run_bsv(config, messages, _blind_signatures or {})
     except ProtocolError as exc:
         return ElectionOutcome(
             config=config,
@@ -314,7 +319,10 @@ def _run_hevs(config: ElectionConfig, messages: list[Message], partial: dict) ->
     return {**partial, "decision": mode_decision(results, config.min_consistency)}
 
 
-def _run_bsv(config: ElectionConfig, messages: list[Message]) -> dict:
+def _run_bsv(config: ElectionConfig, messages: list[Message], claimed: dict) -> dict:
+    """The bsv election. A blind signature in `claimed` under the voter's id
+    stands in for signing once the public key confirms it; the signer still
+    marks the voter served."""
     schedule = config.schedule
     vote_rng = spawn(config.seed, "votes")
     choices = config.votes if config.votes is not None else [
@@ -342,7 +350,11 @@ def _run_bsv(config: ElectionConfig, messages: list[Message]) -> dict:
              {"tag": "blind_request", "voter_id": i, "blinded": format(state.blinded, "x")})
     signed: list[bsv.Ballot] = []
     for i, (ballot, state) in enumerate(pending, start=1):
-        blind_sig = bsv.sign_blinded(keys, state.blinded, i, registry)
+        blind_sig = claimed.get(i)
+        if blind_sig is not None and bsv.is_blind_signature(pub, state.blinded, blind_sig):
+            registry.check_and_mark(i)
+        else:
+            blind_sig = bsv.sign_blinded(keys, state.blinded, i, registry)
         emit(response_round, "signed_blind", "government", f"voter:{i}",
              {"tag": "signed_blind", "voter_id": i, "value": format(blind_sig, "x")})
         signed.append(ballot.with_signature(bsv.unblind(blind_sig, state, pub)))
@@ -379,12 +391,38 @@ def write_transcript(outcome: ElectionOutcome, path) -> None:
             fh.write(line + "\n")
 
 
+def _claimed_blind_signatures(lines: Sequence[str]) -> dict:
+    """Voter id -> value of each ``signed_blind`` record that parses; the
+    last record for an id wins, and the re-run checks every value it uses."""
+    claimed = {}
+    for line in lines:
+        phase, _, rest = line.partition("\t")
+        if phase != "signed_blind":
+            continue
+        try:
+            payload = json.loads(bytes.fromhex(rest.rpartition("\t")[2]))
+            claimed[payload["voter_id"]] = int(payload["value"], 16)
+        except (ValueError, LookupError, TypeError, RecursionError):
+            continue
+    return claimed
+
+
 def replay(lines: Iterable[str]) -> ElectionOutcome:
     """Re-run the election encoded in a transcript and check it matches.
 
     Any divergence - truncation, edits, reordering, a malformed header -
     raises CorruptTranscript. On success the freshly computed outcome is
     returned.
+
+    Every value is re-derived from the header's seed - keys, votes, nonces,
+    blinding factors, ciphertexts, shares and the ledger's verdicts - except
+    the bsv blind signatures. Each of those is read from its ``signed_blind``
+    record and checked with the public key, s**e = blinded mod n with
+    0 <= s < n; a record that fails the check or does not parse is signed
+    again. The check is exact because s -> s**e mod n permutes [0, n) for
+    an RSA key (see ``votesim.bsv``): the one value that passes is the
+    signature re-signing would give. So the re-derived records, and the
+    line named for any corrupt transcript, are those of a full re-run.
     """
     lines = [line.rstrip("\n") for line in lines]
     if not lines or not lines[0].startswith(TRANSCRIPT_MAGIC + " "):
@@ -393,7 +431,8 @@ def replay(lines: Iterable[str]) -> ElectionOutcome:
         config = ElectionConfig.from_dict(json.loads(lines[0][len(TRANSCRIPT_MAGIC) + 1:]))
     except (ValueError, LookupError, TypeError, ConfigError) as exc:
         raise CorruptTranscript(f"unreadable header: {exc}") from exc
-    outcome = run_election(config)
+    claimed = _claimed_blind_signatures(lines) if config.protocol == "bsv" else None
+    outcome = run_election(config, _blind_signatures=claimed)
     expected = transcript_lines(outcome)
     if len(lines) != len(expected):
         raise CorruptTranscript(

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from votesim.bsv import (
     SignerRegistry,
     ballot_digest,
     blind,
+    is_blind_signature,
     make_ballot,
     sign_blinded,
     signer_keygen,
@@ -128,6 +130,29 @@ def test_crt_signature_matches_plain_rsa(bits, seed, data):
     assert crt_signature(keys, blinded) == plain_signature(keys, blinded)
     for edge in edge_inputs(keys):
         assert crt_signature(keys, edge) == plain_signature(keys, edge)
+
+
+SMALL_KEYS = {"3233": TEST_SIGNER_KEYS} | {
+    f"{bits} bits, seed {seed}": signer_keygen(random.Random(seed), bits)
+    for bits in (16, 18, 20) for seed in (1, 2)}
+
+
+@pytest.mark.parametrize("signer", SMALL_KEYS.values(), ids=SMALL_KEYS)
+def test_public_exponent_permutes_the_residues(signer):
+    """x -> x**e mod n is a bijection of [0, n), so a blind signature is the
+    one value in [0, n) that the public exponent raises to the blinded value."""
+    n = signer.modulus
+    assert len(set(map(pow, range(n), repeat(signer.public_exponent), repeat(n)))) == n
+
+
+def test_public_check_accepts_only_the_signature(keys, rng):
+    for signer in (TEST_SIGNER_KEYS, keys, signer_keygen(random.Random(3), 64)):
+        pub, n = signer.public, signer.modulus
+        for blinded in [0, 1, n - 1, *(rng.randrange(n) for _ in range(100))]:
+            value = crt_signature(signer, blinded)
+            assert is_blind_signature(pub, blinded, value)
+            assert not is_blind_signature(pub, blinded, value + 1)
+            assert not is_blind_signature(pub, blinded, value + n)
 
 
 def test_make_ballot_nonce_width(rng):

@@ -236,6 +236,34 @@ def test_lucas_test_rejects_a_square_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def reference_jacobi(a, n):
+    """The Jacobi symbol, stripping one factor of two per step."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def test_jacobi_matches_reference():
+    jacobi = votesim.group._jacobi
+    for n in range(1, 400, 2):
+        for a in range(-5, 3 * n):
+            assert jacobi(a, n) == reference_jacobi(a, n), (a, n)
+    modulus = default_group().modulus
+    rng = random.Random(13)
+    for _ in range(2000):
+        a = rng.randrange(modulus)
+        assert jacobi(a, modulus) == reference_jacobi(a, modulus)
+
+
 def test_dlog_examples(tiny):
     assert discrete_log_bounded(tiny, 1, 5) == 0
     assert discrete_log_bounded(tiny, 9, 10) == 5  # 2**5 = 32 = 9 mod 23

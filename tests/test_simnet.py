@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from votesim import bsv
 from votesim.errors import ConfigError, CorruptTranscript
 from votesim.simnet import (
     PHASE_ORDER,
@@ -184,6 +185,88 @@ def test_replay_detects_edits():
     lines = lines_for(ElectionConfig(protocol="hev", n=3, seed=4))
     lines[3] = lines[3][:-2] + "00"
     with pytest.raises(CorruptTranscript):
+        replay(lines)
+
+
+BSV_REPLAYS = {
+    "64 bits": ElectionConfig(protocol="bsv", n=5, seed=3, rsa_bits=64),
+    "512 bits": ElectionConfig(protocol="bsv", n=4, seed=3, rsa_bits=512),
+    "replay_voters": ElectionConfig(protocol="bsv", n=5, seed=4, rsa_bits=64,
+                                    replay_voters=(2, 5, 2)),
+    "anonymize off": ElectionConfig(protocol="bsv", n=4, seed=5, rsa_bits=64,
+                                    replay_voters=(1,), schedule=Schedule(anonymize=False)),
+}
+
+
+@pytest.mark.parametrize("config", BSV_REPLAYS.values(), ids=BSV_REPLAYS)
+def test_bsv_replay_matches_the_run(config):
+    original = run_election(config)
+    lines = transcript_lines(original)
+    replayed = replay(lines)
+    assert replayed == original
+    assert transcript_lines(replayed) == lines
+
+
+def test_bsv_replay_signs_nothing_for_a_clean_transcript(monkeypatch):
+    calls = []
+    sign_blinded = bsv.sign_blinded
+
+    def counted(*args):
+        calls.append(args)
+        return sign_blinded(*args)
+
+    monkeypatch.setattr(bsv, "sign_blinded", counted)
+    config = ElectionConfig(protocol="bsv", n=6, seed=2, rsa_bits=128, replay_voters=(3,))
+    lines = lines_for(config)
+    assert len(calls) == config.n
+    calls.clear()
+    replay(lines)
+    assert calls == []
+
+
+def payload_of(line):
+    return json.loads(bytes.fromhex(line.split("\t")[3]))
+
+
+def edit_payload(line, edit):
+    phase, sender, receiver, _ = line.split("\t")
+    payload = payload_of(line)
+    edit(payload)
+    return Message(0, phase, sender, receiver, payload).line()
+
+
+def test_replay_names_each_edited_blind_signature():
+    config = ElectionConfig(protocol="bsv", n=4, seed=6, rsa_bits=64, replay_voters=(2,))
+    lines = lines_for(config)
+    n = int(payload_of(lines[1])["modulus"], 16)
+    records = {index: payload_of(line)
+               for index, line in enumerate(lines) if line.startswith("signed_blind\t")}
+    assert len(records) == config.n
+    values = {p["voter_id"]: p["value"] for p in records.values()}
+    for index, record in records.items():
+        other = record["voter_id"] % config.n + 1
+        edits = {
+            "value + n": lambda p: p.update(value=format(int(p["value"], 16) + n, "x")),
+            "another voter's signature": lambda p: p.update(value=values[other]),
+            "not hex": lambda p: p.update(value="not hex"),
+            "voter_id": lambda p: p.update(voter_id=other),
+        }
+        for name, edit in edits.items():
+            tampered = list(lines)
+            tampered[index] = edit_payload(lines[index], edit)
+            assert tampered[index] != lines[index], name
+            with pytest.raises(CorruptTranscript, match=f"at line {index + 1}$"):
+                replay(tampered)
+
+
+@pytest.mark.parametrize("blob", ["[]", '"x"', '{"voter_id": [1], "value": "ff"}',
+                                  '{"voter_id": 1, "value": 255}', "[" * 100_000 + "]" * 100_000],
+                         ids=["list", "string", "unhashable id", "int value", "deep nesting"])
+def test_replay_names_an_unreadable_blind_signature_record(blob):
+    lines = lines_for(ElectionConfig(protocol="bsv", n=3, seed=6, rsa_bits=64))
+    index = next(i for i, line in enumerate(lines) if line.startswith("signed_blind\t"))
+    lines[index] = lines[index].rpartition("\t")[0] + "\t" + blob.encode().hex()
+    with pytest.raises(CorruptTranscript, match=f"at line {index + 1}$"):
         replay(lines)
 
 
