@@ -44,6 +44,15 @@ CASES = {
                                       behavior="extra_vote"), None),
     "hevs_n8_k4": (ElectionConfig(protocol="hevs", n=8, k=4, seed=5, p_fail=0.3), None),
     "bsv_n3": (ElectionConfig(protocol="bsv", n=3, seed=1, rsa_bits=256), None),
+    # An honest voter refuses a request whose aggregate is its own ciphertext,
+    # so these pin the partial transcript of a refused election.
+    "hev_refused_n2": (ElectionConfig(protocol="hev", n=2, seed=20058, votes=(1, 0),
+                                      group_bits=16), "refuse_singleton_aggregate"),
+    "hev_refused_n3": (ElectionConfig(protocol="hev", n=3, seed=2535, votes=(0, 1, 0),
+                                      group_bits=16), "refuse_singleton_aggregate"),
+    "hevs_refused_n3": (ElectionConfig(protocol="hevs", n=3, k=2, t_policy=3, seed=28104,
+                                       votes=(0, 1, 0), group_bits=16),
+                        "refuse_singleton_aggregate"),
 }
 
 OUTCOME_FIELDS = ("ok", "tally", "decision", "counts", "sample_tallies", "true_tally",
