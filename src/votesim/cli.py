@@ -142,7 +142,10 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _result_text(outcome: simnet.ElectionOutcome) -> str:
-    """The result lines of a run subcommand; replay prints the same lines."""
+    """The result lines of a run subcommand; replay prints the same lines.
+    A failed election has none: both raise the same ProtocolError instead."""
+    if not outcome.ok:
+        raise ProtocolError(f"{outcome.error}: {outcome.error_detail}")
     if outcome.config.protocol == "hev":
         return f"tally {outcome.tally}\n"
     if outcome.config.protocol == "hevs":
@@ -154,15 +157,14 @@ def _result_text(outcome: simnet.ElectionOutcome) -> str:
 def _run_election(config: ElectionConfig, resolved: dict) -> int:
     """Run one election; write its transcript, any ledger dump and its result lines."""
     outcome = simnet.run_election(config)
-    if not outcome.ok:
-        raise ProtocolError(f"{outcome.error}: {outcome.error_detail}")
+    text = _result_text(outcome)
     if resolved["transcript_out"]:
         simnet.write_transcript(outcome, resolved["transcript_out"])
     if resolved.get("ledger_out"):
         with open(resolved["ledger_out"], "w", encoding="utf-8") as fh:
             for line in outcome.ledger_dump:
                 fh.write(line + "\n")
-    _write_output(_result_text(outcome), resolved["out"])
+    _write_output(text, resolved["out"])
     return 0
 
 

@@ -9,7 +9,9 @@ elements, so the most frequent decoded tally - the mode - is the reliable
 result once it reaches a small consistency count.
 
 Plain HEV is the special case k = 1 with one sample holding every voter
-once, so the simulator runs both protocols through this one pipeline.
+once, so the simulator runs both protocols through this one pipeline. The
+pipeline reports plain values to its recorder; ``votesim.simnet`` alone
+owns the transcript: its record tags, hex strings and party names.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .hev import (
 )
 from .seeding import draws
 
-#: recorder callback signature used by the transcript layer:
-#: (phase, sender, receiver, payload) -> None
-Recorder = Callable[[str, str, str, dict], None]
+#: recorder callback: (phase, voter id or None for the government, value) -> None
+Recorder = Callable[[str, int | None, object], None]
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,11 @@ def run_pipeline(
     voter_rngs[i]. Fake-share voters reuse one random exponent across every
     sample they appear in. Samples blocked by silent voters come back with
     element and tally None. The caller applies mode_decision to the results.
+
+    A recorder hears of each step as it completes, as (phase, voter id or
+    None, value): every voter's key piece, the sampled keys, every voter's
+    ciphertext row, the aggregates, each answering voter's {sample: partial}
+    once all its partials are made, and the results.
     """
     n = plan.population
     if len(votes) != n or len(roles) != n or len(voter_rngs) != n:
@@ -247,19 +253,15 @@ def run_pipeline(
     key_shares = [keygen_share(voter_rngs[i], params, i + 1) for i in range(n)]
     pieces = {share.voter_id: share.public_piece for share in key_shares}
     if recorder:
-        for share in key_shares:
-            recorder("key", f"voter:{share.voter_id}", "government",
-                     {"tag": "key_piece", "voter_id": share.voter_id,
-                      "piece": format(share.public_piece, "x")})
+        for voter_id, piece in pieces.items():
+            recorder("key", voter_id, piece)
 
     mults = [plan.multiplicity(j) for j in range(plan.k)]
     sampled_keys = [combine_sampled_public_key(params, pieces, plan, j) for j in range(plan.k)]
     # Every voter raises every sampled key once, to its nonce.
     keys = [params.fixed_base(key, n) for key in sampled_keys]
     if recorder:
-        payload = {"tag": "sampled_keys", "keys": [format(key, "x") for key in sampled_keys]}
-        for i in range(1, n + 1):
-            recorder("broadcast", "government", f"voter:{i}", payload)
+        recorder("broadcast", None, sampled_keys)
 
     ciphertexts: list[list[Ciphertext]] = []
     for i in range(n):
@@ -268,16 +270,11 @@ def run_pipeline(
         row = [encrypt(params, key, votes[i], voter_rngs[i]) for key in keys]
         ciphertexts.append(row)
         if recorder:
-            recorder("vote", f"voter:{i + 1}", "government",
-                     {"tag": "ciphertexts", "voter_id": i + 1,
-                      "pairs": [[format(ct.c1, "x"), format(ct.c2, "x")] for ct in row]})
+            recorder("vote", i + 1, row)
 
     aggregates = [aggregate(params, [ciphertexts[i][j] for i in range(n)]) for j in range(plan.k)]
     if recorder:
-        payload = {"tag": "decrypt_request", "pending": True,
-                   "aggregates": [[format(ct.c1, "x"), format(ct.c2, "x")] for ct in aggregates]}
-        for i in range(1, n + 1):
-            recorder("decrypt_request", "government", f"voter:{i}", payload)
+        recorder("decrypt_request", None, aggregates)
 
     # Each distinct voter sampled in j raises the j-th aggregate's c1 once.
     requests = [Ciphertext(params.fixed_base(ct.c1, len(mult)), ct.c2)
@@ -303,10 +300,8 @@ def run_pipeline(
                 share = decryption_share(params, key_shares[i], requests[j], own)
             responses[j][voter_id] = share
         if recorder and answered:
-            recorder("decrypt_share", f"voter:{voter_id}", "government",
-                     {"tag": "decryption_shares", "voter_id": voter_id,
-                      "partials": {str(j): format(responses[j][voter_id].partial, "x")
-                                   for j in answered}})
+            recorder("decrypt_share", voter_id,
+                     {j: responses[j][voter_id].partial for j in answered})
 
     results = []
     for j in range(plan.k):
@@ -316,7 +311,5 @@ def run_pipeline(
             result = SampleResult(j, None, None)
         results.append(result)
     if recorder:
-        recorder("result", "government", "public",
-                 {"tag": "sample_results",
-                  "tallies": [r.tally for r in results]})
+        recorder("result", None, results)
     return results

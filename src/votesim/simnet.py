@@ -1,13 +1,15 @@
-"""Deterministic, round-based in-memory elections with replayable transcripts.
+"""Deterministic in-memory elections with replayable transcripts.
 
 run_election drives every party of the chosen protocol to completion (or to
 a structured protocol error), recording one Message per exchanged protocol
-message. A transcript file is the JSON config header followed by one
-tab-separated record per message, so any election can be re-run bit-for-bit
+message. A transcript file is the JSON config header followed by each
+message's tab-separated line, so any election can be re-run bit-for-bit
 from its transcript alone.
 
-Plain HEV runs as the k = 1, every-voter-once case of the sampled-key
-pipeline in ``votesim.hevs``, with its records in the plain protocol's shapes.
+This module alone owns the record format: tags, hex strings and party
+names. Both HEV protocols run through the sampled-key pipeline in
+``votesim.hevs`` (plain HEV as its k = 1, every-voter-once case), which
+reports plain values; ``_RECORDS`` renders them in each protocol's shapes.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from . import bsv
-from .adversary import Behavior, VoterRole, assign_roles
+from .adversary import Behavior, assign_roles
 from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
-from .group import MIN_GROUP_BITS, GroupParams, default_group, generate_group
+from .group import MIN_GROUP_BITS, default_group, generate_group
 from .hevs import (
     Recorder,
     SamplingPlan,
@@ -47,7 +49,8 @@ PROTOCOLS = tuple(PHASE_ORDER)
 
 @dataclass(frozen=True)
 class Message:
-    round: int
+    """One protocol message; ``line`` is its transcript record."""
+
     phase: str
     sender: str
     receiver: str
@@ -206,18 +209,96 @@ def _error_code(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
-def _resolve_group(config: ElectionConfig) -> GroupParams:
-    if config.group_bits is None:
-        return default_group()
-    return generate_group(config.group_bits, spawn(config.seed, "group"))
+def run_election(config: ElectionConfig, *, _blind_signatures: dict | None = None) -> ElectionOutcome:
+    """Run one election; protocol failures become structured outcomes.
+
+    ``_blind_signatures`` is for ``replay`` alone: a transcript's claimed bsv
+    blind signatures by voter id, each taken only once the public key
+    confirms it (see ``_run_bsv``).
+    """
+    outcome = ElectionOutcome(config=config, ok=False)
+    messages: list[Message] = []
+    try:
+        if config.protocol == "bsv":
+            _run_bsv(config, outcome, messages, _blind_signatures or {})
+        else:
+            _run_hev(config, outcome, messages)
+        outcome.ok = True
+    except ProtocolError as exc:
+        outcome.error, outcome.error_detail = _error_code(exc), str(exc)
+    outcome.transcript = tuple(messages)
+    return outcome
 
 
-def _derive_world(config: ElectionConfig) -> tuple[list[VoterRole], list[int]]:
-    """Roles and the plaintext each hev/hevs voter will submit, drawn from the seed."""
-    roles = assign_roles(spawn(config.seed, "roles"), config.n, config.p_fail,
-                         Behavior(config.behavior))
+def _hex(value: int) -> str:
+    return format(value, "x")
+
+
+#: phase -> the record of the value that ``run_pipeline`` reports for a voter
+#: id (None for the government), or None for no record; one table per protocol
+_HEVS_RECORDS = {
+    "key": lambda i, piece: {"tag": "key_piece", "voter_id": i, "piece": _hex(piece)},
+    "broadcast": lambda _, keys: {"tag": "sampled_keys", "keys": [_hex(k) for k in keys]},
+    "vote": lambda i, row: {"tag": "ciphertexts", "voter_id": i,
+                            "pairs": [[_hex(ct.c1), _hex(ct.c2)] for ct in row]},
+    "decrypt_request": lambda _, cts: {"tag": "decrypt_request", "pending": True,
+                                       "aggregates": [[_hex(ct.c1), _hex(ct.c2)] for ct in cts]},
+    "decrypt_share": lambda i, partials: {
+        "tag": "decryption_shares", "voter_id": i,
+        "partials": {str(j): _hex(p) for j, p in partials.items()}},
+    "result": lambda _, results: {"tag": "sample_results", "tallies": [r.tally for r in results]},
+}
+_RECORDS = {
+    "hevs": _HEVS_RECORDS,
+    # Plain HEV's records hold its one sample's entry under the plain tags.
+    "hev": {
+        **_HEVS_RECORDS,
+        "broadcast": lambda _, keys: {"tag": "public_key", "key": _hex(keys[0])},
+        "vote": lambda i, row: {"tag": "ciphertext", "voter_id": i,
+                                "c1": _hex(row[0].c1), "c2": _hex(row[0].c2)},
+        "decrypt_request": lambda _, cts: {"tag": "decrypt_request", "pending": True,
+                                           "c1": _hex(cts[0].c1), "c2": _hex(cts[0].c2)},
+        "decrypt_share": lambda i, partials: {"tag": "decryption_share", "voter_id": i,
+                                              "partial": _hex(partials[0])},
+        # A blocked or undecodable sample publishes no tally.
+        "result": lambda _, results: None if results[0].tally is None else {
+            "tag": "tally", "tally": results[0].tally},
+    },
+}
+
+
+def _recorder(messages: list[Message], protocol: str, n: int) -> Recorder:
+    """Render each reported value as its records: a voter's goes to the
+    government, the result to the public, and any other government value
+    to every voter."""
+    render = _RECORDS[protocol]
+
+    def record(phase, voter_id, value):
+        payload = render[phase](voter_id, value)
+        if payload is None:
+            return
+        if voter_id is not None:
+            messages.append(Message(phase, f"voter:{voter_id}", "government", payload))
+        elif phase == "result":
+            messages.append(Message(phase, "government", "public", payload))
+        else:
+            messages.extend(Message(phase, "government", f"voter:{i}", payload)
+                            for i in range(1, n + 1))
+
+    return record
+
+
+def _run_hev(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Message]) -> None:
+    """Both HEV protocols through the one pipeline. Plain HEV is one sample
+    holding every voter once, each voter drawing from its own stream, and
+    takes that sample's tally; hevs draws its plan, runs every voter from one
+    crypto stream and takes the mode of its samples."""
+    params = default_group() if config.group_bits is None else generate_group(
+        config.group_bits, spawn(config.seed, "group"))
+    n = config.n
+    roles = assign_roles(spawn(config.seed, "roles"), n, config.p_fail, Behavior(config.behavior))
     vote_rng = spawn(config.seed, "votes")
-    submitted = []
+    submitted = []  # the plaintext each voter encrypts
     for i, role in enumerate(roles):
         intent = config.votes[i] if config.votes is not None else vote_rng.randrange(2)
         if role.honest:
@@ -226,100 +307,27 @@ def _derive_world(config: ElectionConfig) -> tuple[list[VoterRole], list[int]]:
             submitted.append(config.extra_vote_value)
         else:
             submitted.append(0)
-    return roles, submitted
-
-
-def _honest_sum(roles: Sequence[VoterRole], submitted: Sequence[int]) -> int:
-    return sum(v for role, v in zip(roles, submitted) if role.honest)
-
-
-def run_election(config: ElectionConfig, *, _blind_signatures: dict | None = None) -> ElectionOutcome:
-    """Run one election; protocol failures become structured outcomes.
-
-    ``_blind_signatures`` is for ``replay`` alone: a transcript's claimed bsv
-    blind signatures by voter id, each taken only once the public key
-    confirms it (see ``_run_bsv``).
-    """
-    messages: list[Message] = []
-    partial: dict = {}
-    try:
-        if config.protocol == "hev":
-            fields = _run_hev(config, messages, partial)
-        elif config.protocol == "hevs":
-            fields = _run_hevs(config, messages, partial)
-        else:
-            fields = _run_bsv(config, messages, _blind_signatures or {})
-    except ProtocolError as exc:
-        return ElectionOutcome(
-            config=config,
-            ok=False,
-            error=_error_code(exc),
-            error_detail=str(exc),
-            transcript=tuple(messages),
-            **partial,
-        )
-    return ElectionOutcome(config=config, ok=True, transcript=tuple(messages), **fields)
-
-
-#: Plain HEV's record shapes: each one-sample pipeline record with its k=1
-#: list unwrapped, under the tag the plain protocol gives it.
-_HEV_RECORDS = {
-    "sampled_keys": lambda p: {"tag": "public_key", "key": p["keys"][0]},
-    "ciphertexts": lambda p: {"tag": "ciphertext", "voter_id": p["voter_id"],
-                              "c1": p["pairs"][0][0], "c2": p["pairs"][0][1]},
-    "decrypt_request": lambda p: {"tag": "decrypt_request", "pending": p["pending"],
-                                  "c1": p["aggregates"][0][0], "c2": p["aggregates"][0][1]},
-    "decryption_shares": lambda p: {"tag": "decryption_share", "voter_id": p["voter_id"],
-                                    "partial": p["partials"]["0"]},
-    # A blocked or undecodable sample publishes no tally.
-    "sample_results": lambda p: None if p["tallies"] == [None] else {
-        "tag": "tally", "tally": p["tallies"][0]},
-}
-
-
-def _recorder(messages: list[Message], protocol: str) -> Recorder:
-    phase_round = {phase: i for i, phase in enumerate(PHASE_ORDER[protocol])}
-    render = _HEV_RECORDS if protocol == "hev" else {}
-
-    def record(phase, sender, receiver, payload):
-        if payload["tag"] in render:
-            payload = render[payload["tag"]](payload)
-        if payload is not None:
-            messages.append(Message(phase_round[phase], phase, sender, receiver, payload))
-
-    return record
-
-
-def _run_hev(config: ElectionConfig, messages: list[Message], partial: dict) -> dict:
-    """Plain HEV: the sampled-key pipeline with one sample holding every voter
-    once, each voter drawing from its own stream."""
-    params = _resolve_group(config)
-    roles, submitted = _derive_world(config)
-    partial["true_tally"] = _honest_sum(roles, submitted)
-    n = config.n
+    outcome.true_tally = sum(v for role, v in zip(roles, submitted) if role.honest)
+    recorder = _recorder(messages, config.protocol, n)
+    if config.protocol == "hevs":
+        plan = make_sampling_plan(spawn(config.seed, "plan"), n, config.k, config.t_policy)
+        results = run_sampled_election(params, submitted, roles, plan,
+                                       spawn(config.seed, "crypto"), recorder)
+        outcome.sample_tallies = tuple(r.tally for r in results)
+        outcome.decision = mode_decision(results, config.min_consistency)
+        return
     plan = SamplingPlan(n, (tuple(range(1, n + 1)),))
     voter_rngs = [spawn(config.seed, "voter", i) for i in range(1, n + 1)]
-    (result,) = run_pipeline(params, submitted, roles, plan, voter_rngs,
-                             recorder=_recorder(messages, "hev"))
+    (result,) = run_pipeline(params, submitted, roles, plan, voter_rngs, recorder)
     if result.element is None:
         raise MissingShares(role.voter_id for role in roles if role.behavior is Behavior.SILENT)
     if result.tally is None:
         raise DiscreteLogNotFound(result.element, n)
-    return {**partial, "tally": result.tally}
+    outcome.tally = result.tally
 
 
-def _run_hevs(config: ElectionConfig, messages: list[Message], partial: dict) -> dict:
-    params = _resolve_group(config)
-    roles, submitted = _derive_world(config)
-    partial["true_tally"] = _honest_sum(roles, submitted)
-    plan = make_sampling_plan(spawn(config.seed, "plan"), config.n, config.k, config.t_policy)
-    results = run_sampled_election(params, submitted, roles, plan, spawn(config.seed, "crypto"),
-                                   recorder=_recorder(messages, "hevs"))
-    partial["sample_tallies"] = tuple(r.tally for r in results)
-    return {**partial, "decision": mode_decision(results, config.min_consistency)}
-
-
-def _run_bsv(config: ElectionConfig, messages: list[Message], claimed: dict) -> dict:
+def _run_bsv(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Message],
+             claimed: dict) -> None:
     """The bsv election. A blind signature in `claimed` under the voter's id
     stands in for signing once the public key confirms it; the signer still
     marks the voter served."""
@@ -332,22 +340,17 @@ def _run_bsv(config: ElectionConfig, messages: list[Message], claimed: dict) -> 
     ledger = bsv.Ledger(pub, schedule.sign_window, schedule.post_window)
     registry = bsv.SignerRegistry(range(1, config.n + 1))
 
-    def emit(round_, phase, sender, receiver, payload):
-        messages.append(Message(round_, phase, sender, receiver, payload))
+    messages.append(Message("signer_key", "government", "public", {
+        "tag": "signer_key", "modulus": _hex(pub.modulus), "exponent": _hex(pub.exponent)}))
 
-    emit(0, "signer_key", "government", "public",
-         {"tag": "signer_key", "modulus": format(pub.modulus, "x"),
-          "exponent": format(pub.exponent, "x")})
-
-    request_round, response_round = schedule.sign_window[0], schedule.sign_window[0] + 1
     pending: list[tuple[bsv.Ballot, bsv.BlindingState]] = []
     for i in range(1, config.n + 1):
         rng = spawn(config.seed, "voter", i)
         ballot = bsv.make_ballot(choices[i - 1], rng)
         state = bsv.blind(ballot, pub, rng)
         pending.append((ballot, state))
-        emit(request_round, "blind_request", f"voter:{i}", "government",
-             {"tag": "blind_request", "voter_id": i, "blinded": format(state.blinded, "x")})
+        messages.append(Message("blind_request", f"voter:{i}", "government", {
+            "tag": "blind_request", "voter_id": i, "blinded": _hex(state.blinded)}))
     signed: list[bsv.Ballot] = []
     for i, (ballot, state) in enumerate(pending, start=1):
         blind_sig = claimed.get(i)
@@ -355,29 +358,26 @@ def _run_bsv(config: ElectionConfig, messages: list[Message], claimed: dict) -> 
             registry.check_and_mark(i)
         else:
             blind_sig = bsv.sign_blinded(keys, state.blinded, i, registry)
-        emit(response_round, "signed_blind", "government", f"voter:{i}",
-             {"tag": "signed_blind", "voter_id": i, "value": format(blind_sig, "x")})
+        messages.append(Message("signed_blind", "government", f"voter:{i}", {
+            "tag": "signed_blind", "voter_id": i, "value": _hex(blind_sig)}))
         signed.append(ballot.with_signature(bsv.unblind(blind_sig, state, pub)))
 
     pool = [(i + 1, ballot) for i, ballot in enumerate(signed)]
     pool.extend((voter_id, signed[voter_id - 1]) for voter_id in config.replay_voters)
     spawn(config.seed, "delivery", schedule.delivery_salt).shuffle(pool)
 
-    post_round = schedule.post_window[0]
     for voter_id, ballot in pool:
         sender = "anon" if schedule.anonymize else f"voter:{voter_id}"
-        result = ledger.submit(ballot, now=post_round)
-        emit(post_round, "post", sender, "ledger",
-             {"tag": "ballot", "content": ballot.content,
-              "nonce": format(ballot.nonce, "x"), "signature": format(ballot.signature, "x"),
-              "accepted": result.accepted,
-              "reason": result.reason.value if result.reason else None})
+        result = ledger.submit(ballot, now=schedule.post_window[0])
+        messages.append(Message("post", sender, "ledger", {
+            "tag": "ballot", "content": ballot.content,
+            "nonce": _hex(ballot.nonce), "signature": _hex(ballot.signature),
+            "accepted": result.accepted, "reason": result.reason.value if result.reason else None}))
 
     counts = ledger.tally(now=schedule.post_window[1])
     counts_dict = {name: counts.get(name, 0) for name in sorted(set(counts) | set(config.candidates))}
-    emit(schedule.post_window[1], "result", "ledger", "public",
-         {"tag": "counts", "counts": counts_dict})
-    return {"counts": counts_dict, "ledger_dump": tuple(ledger.dump_lines())}
+    messages.append(Message("result", "ledger", "public", {"tag": "counts", "counts": counts_dict}))
+    outcome.counts, outcome.ledger_dump = counts_dict, tuple(ledger.dump_lines())
 
 
 def transcript_lines(outcome: ElectionOutcome) -> list[str]:

@@ -9,7 +9,7 @@ import pytest
 
 import votesim
 from votesim.cli import build_parser, main
-from votesim.simnet import ElectionConfig, run_election
+from votesim.simnet import TRANSCRIPT_MAGIC, ElectionConfig, Schedule, run_election
 
 # frozen output of the tiny reference sweep (deterministic per seed)
 GOLDEN_SWEEP = (
@@ -17,6 +17,8 @@ GOLDEN_SWEEP = (
     "10,0.2,3,2,3,50,2,0.49,symbolic\n"
     "20,0.2,3,2,4,50,2,0.39,symbolic\n"
 )
+DATA = Path(__file__).resolve().parent / "data"
+
 GOLDEN_SWEEP_ARGS = ["sweep", "--n", "10,20", "--p-fail", "0.2", "--k", "3",
                      "--trials", "50", "--seeds", "1,2"]
 
@@ -202,6 +204,49 @@ def test_replay_detects_corruption(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["replay", str(transcript)])
     assert code == 4
     assert "error protocol" in err
+
+
+def run_argv(config):
+    """The run subcommand whose election is `config`."""
+    assert config.schedule == Schedule()
+    argv = [f"{config.protocol}-run", "--n", str(config.n), "--seed", str(config.seed)]
+    if config.votes is not None:
+        argv += ["--votes", ",".join(map(str, config.votes))]
+    if config.protocol == "bsv":
+        return argv + ["--candidates", ",".join(config.candidates),
+                       "--rsa-bits", str(config.rsa_bits),
+                       "--replay-voters", ",".join(map(str, config.replay_voters))]
+    argv += ["--p-fail", str(config.p_fail), "--behavior", config.behavior,
+             "--extra-value", str(config.extra_vote_value)]
+    if config.group_bits is not None:
+        argv += ["--group-bits", str(config.group_bits)]
+    if config.protocol == "hevs":
+        argv += ["--k", str(config.k), "--min-consistency", str(config.min_consistency)]
+        if config.t_policy is not None:
+            argv += ["--t", str(config.t_policy)]
+    return argv
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.transcript")), ids=lambda path: path.stem)
+def test_replay_of_a_pinned_transcript_ends_as_its_run(path, tmp_path, capsys):
+    # Replay verifies the lines, then succeeds or fails as the run subcommand does.
+    ok = json.loads((DATA / "outcomes.json").read_text(encoding="utf-8"))[path.stem]["ok"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    code, out, err = run_cli(capsys, ["replay", str(path)])
+    assert code == (0 if ok else 4)
+    assert out.splitlines()[0] == f"replay ok records={len(lines) - 1}"
+    config = ElectionConfig.from_dict(json.loads(lines[0][len(TRANSCRIPT_MAGIC) + 1:]))
+    transcript = tmp_path / "run.transcript"
+    run_code, run_out, run_err = run_cli(capsys, run_argv(config) + [
+        "--transcript-out", str(transcript)])
+    assert run_code == code
+    assert run_err.splitlines()[0].startswith("config ")
+    assert run_err.splitlines()[1:] == err.splitlines()
+    assert run_out.splitlines() == out.splitlines()[1:]
+    # a failed run writes no transcript; a successful one writes the pinned bytes
+    assert transcript.exists() == ok
+    if ok:
+        assert transcript.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
 
 
 def test_bsv_run_ledger_dump(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from collections import Counter
@@ -416,10 +417,10 @@ def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, 
         raised.append(("c1", int(aggregate_ct.c1), type(aggregate_ct.c1)))
         return share(params, key_share, aggregate_ct, *rest)
 
-    payloads = {}
+    values = {}
 
-    def recorder(phase, sender, receiver, payload):
-        payloads[payload["tag"]] = payload
+    def recorder(phase, voter_id, value):
+        values[phase] = value
 
     monkeypatch.setattr(hevs, "encrypt_vote", spy_encrypt)
     monkeypatch.setattr(hevs, "decryption_share", spy_share)
@@ -429,11 +430,49 @@ def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, 
                                    recorder=recorder)
     assert [r.tally for r in results] == [n, n]
     marked = FixedBase if n >= FIXED_BASE_MIN_USES else int
-    keys = [int(key, 16) for key in payloads["sampled_keys"]["keys"]]
-    c1s = [int(c1, 16) for c1, _ in payloads["decrypt_request"]["aggregates"]]
+    keys = [int(key) for key in values["broadcast"]]
+    c1s = [int(ct.c1) for ct in values["decrypt_request"]]
     assert set(raised) == {("key", keys[0], marked), ("key", keys[1], marked),
                            ("c1", c1s[0], marked), ("c1", c1s[1], int)}
     assert len(raised) == 2 * n + n + (n - 1)
+
+
+def reported_parts(value):
+    """The value and everything inside it: container items, dict keys, dataclass fields."""
+    yield value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from reported_parts(key)
+            yield from reported_parts(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from reported_parts(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from reported_parts(getattr(value, field.name))
+
+
+def test_pipeline_reports_plain_values_in_phase_order(tiny):
+    # Voter 1 answers sample 0 and voter 2 both; voter 3 is silent, voter 4 in no sample.
+    plan = SamplingPlan(4, ((1, 2, 2), (2, 3)))
+    roles = [VoterRole(1, True), VoterRole(2, True), VoterRole(3, False, Behavior.SILENT),
+             VoterRole(4, True)]
+    reports = []
+    results = hevs.run_pipeline(tiny, [1, 0, 1, 1], roles, plan,
+                                [random.Random(i) for i in range(4)],
+                                recorder=lambda *report: reports.append(report))
+    assert [report[:2] for report in reports] == [
+        *(("key", i) for i in range(1, 5)), ("broadcast", None),
+        *(("vote", i) for i in range(1, 5)), ("decrypt_request", None),
+        ("decrypt_share", 1), ("decrypt_share", 2), ("result", None)]
+    values = {report[:2]: report[2] for report in reports}
+    assert sorted(values["decrypt_share", 1]) == [0]
+    assert sorted(values["decrypt_share", 2]) == [0, 1]
+    assert len(values["broadcast", None]) == len(values["decrypt_request", None]) == plan.k
+    assert all(isinstance(ct, Ciphertext) for ct in values["vote", 1])
+    assert values["result", None] == results
+    assert not [part for report in reports for part in reported_parts(report[2])
+                if isinstance(part, str)]
 
 
 def test_honest_voter_refuses_an_aggregate_equal_to_its_own_ciphertext(tiny):

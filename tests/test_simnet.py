@@ -63,8 +63,6 @@ def test_phase_tags_never_go_backwards():
         order = {phase: i for i, phase in enumerate(PHASE_ORDER[config.protocol])}
         indices = [order[m.phase] for m in outcome.transcript]
         assert indices == sorted(indices)
-        rounds = [m.round for m in outcome.transcript]
-        assert rounds == sorted(rounds)
 
 
 def test_hevs_all_disruptive_yields_no_consistent_result():
@@ -224,6 +222,23 @@ def test_bsv_replay_signs_nothing_for_a_clean_transcript(monkeypatch):
     assert calls == []
 
 
+def test_each_bsv_voter_is_marked_served_once_in_run_and_replay(monkeypatch):
+    served = []
+    check_and_mark = bsv.SignerRegistry.check_and_mark
+
+    def spy(registry, voter_id):
+        served.append(voter_id)
+        return check_and_mark(registry, voter_id)
+
+    monkeypatch.setattr(bsv.SignerRegistry, "check_and_mark", spy)
+    config = ElectionConfig(protocol="bsv", n=5, seed=2, rsa_bits=64, replay_voters=(3,))
+    lines = lines_for(config)
+    assert sorted(served) == list(range(1, config.n + 1))
+    served.clear()
+    replay(lines)
+    assert sorted(served) == list(range(1, config.n + 1))
+
+
 def payload_of(line):
     return json.loads(bytes.fromhex(line.split("\t")[3]))
 
@@ -232,7 +247,7 @@ def edit_payload(line, edit):
     phase, sender, receiver, _ = line.split("\t")
     payload = payload_of(line)
     edit(payload)
-    return Message(0, phase, sender, receiver, payload).line()
+    return Message(phase, sender, receiver, payload).line()
 
 
 def test_replay_names_each_edited_blind_signature():
