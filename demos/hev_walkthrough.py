@@ -6,15 +6,8 @@ shares, and the decoded tally.
 """
 
 from votesim.group import TINY_GROUP
-from votesim.hev import (
-    KeyShare,
-    aggregate,
-    combine_decrypt,
-    combine_public_key,
-    decryption_share,
-    encrypt_vote,
-    recover_tally,
-)
+from votesim.hev import KeyShare, aggregate, decryption_share, encrypt_vote
+from votesim.hevs import SamplingPlan, combine_sampled_decrypt, combine_sampled_public_key
 
 params = TINY_GROUP
 print(f"group: order-{params.order} subgroup mod {params.modulus}, generator {params.generator}")
@@ -25,7 +18,10 @@ shares = [KeyShare(i + 1, s, params.exp(params.generator, s)) for i, s in enumer
 for share in shares:
     print(f"voter {share.voter_id}: secret {share.secret_key} -> piece {share.public_piece}")
 
-public_key = combine_public_key(params, [s.public_piece for s in shares])
+# plain HEV is the sampled-key pipeline with one sample holding every voter once
+plan = SamplingPlan(3, ((1, 2, 3),))
+public_key = combine_sampled_public_key(params, {s.voter_id: s.public_piece for s in shares},
+                                        plan, 0)
 print(f"election public key (product of pieces): {public_key}")
 
 # --- voting: 0/1 in the exponent, fresh nonce per ballot
@@ -40,10 +36,9 @@ total = aggregate(params, ciphertexts)
 print(f"aggregate ciphertext: ({total.c1}, {total.c2})")
 
 # --- threshold decryption: every key holder must contribute
-responses = [decryption_share(params, share, total) for share in shares]
-print("decryption shares:", [r.partial for r in responses])
+responses = {share.voter_id: decryption_share(params, share, total) for share in shares}
+print("decryption shares:", [r.partial for r in responses.values()])
 
-encoded = combine_decrypt(params, responses, total, [1, 2, 3])
-tally = recover_tally(params, encoded, len(votes))
-print(f"unmasked element: {encoded} = generator**{tally}")
-print(f"tally: {tally} (votes were {votes})")
+result = combine_sampled_decrypt(params, responses, plan, 0, total, len(votes))
+print(f"unmasked element: {result.element} = generator**{result.tally}")
+print(f"tally: {result.tally} (votes were {votes})")

@@ -35,12 +35,9 @@ from .hev import (
     KeyShare,
     aggregate,
     combine_decrypt,
-    combine_public_key,
     decryption_share,
     encrypt_vote,
     keygen_share,
-    recover_tally,
-    run_hev,
 )
 from .hevs import (
     SampleResult,

@@ -155,11 +155,12 @@ def _result_text(outcome: simnet.ElectionOutcome) -> str:
 
 
 def _run_election(config: ElectionConfig, resolved: dict) -> int:
-    """Run one election; write its transcript, any ledger dump and its result lines."""
+    """Run one election; write its transcript (a failed one too, before it
+    raises), any ledger dump and its result lines."""
     outcome = simnet.run_election(config)
-    text = _result_text(outcome)
     if resolved["transcript_out"]:
         simnet.write_transcript(outcome, resolved["transcript_out"])
+    text = _result_text(outcome)
     if resolved.get("ledger_out"):
         with open(resolved["ledger_out"], "w", encoding="utf-8") as fh:
             for line in outcome.ledger_dump:

@@ -30,10 +30,6 @@ class DiscreteLogNotFound(ProtocolError):
         self.bound = bound
 
 
-class EmptyShareSet(VotesimError):
-    """Public-key combination requires at least one key piece."""
-
-
 class EmptyBallotSet(VotesimError):
     """Ciphertext aggregation requires at least one ballot."""
 

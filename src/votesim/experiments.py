@@ -399,11 +399,20 @@ def expected_accuracy(n: int, p_fail: float, k: int, t: int, min_consistency: in
     The count of disruptive voters is Binomial(n, p_fail); given that count
     M, each of the k samples is independently clean with probability
     ((n - M)/n) ** t, and the decision is correct iff at least
-    min_consistency samples are clean.
+    min_consistency samples are clean. The binomial weights are taken in log
+    space, so none overflows at large n, then divided by their sum, which
+    cancels the rounding of the lgamma(n + 1) they share.
     """
+    if p_fail in (0, 1):
+        weights = [float(bad == n * p_fail) for bad in range(n + 1)]
+    else:
+        log_p, log_q = math.log(p_fail), math.log1p(-p_fail)
+        weights = [math.exp(math.lgamma(n + 1) - math.lgamma(bad + 1) - math.lgamma(n - bad + 1)
+                            + bad * log_p + (n - bad) * log_q) for bad in range(n + 1)]
+    scale = math.fsum(weights)
     total = 0.0
-    for bad in range(n + 1):
-        weight = math.comb(n, bad) * p_fail ** bad * (1 - p_fail) ** (n - bad)
+    for bad, weight in enumerate(weights):
+        weight /= scale
         if weight < 1e-15:
             continue
         p_clean = ((n - bad) / n) ** t

@@ -7,25 +7,20 @@ encryption of the sum, and the tally comes back out through a bounded
 discrete log.
 
 Free functions implement the protocol steps over plain values (group
-elements as ints, Ciphertext pairs, DecryptionShare answers). Whole
-elections, both :func:`run_hev` and ``votesim.simnet``, run through the one
-pipeline in ``votesim.hevs``: plain HEV is its k = 1 case, one sample
-holding every voter once.
+elements as ints, Ciphertext pairs, DecryptionShare answers). The one unmask
+step, :func:`combine_decrypt`, raises each share to its voter's multiplicity
+in the key. Whole elections run through the pipeline in ``votesim.hevs``:
+plain HEV is its k = 1 case, one sample holding every voter once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
-from .errors import (
-    EmptyBallotSet,
-    EmptyShareSet,
-    MissingShares,
-    RefuseSingletonAggregate,
-)
-from .group import GroupParams, discrete_log_bounded
+from .errors import EmptyBallotSet, MissingShares, RefuseSingletonAggregate
+from .group import GroupParams
 
 
 @dataclass(frozen=True)
@@ -57,16 +52,6 @@ def keygen_share(rng: random.Random, params: GroupParams, voter_id: int) -> KeyS
     """Draw a secret key uniformly from {1, ..., order-1} and derive its piece."""
     secret = params.random_scalar(rng)
     return KeyShare(voter_id, secret, params.exp(params.generator, secret))
-
-
-def combine_public_key(params: GroupParams, pieces: Iterable[int]) -> int:
-    """Multiply all key pieces into the election public key g**(sum of secrets)."""
-    result = None
-    for piece in pieces:
-        result = piece if result is None else params.mul(result, piece)
-    if result is None:
-        raise EmptyShareSet("cannot combine an empty set of key pieces")
-    return result
 
 
 def encrypt_vote(
@@ -136,56 +121,23 @@ def decryption_share(
 
 def combine_decrypt(
     params: GroupParams,
-    shares: Iterable[DecryptionShare],
+    shares: Mapping[int, DecryptionShare],
     aggregate_ct: Ciphertext,
-    voter_ids: Iterable[int],
+    multiplicity: Mapping[int, int],
 ) -> int:
-    """Combine one share per voter and unmask the encoded sum.
+    """Unmask o = c2_aggregate / (product of partial**count) = g**(sum of votes).
 
-    Returns o = c2_aggregate / (product of partials) = g**(sum of votes).
-    Raises MissingShares naming every voter who never responded; this is the
+    multiplicity counts how often each voter's piece went into the key (once
+    each in plain HEV); shares of voters it does not list are ignored. Raises
+    MissingShares naming every listed voter who never responded; this is the
     surface a cooperation-interrupting adversary attacks.
     """
-    expected = set(voter_ids)
-    by_voter: dict[int, int] = {}
-    for share in shares:
-        if share.voter_id not in expected:
-            raise ValueError(f"share from unknown voter {share.voter_id}")
-        if share.voter_id in by_voter:
-            raise ValueError(f"duplicate share from voter {share.voter_id}")
-        by_voter[share.voter_id] = share.partial
-    missing = expected - by_voter.keys()
+    missing = [i for i in multiplicity if i not in shares]
     if missing:
         raise MissingShares(missing)
-    if not expected:
-        raise EmptyShareSet("no voters in the key set")
     mask = 1
-    for partial in by_voter.values():
-        mask = params.mul(mask, partial)
+    for voter_id, count in multiplicity.items():
+        # A share counted once goes in as is: plain HEV then pays no modexp here.
+        partial = shares[voter_id].partial
+        mask = params.mul(mask, partial if count == 1 else params.exp(partial, count))
     return params.mul(aggregate_ct.c2, params.inv(mask))
-
-
-def recover_tally(params: GroupParams, encoded_sum: int, n: int) -> int:
-    """Decode g**tally into the tally; the tally is bounded by the electorate."""
-    if n < 1:
-        raise ValueError("electorate size must be at least 1")
-    return discrete_log_bounded(params, encoded_sum, n)
-
-
-def run_hev(params: GroupParams, votes: Sequence[int], rng: random.Random) -> int:
-    """Run one honest election over the given votes and return the tally.
-
-    This is the sampled-key pipeline with one sample holding every voter
-    once. The rng draws every secret key, then every nonce, in voter order.
-    """
-    # hevs and adversary build on this module's protocol steps.
-    from .adversary import VoterRole
-    from .hevs import SamplingPlan, run_sampled_election
-
-    n = len(votes)
-    if n < 1:
-        raise ValueError("need at least one voter")
-    plan = SamplingPlan(n, (tuple(range(1, n + 1)),))
-    roles = [VoterRole(i, honest=True) for i in range(1, n + 1)]
-    (result,) = run_sampled_election(params, votes, roles, plan, rng)
-    return result.tally

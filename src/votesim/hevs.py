@@ -9,9 +9,10 @@ elements, so the most frequent decoded tally - the mode - is the reliable
 result once it reaches a small consistency count.
 
 Plain HEV is the special case k = 1 with one sample holding every voter
-once, so the simulator runs both protocols through this one pipeline. The
-pipeline reports plain values to its recorder; ``votesim.simnet`` alone
-owns the transcript: its record tags, hex strings and party names.
+once, so the simulator runs both protocols through this one pipeline, and
+``hev.combine_decrypt`` unmasks every sample. The pipeline reports plain
+values to its recorder; ``votesim.simnet`` alone owns the transcript: its
+record tags, hex strings and party names.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .hev import (
     Ciphertext,
     DecryptionShare,
     aggregate,
+    combine_decrypt,
     decryption_share,
     encrypt_value,
     encrypt_vote,
@@ -142,22 +144,11 @@ def combine_sampled_decrypt(
     aggregate_ct: Ciphertext,
     bound: int,
 ) -> SampleResult:
-    """Unmask one sample using the sampled voters' responses.
+    """Unmask one sample with combine_decrypt and decode it within the bound.
 
-    Each distinct sampled voter contributes one response; the government
-    raises it to that voter's multiplicity in the sample. Voters outside the
-    sample are ignored. Raises MissingShares when a sampled voter never
-    responded.
+    Raises MissingShares when a sampled voter never responded.
     """
-    mult = plan.multiplicity(sample_index)
-    missing = [i for i in mult if i not in shares]
-    if missing:
-        raise MissingShares(missing)
-    mask = 1
-    for voter_id, count in mult.items():
-        partial = shares[voter_id].partial
-        mask = params.mul(mask, partial if count == 1 else params.exp(partial, count))
-    element = params.mul(aggregate_ct.c2, params.inv(mask))
+    element = combine_decrypt(params, shares, aggregate_ct, plan.multiplicity(sample_index))
     try:
         tally = discrete_log_bounded(params, element, bound)
     except DiscreteLogNotFound:

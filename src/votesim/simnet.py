@@ -38,11 +38,9 @@ TRANSCRIPT_MAGIC = "votesim-transcript 1"
 #: renders every transcript record and header: sorted keys, no spaces
 _TRANSCRIPT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-PHASE_ORDER = {
-    "hev": ("key", "broadcast", "vote", "decrypt_request", "decrypt_share", "result"),
-    "hevs": ("key", "broadcast", "vote", "decrypt_request", "decrypt_share", "result"),
-    "bsv": ("signer_key", "blind_request", "signed_blind", "post", "result"),
-}
+_HEV_PHASES = ("key", "broadcast", "vote", "decrypt_request", "decrypt_share", "result")
+PHASE_ORDER = {"hev": _HEV_PHASES, "hevs": _HEV_PHASES,
+               "bsv": ("signer_key", "blind_request", "signed_blind", "post", "result")}
 
 PROTOCOLS = tuple(PHASE_ORDER)
 

@@ -35,17 +35,15 @@ from votesim.hev import (
     Ciphertext,
     KeyShare,
     aggregate,
-    combine_decrypt,
-    combine_public_key,
     decryption_share,
     encrypt_value,
     encrypt_vote,
     keygen_share,
-    recover_tally,
-    run_hev,
 )
 from votesim.hevs import (
     SamplingPlan,
+    combine_sampled_decrypt,
+    combine_sampled_public_key,
     make_sampling_plan,
     reliability_probability,
     run_sampled_election,
@@ -67,7 +65,11 @@ def test_criterion_01_honest_elections_recover_exact_sum():
     for _ in range(500):
         n = rng.randint(1, 100)
         votes = [rng.randrange(2) for _ in range(n)]
-        if run_hev(params, votes, rng) != sum(votes):
+        # plain HEV: one sample holding every voter once, every draw from rng
+        roles = [VoterRole(i, honest=True) for i in range(1, n + 1)]
+        plan = SamplingPlan(n, (tuple(range(1, n + 1)),))
+        (result,) = run_sampled_election(params, votes, roles, plan, rng)
+        if result.tally != sum(votes):
             failures += 1
     report(1, "500 random honest elections decode the exact sum",
            failures == 0, f"failures={failures}")
@@ -77,17 +79,18 @@ def test_criterion_02_worked_trace():
     tiny = TINY_GROUP
     secrets, votes, nonces = (3, 5, 2), (1, 0, 1), (4, 6, 2)
     pieces = [tiny.exp(tiny.generator, s) for s in secrets]
-    pk = combine_public_key(tiny, pieces)
+    plan = SamplingPlan(3, ((1, 2, 3),))
+    pk = combine_sampled_public_key(tiny, dict(enumerate(pieces, 1)), plan, 0)
     cts = [encrypt_vote(tiny, pk, v, nonce=r) for v, r in zip(votes, nonces)]
     agg = aggregate(tiny, cts)
     partials = [tiny.exp(agg.c1, s) for s in secrets]
     mask = 1
     for value in partials:
         mask = tiny.mul(mask, value)
-    shares = [decryption_share(tiny, KeyShare(i + 1, s, pieces[i]), agg)
-              for i, s in enumerate(secrets)]
-    encoded = combine_decrypt(tiny, shares, agg, [1, 2, 3])
-    tally = recover_tally(tiny, encoded, 3)
+    shares = {i + 1: decryption_share(tiny, KeyShare(i + 1, s, pieces[i]), agg)
+              for i, s in enumerate(secrets)}
+    result = combine_sampled_decrypt(tiny, shares, plan, 0, agg, 3)
+    encoded, tally = result.element, result.tally
     ok = (agg == Ciphertext(2, 2) and mask == 12 and encoded == 4 and tally == 2)
     report(2, "hand-worked mod-23 trace reproduces (2,2), W=12, o=4, tally=2",
            ok, f"agg=({agg.c1},{agg.c2}) W={mask} o={encoded} tally={tally}")
@@ -216,15 +219,16 @@ def test_criterion_10_extra_vote_dominates():
     params = default_group()
     rng = random.Random(10)
     shares = [keygen_share(rng, params, i + 1) for i in range(3)]
-    pk = combine_public_key(params, [s.public_piece for s in shares])
+    plan = SamplingPlan(3, ((1, 2, 3),))
+    pk = combine_sampled_public_key(params, {s.voter_id: s.public_piece for s in shares}, plan, 0)
     cts = [
         encrypt_vote(params, pk, 0, rng),
         encrypt_vote(params, pk, 0, rng),
         encrypt_value(params, pk, 3, rng),
     ]
     agg = aggregate(params, cts)
-    dshares = [decryption_share(params, s, agg) for s in shares]
-    tally = recover_tally(params, combine_decrypt(params, dshares, agg, [1, 2, 3]), 3)
+    dshares = {s.voter_id: decryption_share(params, s, agg) for s in shares}
+    tally = combine_sampled_decrypt(params, dshares, plan, 0, agg, 3).tally
     report(10, "extra-vote cheater turns two against-votes into a 3",
            tally == 3, f"tally={tally}")
 

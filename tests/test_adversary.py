@@ -10,18 +10,35 @@ from votesim.adversary import (
     fake_decryption_share,
 )
 from votesim.errors import DiscreteLogNotFound
+from votesim.group import discrete_log_bounded
 from votesim.hev import (
     Ciphertext,
     aggregate,
     combine_decrypt,
-    combine_public_key,
     decryption_share,
     encrypt_value,
     encrypt_vote,
     keygen_share,
-    recover_tally,
 )
-from votesim.hevs import make_sampling_plan, run_sampled_election
+from votesim.hevs import (
+    SamplingPlan,
+    combine_sampled_public_key,
+    make_sampling_plan,
+    run_sampled_election,
+)
+
+#: plain HEV over voters 1-3: one sample holding each voter once
+EVERY_VOTER_ONCE = SamplingPlan(3, ((1, 2, 3),))
+
+
+def election_key(params, shares):
+    pieces = {s.voter_id: s.public_piece for s in shares}
+    return combine_sampled_public_key(params, pieces, EVERY_VOTER_ONCE, 0)
+
+
+def unmask(params, dshares, agg):
+    by_voter = {d.voter_id: d for d in dshares}
+    return combine_decrypt(params, by_voter, agg, EVERY_VOTER_ONCE.multiplicity(0))
 
 
 class ScriptedRng:
@@ -79,19 +96,19 @@ def test_fake_share_uses_pinned_exponent(tiny):
 def test_fake_share_corrupts_decryption(big, rng):
     votes = [1, 0, 1]
     shares = [keygen_share(rng, big, i + 1) for i in range(3)]
-    pk = combine_public_key(big, [s.public_piece for s in shares])
+    pk = election_key(big, shares)
     agg = aggregate(big, [encrypt_vote(big, pk, v, rng) for v in votes])
     honest = [decryption_share(big, s, agg) for s in shares[:2]]
     fake = fake_decryption_share(big, agg.c1, 3, draw_fake_exponent(rng, big, shares[2].secret_key))
-    encoded = combine_decrypt(big, honest + [fake], agg, [1, 2, 3])
+    encoded = unmask(big, honest + [fake], agg)
     with pytest.raises(DiscreteLogNotFound):
-        recover_tally(big, encoded, 3)
+        discrete_log_bounded(big, encoded, 3)
 
 
 def test_extra_vote_dominates_tally(big, rng):
     # two honest against-voters plus one cheater encrypting 3
     shares = [keygen_share(rng, big, i + 1) for i in range(3)]
-    pk = combine_public_key(big, [s.public_piece for s in shares])
+    pk = election_key(big, shares)
     cts = [
         encrypt_vote(big, pk, 0, rng),
         encrypt_vote(big, pk, 0, rng),
@@ -99,8 +116,8 @@ def test_extra_vote_dominates_tally(big, rng):
     ]
     agg = aggregate(big, cts)
     dshares = [decryption_share(big, s, agg) for s in shares]
-    encoded = combine_decrypt(big, dshares, agg, [1, 2, 3])
-    assert recover_tally(big, encoded, 3) == 3
+    encoded = unmask(big, dshares, agg)
+    assert discrete_log_bounded(big, encoded, 3) == 3
 
 
 def test_extra_vote_value_one_is_honest(big, rng):
@@ -108,7 +125,7 @@ def test_extra_vote_value_one_is_honest(big, rng):
     pk = big.exp(big.generator, secret)
     ct = encrypt_value(big, pk, 1, rng)
     encoded = big.mul(ct.c2, big.inv(big.exp(ct.c1, secret)))
-    assert recover_tally(big, encoded, 1) == 1
+    assert discrete_log_bounded(big, encoded, 1) == 1
 
 
 def test_extra_vote_beyond_bound_is_undecodable(big, rng):
@@ -118,7 +135,7 @@ def test_extra_vote_beyond_bound_is_undecodable(big, rng):
     ct = encrypt_value(big, pk, n + 5, rng)
     encoded = big.mul(ct.c2, big.inv(big.exp(ct.c1, secret)))
     with pytest.raises(DiscreteLogNotFound):
-        recover_tally(big, encoded, n)
+        discrete_log_bounded(big, encoded, n)
 
 
 def test_degenerate_adversary_reproduces_honest_tally(big):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -91,6 +92,44 @@ def test_min_consistency_above_k_is_never_reached():
         assert run_point(replace(config, min_consistency=3)).accuracy == 1.0
     assert expected_accuracy(6, 0.0, 3, 2, 4) == 0.0
     assert expected_accuracy(6, 0.0, 3, 2, 3) == 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def direct_weights(n, p_fail):
+    """Binomial weights as exact integer binomials times float powers: the
+    product overflows a float from n = 1030 on."""
+    return [math.comb(n, bad) * p_fail ** bad * (1 - p_fail) ** (n - bad) for bad in range(n + 1)]
+
+
+def direct_accuracy(n, p_fail, k, t, min_consistency):
+    """expected_accuracy's formula with the direct binomial weights."""
+    total = 0.0
+    for bad, weight in enumerate(direct_weights(n, p_fail)):
+        if weight < 1e-15:
+            continue
+        p_clean = ((n - bad) / n) ** t
+        total += weight * sum(math.comb(k, i) * p_clean ** i * (1 - p_clean) ** (k - i)
+                              for i in range(min_consistency, k + 1))
+    return total
+
+
+def test_expected_accuracy_matches_the_direct_formula():
+    for n in (1, 2, 7, 30, 100, 333, 911, 1000):
+        for p_fail in (0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99, 1):
+            for k, t in ((2, 1), (3, 3), (8, 10), (16, 23)):
+                for min_consistency in {2, k}:
+                    args = (n, p_fail, k, t, min_consistency)
+                    assert abs(expected_accuracy(*args) - direct_accuracy(*args)) <= 1e-12, args
+
+
+def test_expected_accuracy_stays_finite_at_large_n():
+    with pytest.raises(OverflowError):
+        direct_accuracy(1030, 0.5, 8, 10, 2)
+    for p_fail in (0, 0.1, 0.5, 1):
+        value = expected_accuracy(10**5, p_fail, 8, 10, 2)
+        assert math.isfinite(value) and 0.0 <= value <= 1.0
+    assert expected_accuracy(10**5, 0, 8, 10, 2) == 1.0
+    assert expected_accuracy(10**5, 1, 8, 10, 2) == 0.0
 
 
 def test_all_honest_trials_always_correct():

@@ -3,30 +3,41 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from votesim.adversary import VoterRole
 from votesim.errors import (
     DiscreteLogNotFound,
     EmptyBallotSet,
-    EmptyShareSet,
     MissingShares,
     RefuseSingletonAggregate,
 )
+from votesim.group import discrete_log_bounded
 from votesim.hev import (
     Ciphertext,
     DecryptionShare,
     KeyShare,
     aggregate,
     combine_decrypt,
-    combine_public_key,
     decryption_share,
     encrypt_vote,
     keygen_share,
-    recover_tally,
-    run_hev,
 )
+from votesim.hevs import SamplingPlan, combine_sampled_public_key, run_sampled_election
 
 
 def make_share(params, voter_id, secret):
     return KeyShare(voter_id, secret, params.exp(params.generator, secret))
+
+
+def every_voter_once(n):
+    """Plain HEV's plan: one sample holding every voter once."""
+    return SamplingPlan(n, (tuple(range(1, n + 1)),))
+
+
+def honest_tally(params, votes, rng):
+    """The tally of one honest plain-HEV election, every draw from the one rng."""
+    roles = [VoterRole(i, honest=True) for i in range(1, len(votes) + 1)]
+    (result,) = run_sampled_election(params, votes, roles, every_voter_once(len(votes)), rng)
+    return result.tally
 
 
 # Hand-worked trace in the mod-23 group: secrets (3, 5, 2), votes (1, 0, 1),
@@ -41,14 +52,10 @@ def test_key_pieces_from_known_secrets(tiny):
 
 
 def test_combine_public_key_worked_value(tiny):
-    assert combine_public_key(tiny, [8, 9, 4]) == 12  # 288 mod 23 = g**10
-    assert combine_public_key(tiny, [9]) == 9
-    assert combine_public_key(tiny, [1, 1, 1]) == 1
-
-
-def test_combine_public_key_rejects_empty(tiny):
-    with pytest.raises(EmptyShareSet):
-        combine_public_key(tiny, [])
+    plan = every_voter_once(3)
+    assert combine_sampled_public_key(tiny, {1: 8, 2: 9, 3: 4}, plan, 0) == 12  # 288 mod 23 = g**10
+    assert combine_sampled_public_key(tiny, {1: 9}, every_voter_once(1), 0) == 9
+    assert combine_sampled_public_key(tiny, {1: 1, 2: 1, 3: 1}, plan, 0) == 1
 
 
 def test_encrypt_vote_worked_values(tiny):
@@ -100,42 +107,42 @@ def test_decryption_share_refuses_own_aggregate(tiny):
     assert decryption_share(tiny, make_share(tiny, 1, 3), own).partial == tiny.exp(16, 3)
 
 
+ONCE_EACH = {1: 1, 2: 1, 3: 1}
+
+
+def by_voter(shares):
+    return {share.voter_id: share for share in shares}
+
+
 def test_combine_decrypt_worked_value(tiny):
-    shares = [DecryptionShare(1, 8), DecryptionShare(2, 9), DecryptionShare(3, 4)]
-    encoded = combine_decrypt(tiny, shares, Ciphertext(2, 2), [1, 2, 3])
+    shares = by_voter([DecryptionShare(1, 8), DecryptionShare(2, 9), DecryptionShare(3, 4)])
+    encoded = combine_decrypt(tiny, shares, Ciphertext(2, 2), ONCE_EACH)
     assert encoded == 4  # 2 * inv(12) = 2 * 2
+    # a share from a voter outside the key is ignored
+    shares[9] = DecryptionShare(9, 5)
+    assert combine_decrypt(tiny, shares, Ciphertext(2, 2), ONCE_EACH) == 4
 
 
 def test_combine_decrypt_is_share_order_independent(tiny, rng):
     shares = [DecryptionShare(1, 8), DecryptionShare(2, 9), DecryptionShare(3, 4)]
-    expected = combine_decrypt(tiny, shares, Ciphertext(2, 2), [1, 2, 3])
+    expected = combine_decrypt(tiny, by_voter(shares), Ciphertext(2, 2), ONCE_EACH)
     for _ in range(5):
         rng.shuffle(shares)
-        assert combine_decrypt(tiny, shares, Ciphertext(2, 2), [1, 2, 3]) == expected
+        assert combine_decrypt(tiny, by_voter(shares), Ciphertext(2, 2), ONCE_EACH) == expected
 
 
 def test_combine_decrypt_reports_missing_voters(tiny):
-    shares = [DecryptionShare(1, 8)]
+    shares = by_voter([DecryptionShare(1, 8)])
     with pytest.raises(MissingShares) as excinfo:
-        combine_decrypt(tiny, shares, Ciphertext(2, 2), [1, 2, 3])
+        combine_decrypt(tiny, shares, Ciphertext(2, 2), ONCE_EACH)
     assert excinfo.value.missing_ids == (2, 3)
 
 
-def test_combine_decrypt_rejects_duplicates_and_strangers(tiny):
-    with pytest.raises(ValueError):
-        combine_decrypt(tiny, [DecryptionShare(1, 8), DecryptionShare(1, 8)],
-                        Ciphertext(2, 2), [1])
-    with pytest.raises(ValueError):
-        combine_decrypt(tiny, [DecryptionShare(9, 8)], Ciphertext(2, 2), [1])
-
-
 def test_recover_tally_examples(tiny):
-    assert recover_tally(tiny, 4, 3) == 2
-    assert recover_tally(tiny, 1, 3) == 0
+    assert discrete_log_bounded(tiny, 4, 3) == 2
+    assert discrete_log_bounded(tiny, 1, 3) == 0
     with pytest.raises(DiscreteLogNotFound):
-        recover_tally(tiny, 7, 3)
-    with pytest.raises(ValueError):
-        recover_tally(tiny, 4, 0)
+        discrete_log_bounded(tiny, 7, 3)
 
 
 def test_full_worked_trace(tiny):
@@ -143,15 +150,16 @@ def test_full_worked_trace(tiny):
     votes = (1, 0, 1)
     nonces = (4, 6, 2)
     shares = [make_share(tiny, i + 1, s) for i, s in enumerate(secrets)]
-    pk = combine_public_key(tiny, [s.public_piece for s in shares])
+    pk = combine_sampled_public_key(tiny, {s.voter_id: s.public_piece for s in shares},
+                                    every_voter_once(3), 0)
     cts = [encrypt_vote(tiny, pk, v, nonce=r) for v, r in zip(votes, nonces)]
     agg = aggregate(tiny, cts)
     assert agg == Ciphertext(2, 2)
     dshares = [decryption_share(tiny, s, agg) for s in shares]
     assert [d.partial for d in dshares] == [8, 9, 4]
-    encoded = combine_decrypt(tiny, dshares, agg, [1, 2, 3])
+    encoded = combine_decrypt(tiny, by_voter(dshares), agg, ONCE_EACH)
     assert encoded == 4
-    assert recover_tally(tiny, encoded, 3) == 2
+    assert discrete_log_bounded(tiny, encoded, 3) == 2
 
 
 def test_keygen_share_invariants(tiny):
@@ -172,7 +180,7 @@ def test_homomorphism_all_vote_pairs(tiny):
             agg = aggregate(tiny, [encrypt_vote(tiny, pk, v1, rng),
                                    encrypt_vote(tiny, pk, v2, rng)])
             encoded = tiny.mul(agg.c2, tiny.inv(tiny.exp(agg.c1, secret)))
-            assert recover_tally(tiny, encoded, 2) == v1 + v2
+            assert discrete_log_bounded(tiny, encoded, 2) == v1 + v2
 
 
 # The tiny 11-element group is unusable here: an honest aggregate collides
@@ -184,19 +192,19 @@ def test_honest_election_recovers_exact_sum(big, data):
     n = data.draw(st.integers(1, 10))
     votes = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     seed = data.draw(st.integers(0, 2**32))
-    assert run_hev(big, votes, random.Random(seed)) == sum(votes)
+    assert honest_tally(big, votes, random.Random(seed)) == sum(votes)
 
 
 def test_honest_election_big_group(big):
     rng = random.Random(99)
     votes = [rng.randrange(2) for _ in range(25)]
-    assert run_hev(big, votes, rng) == sum(votes)
+    assert honest_tally(big, votes, rng) == sum(votes)
 
 
 def test_single_voter_election_succeeds(big):
     # the privacy refusal must not deadlock the degenerate election
     for vote in (0, 1):
-        assert run_hev(big, [vote], random.Random(vote)) == vote
+        assert honest_tally(big, [vote], random.Random(vote)) == vote
 
 
 def test_reencryption_freshness(big, rng):

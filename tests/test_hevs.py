@@ -23,7 +23,7 @@ from votesim.group import (
     WindowTable,
     default_group,
 )
-from votesim.hev import Ciphertext, DecryptionShare, run_hev
+from votesim.hev import Ciphertext, DecryptionShare
 from votesim.hevs import (
     SamplingPlan,
     SampleResult,
@@ -490,8 +490,3 @@ def test_honest_voter_refuses_an_aggregate_equal_to_its_own_ciphertext(tiny):
         (result,) = run_sampled_election(tiny, [vote], honest_roles(1),
                                          SamplingPlan(1, ((1,),)), rng)
         assert result.tally == vote
-
-
-def test_run_hev_rejects_an_empty_electorate(big):
-    with pytest.raises(ValueError):
-        run_hev(big, [], random.Random(0))
