@@ -158,7 +158,9 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     The sweep's (point, seed, trial) list is cut into runs of consecutive
     trials, and the workers take runs from a shared queue (a pipe) until it
     is empty: this process is one worker and ``os.fork`` children are the
-    others, each sending back its correct-trial count per (point, seed).
+    others, each sending back its correct-trial count per (point, seed). The
+    queue holds the runs costliest first, a trial costing n * k, so the last
+    runs, which leave the other workers idle, are the shortest.
     Worker i is held on the set's i-th CPU (wrapping round) for the call,
     and this process gets its affinity back before returning. A worker slowed by a
     busy CPU just takes fewer runs, so the sweep's time follows the CPU time
@@ -256,10 +258,22 @@ def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[
 
     size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
     runs = [(total * i // size, total * (i + 1) // size) for i in range(size)]
+    # Costliest runs first (Graham's LPT order, SIAM J. Appl. Math. 1969), so
+    # the runs taken last, while other workers may sit idle, are the cheapest.
+    # A trial costs about n * k: each of its n voters encrypts under k keys.
+    costs = list(itertools.accumulate(
+        (config.n * config.k * config.trials for config, _ in groups), initial=0))
+
+    def cost_before(position: int) -> int:
+        group = bisect.bisect_right(starts, position) - 1
+        config = groups[group][0]
+        return costs[group] + (position - starts[group]) * config.n * config.k
+
+    order = sorted(range(size), key=lambda i: cost_before(runs[i][0]) - cost_before(runs[i][1]))
     # Filled and closed before the first fork, so an empty queue reads as EOF.
     queue, feed = os.pipe()
     try:
-        os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(size)))
+        os.write(feed, b"".join(i.to_bytes(4, "little") for i in order))
     finally:
         os.close(feed)
     cpus = sorted(os.sched_getaffinity(0))

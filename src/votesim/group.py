@@ -14,9 +14,11 @@ Two caches make the hot paths cheap without changing any result:
   so that table lives as long as the process. A :class:`FixedBase`, which the
   election pipeline makes of each sampled key and busy aggregate, is raised
   through its own Lim-Lee comb (:class:`CombTable`, CRYPTO '94), which dies
-  with the value. At 256-bit order a one-table comb costs about 1.7 ``pow``
-  calls to build and each exp then costs about 0.23 of one; a second table
-  costs another 0.9 ``pow`` and cuts each exp to about 0.19 of one.
+  with the value. Its shape follows the number of exps it will serve. At
+  256-bit order a narrow comb of two 4-tooth tables costs about 0.9 ``pow``
+  calls to build and each exp then costs about 0.34 of one; one 8-tooth
+  table costs about 1.7 ``pow`` to build and 0.23 per exp; a second 8-tooth
+  table costs another 0.9 ``pow`` and cuts each exp to about 0.19 of one.
 * ``GroupParams.is_element`` memoizes its verdicts on the instance, keyed by
   plain ``int`` and bounded at ``ELEMENT_MEMO_SIZE`` entries. In a safe-prime
   group a verdict is a Jacobi symbol, about a quarter of a ``pow``.
@@ -177,21 +179,23 @@ class CombTable:
 
     The comb has one or two tables. The exponent's bits are cut into
     ``tables * teeth`` teeth of ``span`` bits each, tooth t holding bits
-    t*span to (t+1)*span - 1; ``teeth`` is 8, or fewer for exponents too short
-    to fill them. Table k holds, for every ``teeth``-bit digit d, the product
+    t*span to (t+1)*span - 1; ``teeth`` is 8 or 4, or fewer for exponents too
+    short to fill them. Table k holds, for every ``teeth``-bit digit d, the product
     of base**(2**(t*span)) over the teeth t = k*teeth + i whose bit i is set
     in d. Column c of the exponent, bit c of every tooth, then names one entry
     per table, and base**e is ``span`` rounds of one squaring and one
     multiplication per table. With 8 teeth, one table costs about one
     squaring per bit and 255 multiplications to build; a second table adds
-    255 multiplications and halves the squarings of each exp.
+    255 multiplications and halves the squarings of each exp. Two tables of 4
+    teeth cost the squarings of one 8-tooth table and 30 multiplications to
+    build, and one multiplication more per round of each exp.
     """
 
     __slots__ = ("modulus", "teeth", "span", "rows")
 
-    def __init__(self, base: int, modulus: int, bits: int, tables: int):
+    def __init__(self, base: int, modulus: int, bits: int, tables: int, teeth: int = 8):
         # a power of two, so that exp can gather the digits in log2(teeth) folds
-        self.teeth = teeth = 1 << min(3, (-(-bits // tables)).bit_length() - 1)
+        self.teeth = teeth = min(teeth, 1 << (-(-bits // tables)).bit_length() - 1)
         self.span = span = -(-bits // (tables * teeth))
         self.modulus = modulus
         powers = [base % modulus]
@@ -234,10 +238,16 @@ class CombTable:
         return acc
 
 
-#: Fewest exps of one base for which a one-table CombTable is cheaper than pow.
-#: At 256-bit order the table costs about 1.7 pow calls to build and each use
-#: then saves about 0.77 of one, so it breaks even between 2 and 3 uses.
-FIXED_BASE_MIN_USES = 3
+#: Fewest exps of one base for which a narrow CombTable (two 4-tooth tables)
+#: is cheaper than pow. At 256-bit order the comb costs about 0.9 pow calls to
+#: build and each use then saves about 0.66 of one: build and 2 exps took 200
+#: us against 254 us for 2 pow calls, build and 1 exp 163 us against 132 us.
+FIXED_BASE_MIN_USES = 2
+#: Fewest exps of one base for which one 8-tooth table is cheaper than the
+#: narrow comb. It costs about 0.85 pow calls more to build and saves about
+#: 0.11 of one per exp. Measured as build plus u exps, paired per base: the
+#: narrow comb took 0.986 of the 8-tooth time at 7 uses and 1.024 at 8.
+WIDE_COMB_MIN_USES = 8
 #: Fewest exps of one base for which a two-table CombTable is cheaper than one
 #: table. At 256-bit order the second table costs about 0.9 pow calls more to
 #: build and saves about 0.05 of one per exp: the costs cross at about 19 uses.
@@ -250,9 +260,10 @@ class FixedBase(int):
     """A group element that will be raised to many exponents in one group.
 
     ``group.exp`` raises it through a :class:`CombTable` built on the first
-    such call and dropped with the value: two tables when ``uses`` reaches
-    TWO_TABLE_MIN_USES, else one. Every other group, and every other
-    operation, treats it as a plain int. Make one with ``GroupParams.fixed_base``.
+    such call and dropped with the value: two 4-tooth tables below
+    WIDE_COMB_MIN_USES uses, one 8-tooth table from there, and two from
+    TWO_TABLE_MIN_USES. Every other group, and every other operation, treats
+    it as a plain int. Make one with ``GroupParams.fixed_base``.
     """
 
     def __new__(cls, value: int, group: "GroupParams", uses: int):
@@ -324,8 +335,12 @@ class GroupParams:
             return table.exp(exponent)
         if type(base) is FixedBase and base.group is self:
             if base.table is None:
-                tables = 2 if base.uses >= TWO_TABLE_MIN_USES else 1
-                base.table = CombTable(base, self.modulus, self.order.bit_length(), tables)
+                bits = self.order.bit_length()
+                if base.uses < WIDE_COMB_MIN_USES:
+                    base.table = CombTable(base, self.modulus, bits, 2, 4)
+                else:
+                    tables = 2 if base.uses >= TWO_TABLE_MIN_USES else 1
+                    base.table = CombTable(base, self.modulus, bits, tables)
             return base.table.exp(exponent)
         return pow(base, exponent, self.modulus)
 
@@ -378,16 +393,19 @@ def generate_group(bits: int, rng: random.Random, max_attempts: int | None = Non
     """Generate fresh parameters with a modulus of exactly `bits` bits.
 
     Searches for a safe prime p = 2q + 1 and picks a square as generator,
-    which has order q automatically. Deterministic for a seeded rng.
+    which has order q automatically. Deterministic for a seeded rng. A
+    candidate q is dropped before any primality test when 2q + 1 shares a
+    factor with the sieve primes: p is at least 2**15, above every one of
+    them, so that factor proves p composite and the draws stay the same.
     """
     if bits < MIN_GROUP_BITS:
         raise ValueError(f"modulus below {MIN_GROUP_BITS} bits cannot hold a meaningful subgroup")
     attempts = max_attempts if max_attempts is not None else 400 * bits
     for _ in range(attempts):
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        if not is_probable_prime(q):
-            continue
         p = 2 * q + 1
+        if math.gcd(p, _SIEVE_PRODUCT) != 1 or not is_probable_prime(q):
+            continue
         if p.bit_length() != bits or not is_probable_prime(p):
             continue
         while True:

@@ -54,9 +54,11 @@ class Message:
     receiver: str
     payload: dict
 
-    def line(self) -> str:
-        blob = _TRANSCRIPT_JSON.encode(self.payload)
-        return f"{self.phase}\t{self.sender}\t{self.receiver}\t{blob.encode('utf-8').hex()}"
+    def line(self, blob: str | None = None) -> str:
+        """The record; `blob` is this payload's encoding when the caller has it."""
+        if blob is None:
+            blob = _TRANSCRIPT_JSON.encode(self.payload).encode("utf-8").hex()
+        return f"{self.phase}\t{self.sender}\t{self.receiver}\t{blob}"
 
 
 @dataclass(frozen=True)
@@ -379,8 +381,17 @@ def _run_bsv(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Me
 
 
 def transcript_lines(outcome: ElectionOutcome) -> list[str]:
-    header = f"{TRANSCRIPT_MAGIC} {_TRANSCRIPT_JSON.encode(outcome.config.to_dict())}"
-    return [header] + [message.line() for message in outcome.transcript]
+    """The header, then one record per message. A government broadcast sends
+    one payload to every voter, so a payload is encoded once for its run of
+    consecutive messages."""
+    lines = [f"{TRANSCRIPT_MAGIC} {_TRANSCRIPT_JSON.encode(outcome.config.to_dict())}"]
+    payload = blob = None
+    for message in outcome.transcript:
+        if message.payload is not payload:
+            payload = message.payload
+            blob = _TRANSCRIPT_JSON.encode(payload).encode("utf-8").hex()
+        lines.append(message.line(blob))
+    return lines
 
 
 def write_transcript(outcome: ElectionOutcome, path) -> None:

@@ -342,6 +342,37 @@ def test_a_slow_worker_takes_fewer_trials(monkeypatch):
     assert len(set(in_parent)) == len(in_parent)
 
 
+def test_workers_take_the_costliest_runs_first(monkeypatch, tmp_path):
+    log = tmp_path / "trials"
+
+    def logged(delay):
+        def wrapper(real_trial, config, seed):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {config.n} {config.k}\n")
+            time.sleep(delay)
+            return real_trial(config, seed)
+        return wrapper
+
+    configs = grid((6, 12), (0.3,), (2, 4), mode="full", trials=2, seeds=(7,))
+    # slow enough that each worker starts a run before the other ends one
+    _patch_trial(monkeypatch, logged(0.2), logged(0.2))
+    rows = run_sweep(configs, workers=2)
+    firsts = {}
+    for line in log.read_text().splitlines():
+        pid, n, k = map(int, line.split())
+        firsts.setdefault(pid, (n, k))
+    # the queue starts with both trials of the costliest point, n * k = 48
+    assert list(firsts.values()) == [(12, 4), (12, 4)]
+
+    # one worker keeps sweep order
+    log.unlink()
+    monkeypatch.undo()
+    _patch_trial(monkeypatch, logged(0), logged(0))
+    assert run_sweep(configs, workers=1) == rows
+    seen = [tuple(map(int, line.split()[1:])) for line in log.read_text().splitlines()]
+    assert seen == [(6, 2), (6, 2), (6, 4), (6, 4), (12, 2), (12, 2), (12, 4), (12, 4)]
+
+
 def test_each_worker_holds_its_own_cpu_and_the_affinity_comes_back(monkeypatch):
     cpus = sorted(START_AFFINITY)
 

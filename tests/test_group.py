@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -11,6 +12,7 @@ from votesim.group import (
     FIXED_BASE_MIN_USES,
     TINY_GROUP,
     TWO_TABLE_MIN_USES,
+    WIDE_COMB_MIN_USES,
     CombTable,
     FixedBase,
     GroupParams,
@@ -82,6 +84,23 @@ def test_inverse_is_two_sided(a):
         a = TINY_GROUP.exp(TINY_GROUP.generator, a)
     assert TINY_GROUP.mul(a, TINY_GROUP.inv(a)) == 1
     assert TINY_GROUP.mul(TINY_GROUP.inv(a), a) == 1
+
+
+def test_generate_group_tests_only_q_whose_2q_plus_1_passes_the_sieve(monkeypatch):
+    tested = []
+    real_test = votesim.group.is_probable_prime
+
+    def spy(n):
+        tested.append(n)
+        return real_test(n)
+
+    monkeypatch.setattr(votesim.group, "is_probable_prime", spy)
+    for bits, seed in ((24, 7), (48, 1), (64, 2)):
+        tested.clear()
+        params = generate_group(bits, random.Random(seed))
+        candidates = [n for n in tested if n.bit_length() == bits - 1]
+        assert params.order in candidates
+        assert all(math.gcd(2 * q + 1, votesim.group._SIEVE_PRODUCT) == 1 for q in candidates)
 
 
 def test_generate_group_is_deterministic_and_valid():
@@ -324,7 +343,7 @@ def test_table_exp_matches_pow(name, data):
     base = data.draw(st.one_of(st.integers(1, q - 1).map(lambda e: pow(g, e, p)),
                                st.integers(-p, 2 * p)))
     assert group.fixed_base(base, FIXED_BASE_MIN_USES - 1) is base
-    # uses on both sides of TWO_TABLE_MIN_USES give both comb shapes
+    # uses on both sides of WIDE_COMB_MIN_USES and TWO_TABLE_MIN_USES give all three comb shapes
     uses = data.draw(st.integers(FIXED_BASE_MIN_USES, 64))
     fixed = group.fixed_base(base, uses)
     assert type(fixed) is FixedBase and fixed == base and fixed.uses == uses
@@ -349,18 +368,21 @@ def test_comb_table_matches_pow_at_every_small_width():
         modulus = rng.randrange(2**bits, 2**(bits + 8)) | 1
         base = rng.randrange(-modulus, 2 * modulus)
         exponents = [0, 1, 2**bits - 1, 2**(bits - 1)] + [rng.randrange(2**bits) for _ in range(20)]
-        for tables in (1, 2):
-            table = CombTable(base, modulus, bits, tables)
+        for tables, teeth in ((1, 8), (2, 8), (2, 4)):
+            table = CombTable(base, modulus, bits, tables, teeth)
+            assert table.teeth <= teeth
             assert table.teeth * table.span * tables >= bits
             assert [table.exp(e) for e in exponents] == [pow(base, e, modulus) for e in exponents]
 
 
-@pytest.mark.parametrize("name, entries", [("tiny", (16, 4)), ("default", (256, 256))])
+@pytest.mark.parametrize("name, entries", [("tiny", (4, 16, 4)), ("default", (16, 256, 256))])
 def test_fixed_base_builds_two_tables_from_the_crossover(name, entries):
     group = GROUPS[name]
     base = pow(group.generator, 7, group.modulus)
-    one_table, two_tables = entries
-    for uses, sizes in ((TWO_TABLE_MIN_USES - 1, [one_table]), (TWO_TABLE_MIN_USES, [two_tables] * 2)):
+    narrow, one_table, two_tables = entries
+    for uses, sizes in ((FIXED_BASE_MIN_USES, [narrow] * 2), (WIDE_COMB_MIN_USES - 1, [narrow] * 2),
+                        (WIDE_COMB_MIN_USES, [one_table]), (TWO_TABLE_MIN_USES - 1, [one_table]),
+                        (TWO_TABLE_MIN_USES, [two_tables] * 2)):
         fixed = group.fixed_base(base, uses)
         assert fixed.table is None
         assert group.exp(fixed, 5) == pow(base, 5, group.modulus)

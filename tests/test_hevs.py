@@ -402,7 +402,7 @@ class ScriptedRng(random.Random):
         return next(self.values)
 
 
-@pytest.mark.parametrize("n", [FIXED_BASE_MIN_USES - 1, FIXED_BASE_MIN_USES])
+@pytest.mark.parametrize("n", [FIXED_BASE_MIN_USES - 1, FIXED_BASE_MIN_USES, FIXED_BASE_MIN_USES + 1])
 def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, n):
     # Every voter raises every sampled key once, to its nonce; each distinct
     # voter of sample j raises the j-th request's c1 once, to its secret.
@@ -424,8 +424,9 @@ def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, 
 
     monkeypatch.setattr(hevs, "encrypt_vote", spy_encrypt)
     monkeypatch.setattr(hevs, "decryption_share", spy_share)
-    # sample 0 holds all n voters; sample 1 holds n - 1 of them, voter 2 twice
-    plan = SamplingPlan(n, (tuple(range(1, n + 1)), (2, *range(2, n + 1))))
+    # sample 0 holds all n voters; sample 1 holds voter 1 n times, one
+    # distinct voter, below FIXED_BASE_MIN_USES
+    plan = SamplingPlan(n, (tuple(range(1, n + 1)), (1,) * n))
     results = run_sampled_election(big, [1] * n, honest_roles(n), plan, random.Random(n),
                                    recorder=recorder)
     assert [r.tally for r in results] == [n, n]
@@ -434,7 +435,7 @@ def test_pipeline_marks_keys_and_requests_raised_often_enough(big, monkeypatch, 
     c1s = [int(ct.c1) for ct in values["decrypt_request"]]
     assert set(raised) == {("key", keys[0], marked), ("key", keys[1], marked),
                            ("c1", c1s[0], marked), ("c1", c1s[1], int)}
-    assert len(raised) == 2 * n + n + (n - 1)
+    assert len(raised) == 2 * n + n + 1
 
 
 def reported_parts(value):
