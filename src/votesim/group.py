@@ -406,7 +406,7 @@ def generate_group(bits: int, rng: random.Random, max_attempts: int | None = Non
         p = 2 * q + 1
         if math.gcd(p, _SIEVE_PRODUCT) != 1 or not is_probable_prime(q):
             continue
-        if p.bit_length() != bits or not is_probable_prime(p):
+        if not is_probable_prime(p):
             continue
         while True:
             h = rng.randrange(2, p - 1)
