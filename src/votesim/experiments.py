@@ -359,12 +359,16 @@ def grid(
     return configs
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        values = (getattr(row, name) for name in CSV_COLUMNS)
+def _csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """The header row, then each row's values: a str as it is, any other through format_number."""
+    lines = [",".join(header)]
+    for values in rows:
         lines.append(",".join(v if isinstance(v, str) else format_number(v) for v in values))
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv(rows: Sequence[SweepRow]) -> str:
+    return _csv(CSV_COLUMNS, ((getattr(row, name) for name in CSV_COLUMNS) for row in rows))
 
 
 def analytic_table(ns: Iterable[int], ms: Iterable[int], t: int) -> list[tuple]:
@@ -383,13 +387,7 @@ def analytic_table(ns: Iterable[int], ms: Iterable[int], t: int) -> list[tuple]:
 
 
 def analytic_csv(rows: Sequence[tuple]) -> str:
-    lines = ["n,m,t,reliability,reliability_with_replacement"]
-    for n, m, t, exact, with_repl in rows:
-        lines.append(",".join((
-            format_number(n), format_number(m), format_number(t),
-            format_number(exact), format_number(with_repl),
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv(("n", "m", "t", "reliability", "reliability_with_replacement"), rows)
 
 
 def empirical_sample_reliability(n: int, m: int, t: int, trials: int, seed: int = 1) -> float:

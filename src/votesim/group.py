@@ -7,18 +7,18 @@ arithmetic. Everything is simulation-grade: no constant-time hardening.
 
 Two caches make the hot paths cheap without changing any result:
 
-* ``GroupParams.exp`` raises the generator through a fixed-base table of
-  8-bit windows (:class:`WindowTable`, after Brickell, Gordon, McCurley and
-  Wilson, EUROCRYPT '92). It is built on its first use and kept on the
-  ``GroupParams`` instance; ``default_group()`` returns one shared instance,
-  so that table lives as long as the process. A :class:`FixedBase`, which the
-  election pipeline makes of each sampled key and busy aggregate, is raised
-  through its own Lim-Lee comb (:class:`CombTable`, CRYPTO '94), which dies
-  with the value. Its shape follows the number of exps it will serve. At
-  256-bit order a narrow comb of two 4-tooth tables costs about 0.9 ``pow``
-  calls to build and each exp then costs about 0.34 of one; one 8-tooth
-  table costs about 1.7 ``pow`` to build and 0.23 per exp; a second 8-tooth
-  table costs another 0.9 ``pow`` and cuts each exp to about 0.19 of one.
+* ``GroupParams.exp`` raises fixed bases through Lim-Lee combs
+  (:class:`CombTable`, CRYPTO '94) shaped by the number of exps each will
+  serve. The generator's serves any number: one 8-tooth, span-1 table per
+  exponent byte, which is the 8-bit window table of Brickell, Gordon,
+  McCurley and Wilson (EUROCRYPT '92), kept on the ``GroupParams`` instance
+  that ``default_group()`` shares across the process. A :class:`FixedBase`,
+  made of each sampled key and busy aggregate, gets one or two tables and
+  dies with the value. At 256-bit order a narrow comb of two 4-tooth tables
+  costs about 0.9 ``pow`` calls to build and each exp then costs about 0.34
+  of one; one 8-tooth table costs about 1.7 ``pow`` to build and 0.23 per
+  exp; a second 8-tooth table costs another 0.9 ``pow`` and cuts each exp to
+  about 0.19 of one.
 * ``GroupParams.is_element`` memoizes its verdicts on the instance, keyed by
   plain ``int`` and bounded at ``ELEMENT_MEMO_SIZE`` entries. In a safe-prime
   group a verdict is a Jacobi symbol, about a quarter of a ``pow``.
@@ -136,40 +136,6 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-class WindowTable:
-    """Fixed-base exponentiation by precomputed 8-bit windows.
-
-    Row i holds base**(d * 256**i) for every byte value d, so base**e costs one
-    modular multiplication per nonzero byte of e, against roughly one per bit
-    for ``pow``. The table covers exponents below 2**bits.
-    """
-
-    __slots__ = ("modulus", "rows")
-
-    def __init__(self, base: int, modulus: int, bits: int):
-        self.modulus = modulus
-        self.rows = []
-        step = base % modulus
-        for _ in range(-(-bits // 8)):
-            power = step
-            row = [1, power]
-            for _ in range(254):
-                power = power * step % modulus
-                row.append(power)
-            self.rows.append(row)
-            step = power * step % modulus
-
-    def exp(self, exponent: int) -> int:
-        """base ** exponent for 0 <= exponent < 2**bits."""
-        digits = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
-        modulus = self.modulus
-        acc = 1
-        for row, digit in zip(self.rows, digits):
-            if digit:
-                acc = acc * row[digit] % modulus
-        return acc
-
-
 #: maps the ASCII digits of a bit string to the bytes 0 and 1
 _BIT_BYTES = bytes(c == ord("1") for c in range(256))
 
@@ -177,18 +143,23 @@ _BIT_BYTES = bytes(c == ord("1") for c in range(256))
 class CombTable:
     """Fixed-base exponentiation by the Lim-Lee comb (CRYPTO '94).
 
-    The comb has one or two tables. The exponent's bits are cut into
-    ``tables * teeth`` teeth of ``span`` bits each, tooth t holding bits
-    t*span to (t+1)*span - 1; ``teeth`` is 8 or 4, or fewer for exponents too
-    short to fill them. Table k holds, for every ``teeth``-bit digit d, the product
-    of base**(2**(t*span)) over the teeth t = k*teeth + i whose bit i is set
-    in d. Column c of the exponent, bit c of every tooth, then names one entry
-    per table, and base**e is ``span`` rounds of one squaring and one
-    multiplication per table. With 8 teeth, one table costs about one
-    squaring per bit and 255 multiplications to build; a second table adds
-    255 multiplications and halves the squarings of each exp. Two tables of 4
-    teeth cost the squarings of one 8-tooth table and 30 multiplications to
-    build, and one multiplication more per round of each exp.
+    The exponent's bits are cut into ``tables * teeth`` teeth of ``span``
+    bits each, tooth t holding bits t*span to (t+1)*span - 1; ``teeth`` is 8
+    or 4, or fewer for exponents too short to fill them. Table k holds, for
+    every ``teeth``-bit digit d, the product of base**(2**(t*span)) over the
+    teeth t = k*teeth + i whose bit i is set in d. Column c of the exponent,
+    bit c of every tooth, then names one entry per table, and base**e is
+    ``span`` rounds of one squaring and one multiplication per table. With 8
+    teeth, one table costs about one squaring per bit and 255 multiplications
+    to build; a second table adds 255 multiplications and halves the
+    squarings of each exp. Two tables of 4 teeth cost the squarings of one
+    8-tooth table and 30 multiplications to build, and one multiplication
+    more per round of each exp.
+
+    With 8 teeth of one bit, table k holds base**(d * 256**k) for each byte d:
+    the 8-bit window table of Brickell, Gordon, McCurley and Wilson (EUROCRYPT
+    '92). exp then costs one multiplication per nonzero exponent byte and no
+    squaring, and takes any number of tables; other shapes have one or two.
     """
 
     __slots__ = ("modulus", "teeth", "span", "rows")
@@ -214,6 +185,14 @@ class CombTable:
     def exp(self, exponent: int) -> int:
         """base ** exponent for 0 <= exponent < 2**bits."""
         span, teeth = self.span, self.teeth
+        modulus = self.modulus
+        if span == 1 and teeth == 8:
+            digits = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
+            acc = 1
+            for row, digit in zip(self.rows, digits):
+                if digit:
+                    acc = acc * row[digit] % modulus
+            return acc
         # One byte per bit of the exponent, lowest bit last; each fold adds
         # the upper half of every group of teeth onto the lower half, shifted
         # into bits of its own, until byte c of tooth k*teeth holds column c's
@@ -224,7 +203,6 @@ class CombTable:
             folded >>= 1
             merged += merged >> (8 * span * folded) << folded
         data = merged.to_bytes(len(self.rows) * teeth * span, "big")
-        modulus = self.modulus
         if len(self.rows) == 1:
             row = self.rows[0]
             acc = 1
@@ -260,10 +238,11 @@ class FixedBase(int):
     """A group element that will be raised to many exponents in one group.
 
     ``group.exp`` raises it through a :class:`CombTable` built on the first
-    such call and dropped with the value: two 4-tooth tables below
-    WIDE_COMB_MIN_USES uses, one 8-tooth table from there, and two from
-    TWO_TABLE_MIN_USES. Every other group, and every other operation, treats
-    it as a plain int. Make one with ``GroupParams.fixed_base``.
+    such call and dropped with the value, shaped by its use count: two
+    4-tooth tables below WIDE_COMB_MIN_USES uses, one 8-tooth table from
+    there, and two from TWO_TABLE_MIN_USES. The generator's comb is the same
+    type in its widest shape. Every other group, and every other operation,
+    treats it as a plain int. Make one with ``GroupParams.fixed_base``.
     """
 
     def __new__(cls, value: int, group: "GroupParams", uses: int):
@@ -281,7 +260,7 @@ class GroupParams:
     modulus: int
     order: int
     generator: int
-    _generator_table: WindowTable | None = field(
+    _generator_table: CombTable | None = field(
         default=None, init=False, compare=False, hash=False, repr=False)
     _element_memo: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False)
@@ -325,12 +304,18 @@ class GroupParams:
         return verdict
 
     def exp(self, base: int, exponent: int) -> int:
-        """base ** exponent in the subgroup; exponents live modulo the order."""
+        """base ** exponent in the subgroup; exponents live modulo the order.
+
+        The generator goes through one 8-tooth, span-1 comb table per byte of
+        the order, built once per instance; a FixedBase through its own comb.
+        """
         exponent %= self.order
         if base == self.generator:
             table = self._generator_table
             if table is None:
-                table = WindowTable(base, self.modulus, self.order.bit_length())
+                # whole bytes, or CombTable would cut fewer teeth of a wider span
+                tables = -(-self.order.bit_length() // 8)
+                table = CombTable(base, self.modulus, 8 * tables, tables)
                 object.__setattr__(self, "_generator_table", table)
             return table.exp(exponent)
         if type(base) is FixedBase and base.group is self:

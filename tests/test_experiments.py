@@ -490,6 +490,20 @@ def test_symbolic_point_within_4_sigma_of_expected_accuracy(n, p_fail, k, min_co
         row.accuracy, expected)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 500), p_fail=st.floats(0.0, 0.3), k=st.integers(2, 16),
+       min_consistency=st.integers(2, 4), behavior=st.sampled_from(["fake_share", "silent"]))
+def test_drawn_symbolic_point_within_band_of_expected_accuracy(n, p_fail, k, min_consistency,
+                                                               behavior):
+    # the fixed grid above, widened to drawn points; derandomized, so every run checks the same ones
+    config = TrialConfig(n=n, p_fail=p_fail, k=k, min_consistency=min_consistency,
+                         trials=1000, seeds=(1,), behavior=behavior)
+    (row,) = run_sweep([config], workers=1)
+    expected = expected_accuracy(n, p_fail, k, row.t, min_consistency)
+    assert within_band(round(row.accuracy * config.trials), config.trials, expected), (
+        row.accuracy, expected)
+
+
 def test_accuracy_grows_with_k():
     low = run_point(TrialConfig(n=40, p_fail=0.1, k=2, trials=400, seeds=(1,)))
     high = run_point(TrialConfig(n=40, p_fail=0.1, k=12, trials=400, seeds=(1,)))

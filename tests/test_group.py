@@ -16,7 +16,6 @@ from votesim.group import (
     CombTable,
     FixedBase,
     GroupParams,
-    WindowTable,
     default_group,
     discrete_log_bounded,
     generate_group,
@@ -314,7 +313,7 @@ def test_dlog_roundtrip_in_generated_group():
         assert discrete_log_bounded(params, target, 60) == exponent
 
 
-# fixed-base window tables and the element memo: every result must equal the
+# fixed-base comb tables and the element memo: every result must equal the
 # plain computation, on a hand-sized, the default and a generated group
 GROUPS = {
     "tiny": TINY_GROUP,
@@ -355,24 +354,23 @@ def test_table_exp_matches_pow(name, data):
         assert other.exp(fixed, e) == pow(base, e % other.order, other.modulus)
 
 
-def test_window_table_widths():
-    table = WindowTable(2, 23, 4)
-    assert [table.exp(e) for e in range(16)] == [pow(2, e, 23) for e in range(16)]
-
-
 def test_comb_table_matches_pow_at_every_small_width():
     # every tooth count and span the bit lengths 1-40 give, and tails of
-    # exponents that fill or miss the top tooth
+    # exponents that fill or miss the top tooth; the last shape is the
+    # generator's, one 8-tooth table of span 1 per byte
     rng = random.Random(13)
     for bits in range(1, 41):
         modulus = rng.randrange(2**bits, 2**(bits + 8)) | 1
         base = rng.randrange(-modulus, 2 * modulus)
         exponents = [0, 1, 2**bits - 1, 2**(bits - 1)] + [rng.randrange(2**bits) for _ in range(20)]
-        for tables, teeth in ((1, 8), (2, 8), (2, 4)):
-            table = CombTable(base, modulus, bits, tables, teeth)
+        byte_digits = -(-bits // 8)
+        for width, tables, teeth in ((bits, 1, 8), (bits, 2, 8), (bits, 2, 4),
+                                     (8 * byte_digits, byte_digits, 8)):
+            table = CombTable(base, modulus, width, tables, teeth)
             assert table.teeth <= teeth
             assert table.teeth * table.span * tables >= bits
             assert [table.exp(e) for e in exponents] == [pow(base, e, modulus) for e in exponents]
+        assert (table.teeth, table.span, len(table.rows)) == (8, 1, byte_digits)
 
 
 @pytest.mark.parametrize("name, entries", [("tiny", (4, 16, 4)), ("default", (16, 256, 256))])

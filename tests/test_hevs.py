@@ -20,7 +20,6 @@ from votesim.group import (
     CombTable,
     FixedBase,
     GroupParams,
-    WindowTable,
     default_group,
 )
 from votesim.hev import Ciphertext, DecryptionShare
@@ -380,14 +379,15 @@ def test_election_tables_die_with_the_election(monkeypatch):
 
     group = default_group()
     assert set(vars(group)) == {"modulus", "order", "generator", "_generator_table", "_element_memo"}
-    assert isinstance(group._generator_table, WindowTable)
+    assert type(group._generator_table) is CombTable
+    assert group._generator_table.span == 1 and len(group._generator_table.rows) == 32
     assert 0 < len(group._element_memo) <= ELEMENT_MEMO_SIZE
     assert all(type(key) is int and type(verdict) is bool
                for key, verdict in group._element_memo.items())
     gc.collect()
     objects = gc.get_objects()
     generator_tables = {id(o._generator_table) for o in objects if type(o) is GroupParams}
-    live_tables = {id(o) for o in objects if type(o) in (WindowTable, CombTable)}
+    live_tables = {id(o) for o in objects if type(o) is CombTable}
     assert live_tables and live_tables <= generator_tables
 
 
