@@ -36,9 +36,9 @@ total = aggregate(params, ciphertexts)
 print(f"aggregate ciphertext: ({total.c1}, {total.c2})")
 
 # --- threshold decryption: every key holder must contribute
-responses = {share.voter_id: decryption_share(params, share, total) for share in shares}
-print("decryption shares:", [r.partial for r in responses.values()])
+partials = {share.voter_id: decryption_share(params, share, total) for share in shares}
+print("decryption shares:", list(partials.values()))
 
-result = combine_sampled_decrypt(params, responses, plan, 0, total, len(votes))
+result = combine_sampled_decrypt(params, partials, plan, 0, total, len(votes))
 print(f"unmasked element: {result.element} = generator**{result.tally}")
 print(f"tally: {result.tally} (votes were {votes})")

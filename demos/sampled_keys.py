@@ -34,7 +34,7 @@ for result, multiset in zip(results, plan.multisets):
     print(f"  sample {result.sample_index}: decoded tally = {result.tally} ({note})")
 
 try:
-    decision = mode_decision(results, min_consistency=2)
+    decision = mode_decision([r.tally for r in results], min_consistency=2)
     print(f"mode decision: {decision} (true sum {sum(votes)})")
 except NoConsistentResult:
     print("mode decision: no two samples agreed; rerun with a larger k")

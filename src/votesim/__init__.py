@@ -31,7 +31,6 @@ from .group import (
 )
 from .hev import (
     Ciphertext,
-    DecryptionShare,
     KeyShare,
     aggregate,
     combine_decrypt,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .group import GroupParams
-from .hev import DecryptionShare
 from .seeding import flags
 
 
@@ -55,12 +54,10 @@ def draw_fake_exponent(rng: random.Random, params: GroupParams, true_secret: int
     return exponent
 
 
-def fake_decryption_share(
-    params: GroupParams, aggregate_c1: int, voter_id: int, exponent: int
-) -> DecryptionShare:
-    """A cooperation-interrupting response: the aggregate raised to a random
+def fake_decryption_share(params: GroupParams, aggregate_c1: int, exponent: int) -> int:
+    """A cooperation-interrupting partial: the aggregate raised to a random
     exponent from draw_fake_exponent rather than the voter's secret key.
 
     A voter reuses its one exponent across every sampled key it is in.
     """
-    return DecryptionShare(voter_id, params.exp(aggregate_c1, exponent))
+    return params.exp(aggregate_c1, exponent)

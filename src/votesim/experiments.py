@@ -142,7 +142,7 @@ def run_trial(config: TrialConfig, seed: int) -> bool:
     roles = [VoterRole(i, flag == 1, None if flag else behavior) for i, flag in enumerate(honest, 1)]
     results = run_sampled_election(default_group(), votes, roles, plan, spawn(seed, "crypto"))
     try:
-        return mode_decision(results, config.min_consistency) == sum(votes)
+        return mode_decision([r.tally for r in results], config.min_consistency) == sum(votes)
     except (NoConsistentResult, AmbiguousMode):
         return False
 

@@ -19,9 +19,10 @@ Two caches make the hot paths cheap without changing any result:
   of one; one 8-tooth table costs about 1.7 ``pow`` to build and 0.23 per
   exp; a second 8-tooth table costs another 0.9 ``pow`` and cuts each exp to
   about 0.19 of one.
-* ``GroupParams.is_element`` memoizes its verdicts on the instance, keyed by
-  plain ``int`` and bounded at ``ELEMENT_MEMO_SIZE`` entries. In a safe-prime
-  group a verdict is a Jacobi symbol, about a quarter of a ``pow``.
+* ``GroupParams.is_element`` keeps its verdict on a :class:`FixedBase` of its
+  own group, so each sampled key is checked once however many voters encrypt
+  under it; plain ints are checked every time. In a safe-prime group a
+  verdict is a Jacobi symbol, about a quarter of a ``pow``.
 
 Every ``exp`` result still equals ``pow(base, exponent % order, modulus)``.
 """
@@ -230,8 +231,6 @@ WIDE_COMB_MIN_USES = 8
 #: table. At 256-bit order the second table costs about 0.9 pow calls more to
 #: build and saves about 0.05 of one per exp: the costs cross at about 19 uses.
 TWO_TABLE_MIN_USES = 20
-#: most is_element verdicts one GroupParams instance remembers
-ELEMENT_MEMO_SIZE = 256
 
 
 class FixedBase(int):
@@ -241,7 +240,8 @@ class FixedBase(int):
     such call and dropped with the value, shaped by its use count: two
     4-tooth tables below WIDE_COMB_MIN_USES uses, one 8-tooth table from
     there, and two from TWO_TABLE_MIN_USES. The generator's comb is the same
-    type in its widest shape. Every other group, and every other operation,
+    type in its widest shape. ``group.is_element`` keeps its verdict in the
+    ``is_element`` attribute. Every other group, and every other operation,
     treats it as a plain int. Make one with ``GroupParams.fixed_base``.
     """
 
@@ -250,6 +250,7 @@ class FixedBase(int):
         self.group = group
         self.uses = uses
         self.table = None
+        self.is_element = None
         return self
 
 
@@ -262,8 +263,6 @@ class GroupParams:
     generator: int
     _generator_table: CombTable | None = field(
         default=None, init=False, compare=False, hash=False, repr=False)
-    _element_memo: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def validate(self) -> None:
         if not is_probable_prime(self.modulus):
@@ -283,24 +282,22 @@ class GroupParams:
         When the modulus is the safe prime 2q + 1, as in every group this
         module makes, the subgroup is the quadratic residues, and the Jacobi
         symbol decides membership without a modexp. Any other group takes
-        pow(value, q, modulus) == 1. The verdict is memoized under the plain
-        int, so the memo never keeps a caller's object (such as a FixedBase and
-        its table) alive.
+        pow(value, q, modulus) == 1. A FixedBase of this group keeps its
+        verdict, so it is computed once per value.
         """
+        fixed = type(value) is FixedBase and value.group is self
+        if fixed and value.is_element is not None:
+            return value.is_element
         key = operator.index(value)
-        memo = self._element_memo
-        verdict = memo.get(key)
-        if verdict is None:
-            modulus = self.modulus
-            if not 1 <= key < modulus:
-                verdict = False
-            elif modulus == 2 * self.order + 1:
-                verdict = _jacobi(key, modulus) == 1
-            else:
-                verdict = pow(key, self.order, modulus) == 1
-            if len(memo) >= ELEMENT_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = verdict
+        modulus = self.modulus
+        if not 1 <= key < modulus:
+            verdict = False
+        elif modulus == 2 * self.order + 1:
+            verdict = _jacobi(key, modulus) == 1
+        else:
+            verdict = pow(key, self.order, modulus) == 1
+        if fixed:
+            value.is_element = verdict
         return verdict
 
     def exp(self, base: int, exponent: int) -> int:
@@ -364,8 +361,8 @@ _DEFAULT_GROUP = GroupParams(modulus=_DEFAULT_P, order=_DEFAULT_Q, generator=_DE
 def default_group() -> GroupParams:
     """The library-default group: 256-bit prime order, safe-prime modulus.
 
-    Every call returns the same instance, so its generator table and element
-    memo serve every election in the process.
+    Every call returns the same instance, so its generator table serves every
+    election in the process.
     """
     return _DEFAULT_GROUP
 

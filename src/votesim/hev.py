@@ -6,11 +6,12 @@ holder. Votes are 0/1 encoded in the exponent, ciphertexts multiply to an
 encryption of the sum, and the tally comes back out through a bounded
 discrete log.
 
-Free functions implement the protocol steps over plain values (group
-elements as ints, Ciphertext pairs, DecryptionShare answers). The one unmask
-step, :func:`combine_decrypt`, raises each share to its voter's multiplicity
-in the key. Whole elections run through the pipeline in ``votesim.hevs``:
-plain HEV is its k = 1 case, one sample holding every voter once.
+Free functions implement the protocol steps over plain values: group
+elements as ints, Ciphertext pairs, and voter id -> partial mappings, each
+partial the decryption share c1 ** secret_key. The one unmask step,
+:func:`combine_decrypt`, raises each partial to its voter's multiplicity in
+the key. Whole elections run through the pipeline in ``votesim.hevs``: plain
+HEV is its k = 1 case, one sample holding every voter once.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ class Ciphertext:
 
     c1: int
     c2: int
-
-
-@dataclass(frozen=True)
-class DecryptionShare:
-    """A voter's threshold-decryption contribution: aggregate c1 ** secret_key."""
-
-    voter_id: int
-    partial: int
 
 
 def keygen_share(rng: random.Random, params: GroupParams, voter_id: int) -> KeyShare:
@@ -106,8 +99,8 @@ def decryption_share(
     share: KeyShare,
     aggregate_ct: Ciphertext,
     own_ciphertext: Ciphertext | None = None,
-) -> DecryptionShare:
-    """Raise the forwarded aggregate's first component to the voter's secret key.
+) -> int:
+    """The voter's partial: the forwarded aggregate's c1 raised to its secret key.
 
     When the voter's own ciphertext is supplied, an aggregate equal to it is
     refused: decrypting it would reveal that single vote.
@@ -116,28 +109,28 @@ def decryption_share(
         raise RefuseSingletonAggregate(
             f"voter {share.voter_id} refused: aggregate equals own ciphertext"
         )
-    return DecryptionShare(share.voter_id, params.exp(aggregate_ct.c1, share.secret_key))
+    return params.exp(aggregate_ct.c1, share.secret_key)
 
 
 def combine_decrypt(
     params: GroupParams,
-    shares: Mapping[int, DecryptionShare],
+    partials: Mapping[int, int],
     aggregate_ct: Ciphertext,
     multiplicity: Mapping[int, int],
 ) -> int:
     """Unmask o = c2_aggregate / (product of partial**count) = g**(sum of votes).
 
     multiplicity counts how often each voter's piece went into the key (once
-    each in plain HEV); shares of voters it does not list are ignored. Raises
+    each in plain HEV); partials of voters it does not list are ignored. Raises
     MissingShares naming every listed voter who never responded; this is the
     surface a cooperation-interrupting adversary attacks.
     """
-    missing = [i for i in multiplicity if i not in shares]
+    missing = [i for i in multiplicity if i not in partials]
     if missing:
         raise MissingShares(missing)
     mask = 1
     for voter_id, count in multiplicity.items():
-        # A share counted once goes in as is: plain HEV then pays no modexp here.
-        partial = shares[voter_id].partial
+        # A partial counted once goes in as is: plain HEV then pays no modexp here.
+        partial = partials[voter_id]
         mask = params.mul(mask, partial if count == 1 else params.exp(partial, count))
     return params.mul(aggregate_ct.c2, params.inv(mask))

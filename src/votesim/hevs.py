@@ -29,7 +29,6 @@ from .errors import AmbiguousMode, DiscreteLogNotFound, MissingShares, NoConsist
 from .group import GroupParams, discrete_log_bounded
 from .hev import (
     Ciphertext,
-    DecryptionShare,
     aggregate,
     combine_decrypt,
     decryption_share,
@@ -138,7 +137,7 @@ def combine_sampled_public_key(
 
 def combine_sampled_decrypt(
     params: GroupParams,
-    shares: Mapping[int, DecryptionShare],
+    partials: Mapping[int, int],
     plan: SamplingPlan,
     sample_index: int,
     aggregate_ct: Ciphertext,
@@ -148,7 +147,7 @@ def combine_sampled_decrypt(
 
     Raises MissingShares when a sampled voter never responded.
     """
-    element = combine_decrypt(params, shares, aggregate_ct, plan.multiplicity(sample_index))
+    element = combine_decrypt(params, partials, aggregate_ct, plan.multiplicity(sample_index))
     try:
         tally = discrete_log_bounded(params, element, bound)
     except DiscreteLogNotFound:
@@ -156,24 +155,18 @@ def combine_sampled_decrypt(
     return SampleResult(sample_index, element, tally)
 
 
-def mode_decision(results: Iterable, min_consistency: int = 2) -> int:
-    """Pick the most frequent decoded tally among the sample results.
+def mode_decision(tallies: Iterable[int | None], min_consistency: int = 2) -> int:
+    """Pick the most frequent of the samples' decoded tallies.
 
-    Accepts SampleResult objects or bare optional integers. Undecodable
-    samples (None) never become candidates. The winner must reach
-    min_consistency occurrences and be the unique maximum; otherwise the
-    decision fails closed with NoConsistentResult or AmbiguousMode.
+    Undecodable samples (None) never become candidates. The winner must
+    reach min_consistency occurrences and be the unique maximum; otherwise
+    the decision fails closed with NoConsistentResult or AmbiguousMode.
     """
     if min_consistency < 2:
         raise ValueError("min_consistency below 2 cannot distinguish garbage from truth")
-    values = []
-    for result in results:
-        value = result.tally if isinstance(result, SampleResult) else result
-        if value is not None:
-            values.append(value)
-    if not values:
+    counts = Counter(tally for tally in tallies if tally is not None)
+    if not counts:
         raise NoConsistentResult("no sample decoded to a tally at all")
-    counts = Counter(values)
     top_count = max(counts.values())
     if top_count < min_consistency:
         raise NoConsistentResult(
@@ -230,7 +223,7 @@ def run_pipeline(
     Voter i + 1 draws its secret key, its nonces and any fake exponent from
     voter_rngs[i]. Fake-share voters reuse one random exponent across every
     sample they appear in. Samples blocked by silent voters come back with
-    element and tally None. The caller applies mode_decision to the results.
+    element and tally None. The caller applies mode_decision to the tallies.
 
     A recorder hears of each step as it completes, as (phase, voter id or
     None, value): every voter's key piece, the sampled keys, every voter's
@@ -270,8 +263,8 @@ def run_pipeline(
     # Each distinct voter sampled in j raises the j-th aggregate's c1 once.
     requests = [Ciphertext(params.fixed_base(ct.c1, len(mult)), ct.c2)
                 for ct, mult in zip(aggregates, mults)]
-    # responses[j] maps voter_id -> share, for the voters sampled in j
-    responses: list[dict[int, DecryptionShare]] = [{} for _ in range(plan.k)]
+    # responses[j] maps voter_id -> partial, for the voters sampled in j
+    responses: list[dict[int, int]] = [{} for _ in range(plan.k)]
     for i in range(n):
         role = roles[i]
         voter_id = i + 1
@@ -283,16 +276,15 @@ def run_pipeline(
         answered = [j for j in range(plan.k) if voter_id in mults[j]]
         for j in answered:
             if fake_exponent is not None:
-                share = fake_decryption_share(params, requests[j].c1, voter_id, fake_exponent)
+                partial = fake_decryption_share(params, requests[j].c1, fake_exponent)
             else:
                 # With n = 1 the aggregate is the own ciphertext and the sum is
                 # that vote by definition, so only n > 1 is worth refusing.
                 own = ciphertexts[i][j] if role.honest and n > 1 else None
-                share = decryption_share(params, key_shares[i], requests[j], own)
-            responses[j][voter_id] = share
+                partial = decryption_share(params, key_shares[i], requests[j], own)
+            responses[j][voter_id] = partial
         if recorder and answered:
-            recorder("decrypt_share", voter_id,
-                     {j: responses[j][voter_id].partial for j in answered})
+            recorder("decrypt_share", voter_id, {j: responses[j][voter_id] for j in answered})
 
     results = []
     for j in range(plan.k):

@@ -314,7 +314,7 @@ def _run_hev(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Me
         results = run_sampled_election(params, submitted, roles, plan,
                                        spawn(config.seed, "crypto"), recorder)
         outcome.sample_tallies = tuple(r.tally for r in results)
-        outcome.decision = mode_decision(results, config.min_consistency)
+        outcome.decision = mode_decision(outcome.sample_tallies, config.min_consistency)
         return
     plan = SamplingPlan(n, (tuple(range(1, n + 1)),))
     voter_rngs = [spawn(config.seed, "voter", i) for i in range(1, n + 1)]

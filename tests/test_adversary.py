@@ -36,9 +36,9 @@ def election_key(params, shares):
     return combine_sampled_public_key(params, pieces, EVERY_VOTER_ONCE, 0)
 
 
-def unmask(params, dshares, agg):
-    by_voter = {d.voter_id: d for d in dshares}
-    return combine_decrypt(params, by_voter, agg, EVERY_VOTER_ONCE.multiplicity(0))
+def unmask(params, partials, agg):
+    """partials: voter id -> partial"""
+    return combine_decrypt(params, partials, agg, EVERY_VOTER_ONCE.multiplicity(0))
 
 
 class ScriptedRng:
@@ -84,13 +84,11 @@ def test_fake_share_redraws_true_secret(tiny):
     # draws colliding with the true secret are rejected until one differs
     for script in ([5, 9], [5, 5, 9]):
         exponent = draw_fake_exponent(ScriptedRng(script), tiny, true_secret=5)
-        share = fake_decryption_share(tiny, aggregate_c1=2, voter_id=1, exponent=exponent)
-        assert share.partial == tiny.exp(2, 9)
+        assert fake_decryption_share(tiny, aggregate_c1=2, exponent=exponent) == tiny.exp(2, 9)
 
 
 def test_fake_share_uses_pinned_exponent(tiny):
-    share = fake_decryption_share(tiny, 2, 1, exponent=3)
-    assert share.partial == 8
+    assert fake_decryption_share(tiny, 2, exponent=3) == 8
 
 
 def test_fake_share_corrupts_decryption(big, rng):
@@ -98,9 +96,10 @@ def test_fake_share_corrupts_decryption(big, rng):
     shares = [keygen_share(rng, big, i + 1) for i in range(3)]
     pk = election_key(big, shares)
     agg = aggregate(big, [encrypt_vote(big, pk, v, rng) for v in votes])
-    honest = [decryption_share(big, s, agg) for s in shares[:2]]
-    fake = fake_decryption_share(big, agg.c1, 3, draw_fake_exponent(rng, big, shares[2].secret_key))
-    encoded = unmask(big, honest + [fake], agg)
+    partials = {s.voter_id: decryption_share(big, s, agg) for s in shares[:2]}
+    exponent = draw_fake_exponent(rng, big, shares[2].secret_key)
+    partials[3] = fake_decryption_share(big, agg.c1, exponent)
+    encoded = unmask(big, partials, agg)
     with pytest.raises(DiscreteLogNotFound):
         discrete_log_bounded(big, encoded, 3)
 
@@ -115,8 +114,8 @@ def test_extra_vote_dominates_tally(big, rng):
         encrypt_value(big, pk, 3, rng),
     ]
     agg = aggregate(big, cts)
-    dshares = [decryption_share(big, s, agg) for s in shares]
-    encoded = unmask(big, dshares, agg)
+    partials = {s.voter_id: decryption_share(big, s, agg) for s in shares}
+    encoded = unmask(big, partials, agg)
     assert discrete_log_bounded(big, encoded, 3) == 3
 
 

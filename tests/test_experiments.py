@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 import os
 import subprocess
@@ -13,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votesim import experiments
-from votesim.adversary import Behavior, assign_roles
 from votesim.experiments import (
     CSV_COLUMNS,
     TrialConfig,
@@ -29,24 +27,13 @@ from votesim.experiments import (
     sweep_csv,
 )
 from votesim.errors import DiscreteLogNotFound
-from votesim.hevs import make_sampling_plan, reliability_probability_with_replacement
-from votesim.seeding import derive_seed, spawn
+from votesim.hevs import reliability_probability_with_replacement
+from votesim.seeding import derive_seed
+
+from pins import TRIAL_PIN, WIDE_PIN, pinned_text, wide_pinned_text
 
 #: this process's CPU affinity before any test has run a sweep
 START_AFFINITY = os.sched_getaffinity(0)
-
-#: per-trial outcomes, sampling plans and roles written by an earlier build
-TRIAL_PIN = Path(__file__).resolve().parent / "data" / "symbolic_trials.json"
-
-#: name -> symbolic grid point whose per-trial outcomes are pinned
-PINNED_POINTS = {
-    "n50_p0.25_k8_fake": TrialConfig(n=50, p_fail=0.25, k=8),
-    "n200_p0.2_k16_mc3_silent": TrialConfig(n=200, p_fail=0.2, k=16, min_consistency=3,
-                                            behavior="silent"),
-    "n12_p0.3_k4_silent": TrialConfig(n=12, p_fail=0.3, k=4, behavior="silent"),
-    "n20_p0.05_k3_mc4_fake": TrialConfig(n=20, p_fail=0.05, k=3, min_consistency=4),
-}
-PINNED_TRIALS = 200
 
 
 def test_trial_config_validation():
@@ -536,81 +523,10 @@ def test_trial_seeds_are_stable():
     assert derive_seed("trial", 1, 0) != derive_seed("trial", 2, 0)
 
 
-def pinned_draws() -> dict:
-    """Per-trial symbolic outcomes, two sampling plans and one role draw."""
-    trials = {
-        name: "".join(str(int(run_trial(config, derive_seed("trial", 1, index))))
-                      for index in range(PINNED_TRIALS))
-        for name, config in PINNED_POINTS.items()
-    }
-    plans = {
-        "seed1_n30_k5_sqrt-half": make_sampling_plan(spawn("plan-pin", 1), 30, 5, "sqrt-half"),
-        "seed2_n7_k3_sizes1-4-7": make_sampling_plan(spawn("plan-pin", 2), 7, 3, [1, 4, 7]),
-    }
-    roles = assign_roles(spawn("roles-pin", 1), 20, 0.3, Behavior.SILENT)
-    return {
-        "trials": trials,
-        "plans": {name: [list(ms) for ms in plan.multisets] for name, plan in plans.items()},
-        "roles": [[r.voter_id, r.honest, r.behavior and r.behavior.value] for r in roles],
-    }
-
-
-def pinned_text() -> str:
-    return json.dumps(pinned_draws(), indent=1, sort_keys=True) + "\n"
-
-
 def test_symbolic_trials_plans_and_roles_are_pinned():
     # GOLDEN_SWEEP pins averaged accuracies only; drifts that cancel show here.
     assert pinned_text() == TRIAL_PIN.read_text(encoding="utf-8")
 
 
-#: the same pins past a byte: plan indices of 9 bits, and electorates large
-#: enough that honesty draws tie with the threshold's top byte (about 1 in 256)
-WIDE_PIN = TRIAL_PIN.with_name("symbolic_trials_wide.json")
-
-WIDE_POINTS = {
-    "n300_p0.25_k8_t6_fake": TrialConfig(n=300, p_fail=0.25, k=8, t_policy=6),
-    "n300_p0.125_k16_fake": TrialConfig(n=300, p_fail=0.125, k=16),
-    "n500_p0.1_k8_silent": TrialConfig(n=500, p_fail=0.1, k=8, behavior="silent"),
-    "n500_p0.25_k16_t6_mc3_fake": TrialConfig(n=500, p_fail=0.25, k=16, t_policy=6,
-                                              min_consistency=3),
-}
-
-
-def wide_pinned_draws() -> dict:
-    """Per-trial outcomes at n = 300 and 500, two plans there and two role draws,
-    with each multiset and each role draw written as one string."""
-    trials = {
-        name: "".join(str(int(run_trial(config, derive_seed("trial", 1, index))))
-                      for index in range(PINNED_TRIALS))
-        for name, config in WIDE_POINTS.items()
-    }
-    plans = {
-        "seed1_n300_k8_sqrt-half": make_sampling_plan(spawn("plan-pin-wide", 1), 300, 8, "sqrt-half"),
-        "seed2_n500_k16_sqrt-half": make_sampling_plan(spawn("plan-pin-wide", 2), 500, 16, "sqrt-half"),
-    }
-    roles = {
-        "seed1_n1000_p0.25_fake": assign_roles(spawn("roles-pin-wide", 1), 1000, 0.25),
-        "seed2_n1000_p0.1_silent": assign_roles(spawn("roles-pin-wide", 2), 1000, 0.1, Behavior.SILENT),
-    }
-    return {
-        "trials": trials,
-        "plans": {name: [" ".join(map(str, ms)) for ms in plan.multisets]
-                  for name, plan in plans.items()},
-        "roles": {name: "".join("1" if r.honest else r.behavior.value[0] for r in draw)
-                  for name, draw in roles.items()},
-    }
-
-
-def wide_pinned_text() -> str:
-    return json.dumps(wide_pinned_draws(), indent=1, sort_keys=True) + "\n"
-
-
 def test_wide_symbolic_trials_plans_and_roles_are_pinned():
     assert wide_pinned_text() == WIDE_PIN.read_text(encoding="utf-8")
-
-
-if __name__ == "__main__":
-    # After a deliberate change to seeded draws: PYTHONPATH=src python tests/test_experiments.py
-    TRIAL_PIN.write_text(pinned_text(), encoding="utf-8")
-    WIDE_PIN.write_text(wide_pinned_text(), encoding="utf-8")

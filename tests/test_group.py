@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import votesim.group
 from votesim.errors import DiscreteLogNotFound, GroupGenerationError
 from votesim.group import (
-    ELEMENT_MEMO_SIZE,
     FIXED_BASE_MIN_USES,
     TINY_GROUP,
     TWO_TABLE_MIN_USES,
@@ -394,10 +393,10 @@ def uncached_is_element(group, value):
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(GROUPS)), data=st.data())
-def test_is_element_memo_matches_uncached(name, data):
+def test_is_element_matches_uncached(name, data):
     group = GROUPS[name]
     p, q, g = group.modulus, group.order, group.generator
-    fresh = GroupParams(p, q, g)  # starts with an empty memo
+    fresh = GroupParams(p, q, g)
     values = data.draw(st.lists(st.one_of(
         st.sampled_from([0, 1, g, p - 1, p, p + 1, -1]),
         st.integers(1, q - 1).map(lambda e: pow(g, e, p)),
@@ -405,21 +404,45 @@ def test_is_element_memo_matches_uncached(name, data):
     ), max_size=40))
     # every residue of the two smallest groups, one of them not safe-prime
     residues = list(range(p)) if p < 100 else []
-    for value in residues + values + values[::-1]:
+    # a FixedBase keeps the verdict of its own group, so ask each one twice
+    fixed = [fresh.fixed_base(value, FIXED_BASE_MIN_USES) for value in values]
+    for value in residues + values + fixed + values[::-1] + fixed[::-1]:
         assert fresh.is_element(value) == uncached_is_element(group, value)
         assert group.is_element(value) == uncached_is_element(group, value)
+    assert all(type(value) is FixedBase for value in fixed)
+    assert all(value.is_element == uncached_is_element(group, value) for value in fixed)
 
 
-def test_is_element_memo_is_bounded_and_keyed_by_int():
+def test_fixed_base_keeps_the_verdict_of_its_own_group(monkeypatch):
+    jacobi_calls = []
+    jacobi = votesim.group._jacobi
+
+    def counting_jacobi(a, n):
+        jacobi_calls.append(n)
+        return jacobi(a, n)
+
+    monkeypatch.setattr(votesim.group, "_jacobi", counting_jacobi)
     group = GroupParams(TINY_GROUP.modulus, TINY_GROUP.order, TINY_GROUP.generator)
-    values = list(range(-300, 300))
-    for value in values + values[::-1]:
-        assert group.is_element(value) == uncached_is_element(group, value)
-    assert len(group._element_memo) == ELEMENT_MEMO_SIZE
+    square, nonsquare = (group.fixed_base(value, FIXED_BASE_MIN_USES) for value in (4, 7))
+    for _ in range(3):
+        assert group.is_element(square) and not group.is_element(nonsquare)
+    assert jacobi_calls == [23, 23]
+    assert (square.is_element, nonsquare.is_element) == (True, False)
 
-    fresh = GroupParams(TINY_GROUP.modulus, TINY_GROUP.order, TINY_GROUP.generator)
-    assert fresh.is_element(fresh.fixed_base(4, FIXED_BASE_MIN_USES))
-    assert [type(key) for key in fresh._element_memo] == [int]
+    # an equal group and a group mod 47, where 7 is a square, each take their own verdict
+    for other in (GroupParams(23, 11, 2), GroupParams(47, 23, 2)):
+        jacobi_calls.clear()
+        for _ in range(2):
+            assert other.is_element(square)
+            assert other.is_element(nonsquare) == (other.modulus == 47)
+        assert jacobi_calls == [other.modulus] * 4
+    assert (square.is_element, nonsquare.is_element) == (True, False)
+
+    # plain ints are never remembered
+    jacobi_calls.clear()
+    for _ in range(3):
+        assert group.is_element(4) and not group.is_element(7)
+    assert len(jacobi_calls) == 6
 
 
 def test_caches_stay_out_of_equality_and_repr():

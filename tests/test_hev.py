@@ -13,7 +13,6 @@ from votesim.errors import (
 from votesim.group import discrete_log_bounded
 from votesim.hev import (
     Ciphertext,
-    DecryptionShare,
     KeyShare,
     aggregate,
     combine_decrypt,
@@ -95,8 +94,8 @@ def test_aggregate_rejects_empty(tiny):
 
 def test_decryption_share_worked_values(tiny):
     agg = Ciphertext(2, 2)
-    assert decryption_share(tiny, make_share(tiny, 1, 3), agg).partial == 8
-    assert decryption_share(tiny, make_share(tiny, 2, 5), agg).partial == 9
+    assert decryption_share(tiny, make_share(tiny, 1, 3), agg) == 8
+    assert decryption_share(tiny, make_share(tiny, 2, 5), agg) == 9
 
 
 def test_decryption_share_refuses_own_aggregate(tiny):
@@ -104,37 +103,32 @@ def test_decryption_share_refuses_own_aggregate(tiny):
     with pytest.raises(RefuseSingletonAggregate):
         decryption_share(tiny, make_share(tiny, 1, 3), own, own_ciphertext=own)
     # without the own-ciphertext check the share is produced
-    assert decryption_share(tiny, make_share(tiny, 1, 3), own).partial == tiny.exp(16, 3)
+    assert decryption_share(tiny, make_share(tiny, 1, 3), own) == tiny.exp(16, 3)
 
 
 ONCE_EACH = {1: 1, 2: 1, 3: 1}
 
 
-def by_voter(shares):
-    return {share.voter_id: share for share in shares}
-
-
 def test_combine_decrypt_worked_value(tiny):
-    shares = by_voter([DecryptionShare(1, 8), DecryptionShare(2, 9), DecryptionShare(3, 4)])
-    encoded = combine_decrypt(tiny, shares, Ciphertext(2, 2), ONCE_EACH)
+    partials = {1: 8, 2: 9, 3: 4}
+    encoded = combine_decrypt(tiny, partials, Ciphertext(2, 2), ONCE_EACH)
     assert encoded == 4  # 2 * inv(12) = 2 * 2
-    # a share from a voter outside the key is ignored
-    shares[9] = DecryptionShare(9, 5)
-    assert combine_decrypt(tiny, shares, Ciphertext(2, 2), ONCE_EACH) == 4
+    # a partial from a voter outside the key is ignored
+    partials[9] = 5
+    assert combine_decrypt(tiny, partials, Ciphertext(2, 2), ONCE_EACH) == 4
 
 
 def test_combine_decrypt_is_share_order_independent(tiny, rng):
-    shares = [DecryptionShare(1, 8), DecryptionShare(2, 9), DecryptionShare(3, 4)]
-    expected = combine_decrypt(tiny, by_voter(shares), Ciphertext(2, 2), ONCE_EACH)
+    partials = [(1, 8), (2, 9), (3, 4)]
+    expected = combine_decrypt(tiny, dict(partials), Ciphertext(2, 2), ONCE_EACH)
     for _ in range(5):
-        rng.shuffle(shares)
-        assert combine_decrypt(tiny, by_voter(shares), Ciphertext(2, 2), ONCE_EACH) == expected
+        rng.shuffle(partials)
+        assert combine_decrypt(tiny, dict(partials), Ciphertext(2, 2), ONCE_EACH) == expected
 
 
 def test_combine_decrypt_reports_missing_voters(tiny):
-    shares = by_voter([DecryptionShare(1, 8)])
     with pytest.raises(MissingShares) as excinfo:
-        combine_decrypt(tiny, shares, Ciphertext(2, 2), ONCE_EACH)
+        combine_decrypt(tiny, {1: 8}, Ciphertext(2, 2), ONCE_EACH)
     assert excinfo.value.missing_ids == (2, 3)
 
 
@@ -155,9 +149,9 @@ def test_full_worked_trace(tiny):
     cts = [encrypt_vote(tiny, pk, v, nonce=r) for v, r in zip(votes, nonces)]
     agg = aggregate(tiny, cts)
     assert agg == Ciphertext(2, 2)
-    dshares = [decryption_share(tiny, s, agg) for s in shares]
-    assert [d.partial for d in dshares] == [8, 9, 4]
-    encoded = combine_decrypt(tiny, by_voter(dshares), agg, ONCE_EACH)
+    partials = {s.voter_id: decryption_share(tiny, s, agg) for s in shares}
+    assert partials == {1: 8, 2: 9, 3: 4}
+    encoded = combine_decrypt(tiny, partials, agg, ONCE_EACH)
     assert encoded == 4
     assert discrete_log_bounded(tiny, encoded, 3) == 2
 
