@@ -6,7 +6,7 @@ built, so they are checked on every supported Python. This script needs only
 votesim and the standard library:
 
     PYTHONPATH=src python tests/pins.py --check   # exit 1 if a pin file differs
-    PYTHONPATH=src python tests/pins.py           # rewrite both pin files
+    PYTHONPATH=src python tests/pins.py           # rewrite the pin files
 
 Rewrite them only after a deliberate change to the seeded draws.
 """
@@ -100,13 +100,40 @@ def wide_pinned_text() -> str:
     return json.dumps(wide_pinned_draws(), indent=1, sort_keys=True) + "\n"
 
 
+#: per-trial outcomes at each edge of a plan index's width: n = 1, 2 and 255
+#: fit a byte, 256 to 4095 take 9 to 12 bits and 4096 to 65535 take 13 to 16
+EDGE_PIN = TRIAL_PIN.with_name("symbolic_trials_edges.json")
+
+EDGE_POINTS = {
+    "n1_p0.5_k2": TrialConfig(n=1, p_fail=0.5, k=2),
+    "n2_p0.3_k4_silent": TrialConfig(n=2, p_fail=0.3, k=4, behavior="silent"),
+    "n255_p0.1_k8": TrialConfig(n=255, p_fail=0.1, k=8),
+    "n256_p0.1_k8_t12_mc3": TrialConfig(n=256, p_fail=0.1, k=8, t_policy=12, min_consistency=3),
+    "n511_p0.1_k16": TrialConfig(n=511, p_fail=0.1, k=16),
+    "n1023_p0.05_k8_silent": TrialConfig(n=1023, p_fail=0.05, k=8, behavior="silent"),
+    "n4095_p0.03_k8": TrialConfig(n=4095, p_fail=0.03, k=8),
+    "n4096_p0.03_k8_t40": TrialConfig(n=4096, p_fail=0.03, k=8, t_policy=40),
+    "n65535_p0.01_k16": TrialConfig(n=65535, p_fail=0.01, k=16),
+}
+
+
+def edge_pinned_text() -> str:
+    trials = {
+        name: "".join(str(int(run_trial(config, derive_seed("trial", 1, index))))
+                      for index in range(PINNED_TRIALS))
+        for name, config in EDGE_POINTS.items()
+    }
+    return json.dumps({"trials": trials}, indent=1, sort_keys=True) + "\n"
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Check or rewrite the pinned seeded draws.")
     parser.add_argument("--check", action="store_true",
                         help="compare with the pin files instead of rewriting them")
     check = parser.parse_args().check
     differing = []
-    for path, text in ((TRIAL_PIN, pinned_text()), (WIDE_PIN, wide_pinned_text())):
+    for path, text in ((TRIAL_PIN, pinned_text()), (WIDE_PIN, wide_pinned_text()),
+                       (EDGE_PIN, edge_pinned_text())):
         if not check:
             path.write_text(text, encoding="utf-8")
         elif path.read_text(encoding="utf-8") != text:

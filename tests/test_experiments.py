@@ -30,7 +30,7 @@ from votesim.errors import DiscreteLogNotFound
 from votesim.hevs import reliability_probability_with_replacement
 from votesim.seeding import derive_seed
 
-from pins import TRIAL_PIN, WIDE_PIN, pinned_text, wide_pinned_text
+from pins import EDGE_PIN, TRIAL_PIN, WIDE_PIN, edge_pinned_text, pinned_text, wide_pinned_text
 
 #: this process's CPU affinity before any test has run a sweep
 START_AFFINITY = os.sched_getaffinity(0)
@@ -530,3 +530,7 @@ def test_symbolic_trials_plans_and_roles_are_pinned():
 
 def test_wide_symbolic_trials_plans_and_roles_are_pinned():
     assert wide_pinned_text() == WIDE_PIN.read_text(encoding="utf-8")
+
+
+def test_symbolic_trials_at_each_plan_width_edge_are_pinned():
+    assert edge_pinned_text() == EDGE_PIN.read_text(encoding="utf-8")
