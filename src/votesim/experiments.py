@@ -6,13 +6,14 @@ defined). Both evaluation modes share one draw of the seeded world per trial
 from its ``"world"`` stream: an honesty flag per voter, a vote per honest
 voter, then the sampling plan, the words a one-call-per-value loop would
 take. ``seeding.flags`` draws the flags (``random() >= p_fail``, settled on
-a word's top byte but for ties). A ``seeding.WorldReader`` then takes the
-rest of the stream's words in one block, sized for the votes and the plan
-with a margin, and reads the votes and the plan's indices from it as
-``randrange`` makes them. Drawing past the plan's last word is safe, since
-nothing reads the world stream after the plan. Both rely on CPython's
-``random()`` construction and ``getrandbits`` word order, which the seeded
-fixtures pin.
+a word's top byte but for ties). Full mode draws the votes by
+``seeding.draws`` and the plan by ``make_sampling_plan``. The symbolic mode
+makes neither: a ``seeding.WorldReader`` takes the rest of the stream's words
+in one block, sized for the votes and the plan with a margin, and reads from
+it only where the vote words end and which plan indices name a disruptor.
+Drawing past the plan's last word is safe, since nothing reads the world
+stream after the plan. Both rely on CPython's ``random()`` construction and
+``getrandbits`` word order, which the seeded fixtures pin.
 
 * "full" spreads the votes over the honest voters, runs the actual group
   arithmetic end to end and takes the mode decision over the decoded samples.
@@ -44,14 +45,14 @@ from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
 from .group import default_group
 from .hevs import (
-    SamplingPlan,
+    make_sampling_plan,
     mode_decision,
     reliability_probability,
     reliability_probability_with_replacement,
     resolve_sample_size,
     run_sampled_election,
 )
-from .seeding import WorldReader, derive_seed, flags, spawn
+from .seeding import WorldReader, derive_seed, draws, flags, spawn
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
 
@@ -131,28 +132,28 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 def run_trial(config: TrialConfig, seed: int) -> bool:
     """One election; True when the mode decision equals the honest sum."""
-    n, k = config.n, config.k
-    t = resolve_sample_size(config.t_policy, n)
     world = spawn(seed, "world")
     # The draws of assign_roles, then randrange(2) per honest voter, then the
-    # plan's randrange(1, n + 1) per index. A vote takes 2 words on average
-    # (variance 2) and an index 2^w / n for w = n.bit_length() (variance at
-    # most 2), so the reader's first block adds two to three standard
-    # deviations to their sum and seldom has to refill.
-    honest = flags(world, config.p_fail, n)
-    voters = honest.count(1)
-    words = 2 * voters + (k * t << n.bit_length()) // n
-    reader = WorldReader(world, words + 3 * math.isqrt(words) + 8)
+    # plan's randrange(1, n + 1) per index.
+    honest = flags(world, config.p_fail, config.n)
     if config.mode == "symbolic":
+        n, k = config.n, config.k
+        t = resolve_sample_size(config.t_policy, n)
+        # A vote takes 2 words on average (variance 2) and an index 2^w / n
+        # for w = n.bit_length() (variance at most 2), so the reader's first
+        # block adds two to three standard deviations to their sum and seldom
+        # has to refill.
+        voters = honest.count(1)
+        words = 2 * voters + (k * t << n.bit_length()) // n
+        reader = WorldReader(world, words + 3 * math.isqrt(words) + 8)
         reader.skip(2, voters)
         # A sample is clean when none of its indices lands on a 0 flag.
         marks = reader.lookup(honest, k * t)
         clean = sum(0 not in marks[i:i + t] for i in range(0, k * t, t))
         return clean >= config.min_consistency
 
-    honest_votes = reader.draws(0, 2, voters)
-    indices = reader.draws(1, n + 1, k * t)
-    plan = SamplingPlan(n, tuple(tuple(indices[i:i + t]) for i in range(0, k * t, t)))
+    honest_votes = draws(world, 0, 2, honest.count(1))
+    plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
     drawn = iter(honest_votes)
     votes = [next(drawn) if flag else 0 for flag in honest]
     behavior = Behavior(config.behavior)

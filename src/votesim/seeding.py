@@ -6,9 +6,9 @@ place cannot shift results anywhere else.
 
 ``draws`` and ``flags`` leave a generator in exactly the state the
 one-call-per-value loop would, for streams that are read on afterwards.
-``WorldReader`` reads the same values from a stream's words taken ahead of
-need, in one block, so it serves a stream whose last reader it is, such as a
-sweep trial's world.
+``WorldReader`` reads what the same draws name from a stream's words taken
+ahead of need, in one block, so it serves a stream whose last reader it is,
+such as a sweep trial's world.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import functools
 import hashlib
 import math
 import random
+import sys
 
 
 def derive_seed(*parts) -> int:
@@ -38,17 +39,53 @@ def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:
     takes one 32-bit Mersenne Twister word per try, keeps its top
     ``n.bit_length()`` bits, and draws again while they are >= n.
 
-    For an exact ``random.Random`` and widths up to 65535 the values are read
-    by a ``WorldReader`` whose first block is empty: it draws the same words
-    in rounds, one ``getrandbits(32 * need)`` for the ``need`` values still
-    missing. A round cannot draw a word the loop would not, since every value
-    the loop still has to make takes at least one word. Any other width and
-    any subclass take the loop itself.
+    For an exact ``random.Random`` the same words are drawn in rounds: one
+    ``getrandbits(32 * need)`` for the ``need`` values still missing. A round
+    cannot draw a word the loop would not, since every value the loop still
+    has to make takes at least one word. Two widths take this path:
+
+    * byte-sized values (0 <= start, stop <= 256, 1 <= stop - start <= 255):
+      the words' top bytes are mapped and filtered by one ``bytes.translate``;
+    * 256 <= stop - start <= 65535: the words' top 16 bits are read as a
+      native ``memoryview`` of unsigned shorts, which needs a little-endian
+      host, then shifted and filtered in one comprehension.
+
+    Both rely on CPython's ``getrandbits`` word order (its first word is the
+    least significant 32 bits, and so on up), which the seeded fixtures pin.
+    Any other input, a big-endian host for the 16-bit path, and any subclass
+    take the loop itself.
     """
-    if type(rng) is random.Random and 1 <= stop - start <= 65535:
-        return WorldReader(rng, 0).draws(start, stop, count)
+    n = stop - start
+    exact = type(rng) is random.Random
+    if exact and 0 <= start and stop <= 256 and 1 <= n <= 255:
+        table, reject = _byte_tables(start, n)
+        values = b""
+        while (need := count - len(values)) > 0:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            values += words[3::4].translate(table, reject)
+        return list(values)
+    if exact and 256 <= n <= 65535 and _LITTLE_ENDIAN:
+        shift = 16 - n.bit_length()
+        values = []
+        while (need := count - len(values)) > 0:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            values += [start + v for top in memoryview(words).cast("H")[1::2]
+                       if (v := top >> shift) < n]
+        return values
     draw = rng._randbelow
-    return [start + draw(stop - start) for _ in range(count)]
+    return [start + draw(n) for _ in range(count)]
+
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+@functools.cache
+def _byte_tables(start: int, n: int) -> tuple[bytes, bytes]:
+    """(translation table, rejected bytes) turning a word's top byte into a draw."""
+    shift = 8 - n.bit_length()
+    table = bytes(start + (b >> shift) if b >> shift < n else 0 for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= n)
+    return table, reject
 
 
 def flags(rng: random.Random, p: float, count: int) -> bytes:
@@ -100,8 +137,8 @@ def _flag_table(top: int) -> bytes:
 
 
 class WorldReader:
-    """``randrange`` draws read from the next 32-bit words of a stream,
-    taken from it ahead of need in one block.
+    """Where ``randrange`` draws end, and a table byte per draw, read from
+    the next 32-bit words of a stream, taken from it ahead of need in one block.
 
     A sweep trial's ``"world"`` stream holds its honesty flags, then one
     ``randrange(2)`` per honest voter, then the plan's ``randrange(1, n + 1)``
@@ -110,11 +147,11 @@ class WorldReader:
     one ``getrandbits`` call, and draws more only if that block runs short,
     just the words still missing. Drawing past the last word the plan uses is
     safe: those words would only be read by draws that never happen. Every
-    value equals what the one-call-per-value loop makes from the same stream,
+    draw equals what the one-call-per-value loop makes from the same stream,
     since both read the same words in the same order (CPython's
     ``getrandbits`` gives its least significant word first, which the seeded
-    fixtures pin). A reader whose first block is empty also leaves the stream
-    where the loop does, which is how ``draws`` uses it.
+    fixtures pin). A reader whose first block is empty draws just the words
+    each round needs, and so leaves the stream where the loop does.
     """
 
     def __init__(self, rng: random.Random, words: int):
@@ -165,29 +202,6 @@ class WorldReader:
             end, need = end + need, statuses.count(_REJECTED, end, end + need)
         return statuses, end
 
-    def draws(self, start: int, stop: int, count: int) -> list[int]:
-        """The next ``count`` values of ``randrange(start, stop)``, for widths
-        1 to 65535, in rounds: each round takes one word per value still
-        missing. Values that fit in a byte are read from the words' top bytes
-        by one ``bytes.translate``, and wider ones from their top 16 bits."""
-        n = stop - start
-        if not 1 <= n <= 65535:
-            raise ValueError(f"the reader draws widths 1 to 65535, not {n}")
-        in_a_byte = 0 <= start and stop <= 256 and n <= 255
-        if in_a_byte:
-            table, reject = _byte_tables(start, n)
-        shift = 16 - n.bit_length()
-        values = []
-        while (need := count - len(values)) > 0:
-            top = self._bytes(3, need)
-            if in_a_byte:
-                values += top.translate(table, reject)
-            else:
-                values += [start + v for hi, lo in zip(top, self._bytes(2, need))
-                           if (v := (hi << 8 | lo) >> shift) < n]
-            self._read += need
-        return values
-
     def _statuses(self, table: bytes, words: int) -> bytes:
         """The status bytes of the next ``words`` words.
 
@@ -197,7 +211,9 @@ class WorldReader:
         byte: 2^(width - 8) tables, one per value of those bits, each give
         every word the status it would have with them; masks made from the
         next byte keep each word's own, combined by int AND and OR. Wider
-        draws are read one by one from the words' top 16 bits.
+        draws are read one by one from the words' top 16 bits: each table is
+        one more pass over the words, and from 32 tables on (width 13) that
+        pass costs more than reading the words one by one.
         """
         width = len(table).bit_length()
         top = self._bytes(3, words)
@@ -218,15 +234,6 @@ class WorldReader:
 
 #: the status of a word its draw rejects
 _REJECTED = b"\x02"
-
-
-@functools.cache
-def _byte_tables(start: int, n: int) -> tuple[bytes, bytes]:
-    """(translation table, rejected bytes) turning a word's top byte into a draw."""
-    shift = 8 - n.bit_length()
-    table = bytes(start + (b >> shift) if b >> shift < n else 0 for b in range(256))
-    reject = bytes(b for b in range(256) if b >> shift >= n)
-    return table, reject
 
 
 @functools.cache

@@ -26,8 +26,8 @@ from votesim.experiments import (
     sweep_csv,
 )
 from votesim.errors import DiscreteLogNotFound
-from votesim.hevs import make_sampling_plan, reliability_probability_with_replacement
-from votesim.seeding import WorldReader, derive_seed, draws, flags, spawn
+from votesim.hevs import reliability_probability_with_replacement
+from votesim.seeding import WorldReader, derive_seed
 
 from pins import EDGE_PIN, TRIAL_PIN, WIDE_PIN, edge_pinned_text, pinned_text, wide_pinned_text
 from reference import empirical_sample_reliability, symbolic_trial
@@ -165,29 +165,8 @@ def test_symbolic_trial_equals_the_one_value_per_call_reference(n, p_fail, k, t_
     assert run_trial(config, seed) == symbolic_trial(config, seed)
 
 
-@pytest.mark.parametrize("n, p_fail, k, t_policy", [
-    (1, 0.5, 3, "sqrt-half"), (12, 0.3, 4, "sqrt-half"), (30, 0.05, 8, 5), (300, 0.2, 3, 4),
-    (5000, 0.1, 2, 3),
-])
-def test_full_mode_plan_is_make_sampling_plans_on_the_same_stream(monkeypatch, n, p_fail, k,
-                                                                   t_policy):
-    seen = []
-    monkeypatch.setattr(experiments, "run_sampled_election",
-                        lambda group, votes, roles, plan, rng: seen.append((votes, plan)) or [])
-    config = TrialConfig(n=n, p_fail=p_fail, k=k, t_policy=t_policy, mode="full")
-    for seed in range(5):
-        run_trial(config, seed)
-        world = spawn(seed, "world")
-        honest = flags(world, p_fail, n)
-        drawn = iter(draws(world, 0, 2, honest.count(1)))
-        votes = [next(drawn) if flag else 0 for flag in honest]
-        assert seen.pop() == (votes, make_sampling_plan(world, n, k, t_policy))
-
-
 def test_trials_whose_first_block_is_empty_refill_to_the_same_verdicts(monkeypatch):
-    configs = [TrialConfig(n=n, p_fail=0.2, k=4, mode=mode)
-               for n in (1, 2, 255, 256, 511, 4096) for mode in ("symbolic", "full")
-               if mode == "symbolic" or n < 300]
+    configs = [TrialConfig(n=n, p_fail=0.2, k=4) for n in (1, 2, 255, 256, 511, 2048, 4096)]
     verdicts = [[run_trial(config, seed) for seed in range(12)] for config in configs]
     monkeypatch.setattr(experiments, "WorldReader", lambda rng, words: WorldReader(rng, 0))
     assert [[run_trial(config, seed) for seed in range(12)] for config in configs] == verdicts

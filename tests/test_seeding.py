@@ -140,7 +140,7 @@ READER_WIDTHS = (1, 2, 3, 255, 256, 257, 500, 511, 512, 2048, 4095, 4096, 4097, 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 64), width=st.sampled_from(READER_WIDTHS),
-       counts=st.lists(st.integers(0, 400), min_size=4, max_size=4),
+       counts=st.lists(st.integers(0, 400), min_size=3, max_size=3),
        words=st.sampled_from((0, 1, 100)) | st.integers(0, 3000), density=st.floats(0.0, 1.0))
 def test_reader_reads_the_values_draws_makes(seed, width, counts, words, density):
     marks = random.Random(-seed)
@@ -149,12 +149,10 @@ def test_reader_reads_the_values_draws_makes(seed, width, counts, words, density
     votes = draws(slow, 0, 2, counts[0])
     skipped = draws(slow, 0, width, counts[1])
     looked_up = bytes(table[v] for v in draws(slow, 0, width, counts[2]))
-    plan = draws(slow, 1, width + 1, counts[3])
     reader = WorldReader(random.Random(seed), words)
     assert reader.lookup(b"\x00\x01", counts[0]) == bytes(votes)
     reader.skip(width, counts[1])
     assert reader.lookup(table, counts[2]) == looked_up
-    assert reader.draws(1, width + 1, counts[3]) == plan
 
 
 @pytest.mark.parametrize("width", READER_WIDTHS)
@@ -169,7 +167,6 @@ def test_reader_refills_a_short_block_with_just_the_missing_words(width):
     reader.skip(width, 200)
     draws(slow, 0, width, 200)
     assert reader.lookup(table, 300) == bytes(table[v] for v in draws(slow, 0, width, 300))
-    assert reader.draws(5, width + 5, 300) == draws(slow, 5, width + 5, 300)
     assert len(bulk) > 5
     assert fast.getrandbits(32) == slow.getrandbits(32)
 
@@ -180,4 +177,4 @@ def test_reader_takes_widths_up_to_sixteen_bits(width):
     with pytest.raises(ValueError):
         reader.lookup(bytes(width), 1)
     with pytest.raises(ValueError):
-        reader.draws(0, width, 1)
+        reader.skip(width, 1)
