@@ -27,6 +27,14 @@ stream after the plan. Both rely on CPython's ``random()`` construction and
   of 2. The two modes agree trial-for-trial, and symbolic is what makes
   thousand-trial sweeps cheap.
 
+Points that differ only in behavior and min_consistency share each trial's
+world, so ``run_sweep`` scores them together through ``run_trials``. A
+symbolic verdict does not depend on the behavior. A full world casts its
+election once (keys, ballots, aggregates), then tallies it per distinct
+behavior from the ``"crypto"`` stream's state right after the cast. A tally
+draws only after every draw of the cast (a fake-share voter's one fake
+exponent), so each behavior makes exactly the draws it would make alone.
+
 Accuracy per grid point is averaged over the configured seeds, and
 `expected_accuracy` provides the exact analytic value for cross-checking.
 """
@@ -45,12 +53,13 @@ from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
 from .group import default_group
 from .hevs import (
+    cast,
     make_sampling_plan,
     mode_decision,
     reliability_probability,
     reliability_probability_with_replacement,
     resolve_sample_size,
-    run_sampled_election,
+    tally,
 )
 from .seeding import WorldReader, derive_seed, draws, flags, spawn
 
@@ -58,6 +67,9 @@ TRIAL_BEHAVIORS = ("fake_share", "silent")
 
 #: the largest n, k and t a trial takes; a plan index is read from 16 bits
 MAX_TRIAL_SIZE = 65535
+#: the largest k * t a trial takes, so a symbolic trial's block of plan words
+#: stays below the 2**31 bits one getrandbits call can draw
+MAX_PLAN_INDICES = 2 ** 24
 
 
 def format_number(value) -> str:
@@ -72,7 +84,8 @@ class TrialConfig:
     The default sample-size policy is sqrt-half (t = ceil(sqrt(n/2))): the
     mode decision needs a macroscopic fraction of clean samples, so the
     per-sample draw count must grow much slower than n. n, k and the
-    resolved t are at most ``MAX_TRIAL_SIZE``.
+    resolved t are at most ``MAX_TRIAL_SIZE``, and k * t at most
+    ``MAX_PLAN_INDICES``.
     """
 
     n: int
@@ -111,6 +124,9 @@ class TrialConfig:
         if max(self.n, self.k, t) > MAX_TRIAL_SIZE:
             raise ValueError(f"n, k and t must be at most {MAX_TRIAL_SIZE}, "
                              f"got n={self.n}, k={self.k}, t={t}")
+        if self.k * t > MAX_PLAN_INDICES:
+            raise ValueError(f"k * t must be at most {MAX_PLAN_INDICES}, "
+                             f"got k={self.k}, t={t}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +146,28 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
+def _world(config: TrialConfig) -> tuple:
+    """What a trial's seeded world is drawn from; configs equal here share it."""
+    return (config.n, config.p_fail, config.k, resolve_sample_size(config.t_policy, config.n),
+            config.mode)
+
+
 def run_trial(config: TrialConfig, seed: int) -> bool:
     """One election; True when the mode decision equals the honest sum."""
+    return run_trials((config,), seed)[0]
+
+
+def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
+    """[run_trial(config, seed) for config in configs], drawing and running the
+    seeded world once. The configs must share n, p_fail, k, resolved t and
+    mode, and may differ in behavior and min_consistency (see the module
+    docstring).
+    """
+    if not configs:
+        raise ValueError("need at least one config")
+    config = configs[0]
+    if any(_world(other) != _world(config) for other in configs[1:]):
+        raise ValueError("the configs of one trial must share n, p_fail, k, t and mode")
     world = spawn(seed, "world")
     # The draws of assign_roles, then randrange(2) per honest voter, then the
     # plan's randrange(1, n + 1) per index.
@@ -150,19 +186,33 @@ def run_trial(config: TrialConfig, seed: int) -> bool:
         # A sample is clean when none of its indices lands on a 0 flag.
         marks = reader.lookup(honest, k * t)
         clean = sum(0 not in marks[i:i + t] for i in range(0, k * t, t))
-        return clean >= config.min_consistency
+        return [clean >= other.min_consistency for other in configs]
 
     honest_votes = draws(world, 0, 2, honest.count(1))
     plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
     drawn = iter(honest_votes)
     votes = [next(drawn) if flag else 0 for flag in honest]
-    behavior = Behavior(config.behavior)
-    roles = [VoterRole(i, flag == 1, None if flag else behavior) for i, flag in enumerate(honest, 1)]
-    results = run_sampled_election(default_group(), votes, roles, plan, spawn(seed, "crypto"))
-    try:
-        return mode_decision([r.tally for r in results], config.min_consistency) == sum(votes)
-    except (NoConsistentResult, AmbiguousMode):
-        return False
+    crypto = spawn(seed, "crypto")
+    voter_rngs = [crypto] * config.n
+
+    def roles(behavior: str) -> list[VoterRole]:
+        bad = Behavior(behavior)
+        return [VoterRole(i, flag == 1, None if flag else bad) for i, flag in enumerate(honest, 1)]
+
+    ballots = cast(default_group(), votes, roles(config.behavior), plan, voter_rngs)
+    after_cast = crypto.getstate()
+    tallies = {}
+    for behavior in dict.fromkeys(other.behavior for other in configs):
+        crypto.setstate(after_cast)
+        tallies[behavior] = [r.tally for r in tally(ballots, roles(behavior), voter_rngs)]
+    verdicts = []
+    for other in configs:
+        try:
+            decision = mode_decision(tallies[other.behavior], other.min_consistency)
+        except (NoConsistentResult, AmbiguousMode):
+            decision = None
+        verdicts.append(decision == sum(votes))
+    return verdicts
 
 
 def run_point(config: TrialConfig) -> SweepRow:
@@ -173,12 +223,15 @@ def run_point(config: TrialConfig) -> SweepRow:
 def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> list[SweepRow]:
     """One row per grid point, using every CPU in the process's affinity set.
 
-    The sweep's (point, seed, trial) list is cut into runs of consecutive
-    trials, and the workers take runs from a shared queue (a pipe) until it
-    is empty: this process is one worker and ``os.fork`` children are the
-    others, each sending back its correct-trial count per (point, seed). The
-    queue holds the runs costliest first, a trial costing n * k, so the last
-    runs, which leave the other workers idle, are the shortest.
+    Points that share a seeded world (n, p_fail, k, resolved t, mode,
+    trials and seeds) share their trials: each trial's world is drawn and run
+    once by ``run_trials`` and scored for each of them. The sweep's (world,
+    seed, trial) list is cut into runs of consecutive trials, and the workers
+    take runs from a shared queue (a pipe) until it is empty: this process is
+    one worker and ``os.fork`` children are the others, each sending back its
+    correct-trial counts per (world, seed), one per point. The queue holds
+    the runs costliest first, a trial costing n * k, so the last runs, which
+    leave the other workers idle, are the shortest.
     Worker i is held on the set's i-th CPU (wrapping round) for the call,
     and this process gets its affinity back before returning. A worker slowed by a
     busy CPU just takes fewer runs, so the sweep's time follows the CPU time
@@ -203,22 +256,33 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
         workers = 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
-    groups = [(config, seed) for config in configs for seed in config.seeds]
-    starts = list(itertools.accumulate((config.trials for config, _ in groups), initial=0))
+    # point positions per world; a world's configs also share trials and seeds
+    worlds: dict[tuple, list[int]] = {}
+    for position, config in enumerate(configs):
+        worlds.setdefault((_world(config), config.trials, config.seeds), []).append(position)
+    members, groups = [], []  # per (world, seed): its points' positions; its configs and seed
+    for positions in worlds.values():
+        world = tuple(configs[p] for p in positions)
+        for seed in world[0].seeds:
+            members.append(positions)
+            groups.append((world, seed))
+    starts = list(itertools.accumulate((world[0].trials for world, _ in groups), initial=0))
     total = starts.pop()
     workers = min(workers, total)
     if workers == 1:
-        counts = [0] * len(groups)
+        counts = [[0] * len(world) for world, _ in groups]
         _add_counts(groups, starts, 0, total, counts)
     else:
         counts = _forked_counts(groups, starts, total, workers)
 
+    # each point's correct-trial counts, in its seeds' order
+    correct: list[list[int]] = [[] for _ in configs]
+    for positions, world_counts in zip(members, counts):
+        for position, count in zip(positions, world_counts):
+            correct[position].append(count)
     rows = []
-    position = 0
-    for config in configs:
-        per_seed = [correct / config.trials
-                    for correct in counts[position:position + len(config.seeds)]]
-        position += len(config.seeds)
+    for config, point_counts in zip(configs, correct):
+        per_seed = [count / config.trials for count in point_counts]
         rows.append(SweepRow(
             n=config.n,
             p_fail=config.p_fail,
@@ -239,20 +303,24 @@ _RUNS_PER_WORKER = 64
 _MAX_RUNS = 1024
 
 
-def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[int]) -> None:
-    """Add the correct trials at sweep positions lo..hi-1 to counts per (point, seed)."""
+def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[list[int]]) -> None:
+    """Add the correct trials at sweep positions lo..hi-1 to counts per (world, seed),
+    one count per config of the world."""
     group = bisect.bisect_right(starts, lo) - 1
     while group < len(groups) and starts[group] < hi:
-        config, seed = groups[group]
+        world, seed = groups[group]
+        world_counts = counts[group]
         first = max(lo - starts[group], 0)
-        for index in range(first, min(hi - starts[group], config.trials)):
-            counts[group] += run_trial(config, derive_seed("trial", seed, index))
+        for index in range(first, min(hi - starts[group], world[0].trials)):
+            verdicts = run_trials(world, derive_seed("trial", seed, index))
+            for i, verdict in enumerate(verdicts):
+                world_counts[i] += verdict
         group += 1
 
 
-def _drain(groups, starts: list[int], runs: list[tuple[int, int]], queue: int) -> list[int]:
-    """Run the queue's runs until it is empty; counts per (point, seed)."""
-    counts = [0] * len(groups)
+def _drain(groups, starts: list[int], runs: list[tuple[int, int]], queue: int) -> list[list[int]]:
+    """Run the queue's runs until it is empty; counts per (world, seed)."""
+    counts = [[0] * len(world) for world, _ in groups]
     while token := os.read(queue, 4):
         _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts)
     return counts
@@ -268,7 +336,7 @@ def _pin(cpus) -> None:
         pass
 
 
-def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[int]:
+def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[list[int]]:
     """Sum of every worker's counts; workers 1..W-1 are forked children."""
     # Imported here, so a process that never forks a sweep does not load them.
     import pickle
@@ -280,11 +348,11 @@ def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[
     # the runs taken last, while other workers may sit idle, are the cheapest.
     # A trial costs about n * k: each of its n voters encrypts under k keys.
     costs = list(itertools.accumulate(
-        (config.n * config.k * config.trials for config, _ in groups), initial=0))
+        (world[0].n * world[0].k * world[0].trials for world, _ in groups), initial=0))
 
     def cost_before(position: int) -> int:
         group = bisect.bisect_right(starts, position) - 1
-        config = groups[group][0]
+        config = groups[group][0][0]
         return costs[group] + (position - starts[group]) * config.n * config.k
 
     order = sorted(range(size), key=lambda i: cost_before(runs[i][0]) - cost_before(runs[i][1]))
@@ -320,7 +388,8 @@ def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            counts = [a + b for a, b in zip(counts, value)]
+            counts = [[a + b for a, b in zip(mine, theirs)]
+                      for mine, theirs in zip(counts, value)]
         return counts
     except BaseException:
         for pid, _ in children:

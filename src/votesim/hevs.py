@@ -12,7 +12,9 @@ Plain HEV is the special case k = 1 with one sample holding every voter
 once, so the simulator runs both protocols through this one pipeline, and
 ``hev.combine_decrypt`` unmasks every sample. The pipeline reports plain
 values to its recorder; ``votesim.simnet`` alone owns the transcript: its
-record tags, hex strings and party names.
+record tags, hex strings and party names. The pipeline runs in two phases:
+:func:`cast` up to the decryption request, and :func:`tally` from there, so
+a sweep can tally one cast election under each behaviour that shares it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import AmbiguousMode, DiscreteLogNotFound, MissingShares, NoConsist
 from .group import GroupParams, discrete_log_bounded
 from .hev import (
     Ciphertext,
+    KeyShare,
     aggregate,
     combine_decrypt,
     decryption_share,
@@ -228,7 +231,43 @@ def run_pipeline(
     A recorder hears of each step as it completes, as (phase, voter id or
     None, value): every voter's key piece, the sampled keys, every voter's
     ciphertext row, the aggregates, each answering voter's {sample: partial}
-    once all its partials are made, and the results.
+    once all its partials are made, and the results. The pipeline is
+    :func:`cast` up to the decryption request, then :func:`tally`.
+    """
+    return tally(cast(params, votes, roles, plan, voter_rngs, recorder), roles, voter_rngs,
+                 recorder)
+
+
+@dataclass(frozen=True)
+class Cast:
+    """An election up to its decryption request, as :func:`cast` leaves it."""
+
+    params: GroupParams
+    plan: SamplingPlan
+    #: each sample's voter id -> count, plan.multiplicity(j)
+    mults: list[Counter]
+    key_shares: list[KeyShare]
+    #: ciphertexts[i][j]: voter i + 1's ballot under sample j's key
+    ciphertexts: list[list[Ciphertext]]
+    #: each sample's aggregate as sent for decryption, its c1 a FixedBase
+    requests: list[Ciphertext]
+
+
+def cast(
+    params: GroupParams,
+    votes: Sequence[int],
+    roles: Sequence[VoterRole],
+    plan: SamplingPlan,
+    voter_rngs: Sequence[random.Random],
+    recorder: Recorder | None = None,
+) -> Cast:
+    """The pipeline's first phase: key pieces, sampled keys, ballots and aggregates.
+
+    Voter i + 1 draws its secret key, then its nonces, from voter_rngs[i].
+    The roles matter here only through which voters are extra-vote cheaters,
+    who encrypt their value with no 0/1 check; a voter's decryption behavior
+    acts in :func:`tally` alone. The recorder hears the key, broadcast, vote
+    and decrypt_request steps.
     """
     n = plan.population
     if len(votes) != n or len(roles) != n or len(voter_rngs) != n:
@@ -263,6 +302,28 @@ def run_pipeline(
     # Each distinct voter sampled in j raises the j-th aggregate's c1 once.
     requests = [Ciphertext(params.fixed_base(ct.c1, len(mult)), ct.c2)
                 for ct, mult in zip(aggregates, mults)]
+    return Cast(params, plan, mults, key_shares, ciphertexts, requests)
+
+
+def tally(
+    ballots: Cast,
+    roles: Sequence[VoterRole],
+    voter_rngs: Sequence[random.Random],
+    recorder: Recorder | None = None,
+) -> list[SampleResult]:
+    """The pipeline's second phase: every role's shares, then each sample unmasked and decoded.
+
+    A fake-share voter draws its one fake exponent from its stream here, after
+    every draw of :func:`cast`; no other role draws. The same ``Cast`` may be
+    tallied under several roles: set the streams back to their state after
+    the cast before each, and each tally draws what it would have drawn
+    alone. The recorder hears the decrypt_share and result steps.
+    """
+    params, plan, mults = ballots.params, ballots.plan, ballots.mults
+    key_shares, ciphertexts, requests = ballots.key_shares, ballots.ciphertexts, ballots.requests
+    n = plan.population
+    if len(roles) != n or len(voter_rngs) != n:
+        raise ValueError("roles, voter streams, and plan population must agree")
     # responses[j] maps voter_id -> partial, for the voters sampled in j
     responses: list[dict[int, int]] = [{} for _ in range(plan.k)]
     for i in range(n):
@@ -289,7 +350,7 @@ def run_pipeline(
     results = []
     for j in range(plan.k):
         try:
-            result = combine_sampled_decrypt(params, responses[j], plan, j, aggregates[j], n)
+            result = combine_sampled_decrypt(params, responses[j], plan, j, requests[j], n)
         except MissingShares:
             result = SampleResult(j, None, None)
         results.append(result)

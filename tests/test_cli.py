@@ -309,6 +309,14 @@ def test_sweep_sizes_above_the_bound_exit_config(capsys, flag, value):
     assert "error config" in err and "at most 65535" in err
 
 
+def test_sweep_plan_above_the_bound_exits_config(capsys):
+    # each size is within MAX_TRIAL_SIZE; their plan of k * t indices is not
+    code, out, err = run_cli(capsys, ["sweep", "--n", "65535", "--k", "65535", "--t", "65535",
+                                      "--p-fail", "0.1", "--trials", "1", "--seeds", "1"])
+    assert (code, out) == (3, "")
+    assert "error config" in err and "k * t must be at most 16777216" in err
+
+
 def test_sweep_min_consistency(capsys):
     code, out, err = run_cli(capsys, GOLDEN_SWEEP_ARGS + ["--min-consistency", "1"])
     assert (code, out) == (3, "")

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import os
@@ -5,13 +6,14 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import experiments
+from votesim import experiments, hevs
 from votesim.experiments import (
     CSV_COLUMNS,
     TrialConfig,
@@ -21,13 +23,15 @@ from votesim.experiments import (
     format_number,
     grid,
     run_point,
+    TRIAL_BEHAVIORS,
     run_sweep,
     run_trial,
+    run_trials,
     sweep_csv,
 )
 from votesim.errors import DiscreteLogNotFound
 from votesim.hevs import reliability_probability_with_replacement
-from votesim.seeding import WorldReader, derive_seed
+from votesim.seeding import WorldReader, derive_seed, flags, spawn
 
 from pins import EDGE_PIN, TRIAL_PIN, WIDE_PIN, edge_pinned_text, pinned_text, wide_pinned_text
 from reference import empirical_sample_reliability, symbolic_trial
@@ -73,8 +77,14 @@ def test_trial_config_rejects_wrong_types(bad):
 
 def test_trial_config_takes_sizes_up_to_the_bound():
     assert experiments.MAX_TRIAL_SIZE == 65535
-    TrialConfig(n=65535, p_fail=0.1, k=65535, t_policy="half")
+    assert experiments.MAX_PLAN_INDICES == 2 ** 24
+    # half of 65535 is t = 32768 = 2 ** 15, so k * t is exactly the bound
+    TrialConfig(n=65535, p_fail=0.1, k=2 ** 9, t_policy="half")
     TrialConfig(n=10, p_fail=0.1, k=4, t_policy=65535)
+    TrialConfig(n=10, p_fail=0.1, k=4000, t_policy=4000)
+    for k, t_policy in ((2 ** 9 + 1, "half"), (65535, 65535), (4000, 4195)):
+        with pytest.raises(ValueError, match="k \\* t must be at most 16777216"):
+            TrialConfig(n=65535, p_fail=0.1, k=k, t_policy=t_policy)
 
 
 def test_trial_config_accepts_int_p_fail():
@@ -177,6 +187,81 @@ def test_silent_and_fake_agree_on_decisions():
         fake = TrialConfig(n=8, p_fail=0.4, k=4, behavior="fake_share")
         silent = TrialConfig(n=8, p_fail=0.4, k=4, behavior="silent")
         assert run_trial(fake, seed) == run_trial(silent, seed)
+
+
+#: a mode with its electorate: full mode runs the group arithmetic, so it stays small
+MODE_AND_N = st.sampled_from(("symbolic", "full")).flatmap(
+    lambda mode: st.tuples(st.just(mode), st.integers(1, 12 if mode == "full" else 500)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode_and_n=MODE_AND_N, p_fail=st.sampled_from((0.0, 0.3, 1.0)) | st.floats(0.0, 1.0),
+       k=st.integers(1, 5), t_policy=st.sampled_from(("sqrt-half", "half")) | st.integers(1, 6),
+       scoring=st.lists(st.tuples(st.sampled_from(TRIAL_BEHAVIORS), st.integers(2, 4)),
+                        min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_one_world_scores_each_config_as_its_own_trial(mode_and_n, p_fail, k, t_policy,
+                                                       scoring, seed):
+    mode, n = mode_and_n
+    configs = [TrialConfig(n=n, p_fail=p_fail, k=k, t_policy=t_policy, mode=mode,
+                           behavior=behavior, min_consistency=min_consistency)
+               for behavior, min_consistency in scoring]
+    assert run_trials(configs, seed) == [run_trial(config, seed) for config in configs]
+
+
+def test_run_trials_takes_only_configs_of_one_world():
+    base = TrialConfig(n=10, p_fail=0.3, k=4, mode="full")
+    # sqrt-half of 10 is 3, so an explicit t of 3 draws the same world
+    same = [base, replace(base, t_policy=3, behavior="silent", min_consistency=3)]
+    assert run_trials(same, 5) == [run_trial(config, 5) for config in same]
+    for other in (dict(n=11), dict(p_fail=0.2), dict(k=5), dict(t_policy=4),
+                  dict(mode="symbolic")):
+        with pytest.raises(ValueError, match="share"):
+            run_trials([base, replace(base, **other)], 5)
+    with pytest.raises(ValueError, match="at least one"):
+        run_trials([], 5)
+
+
+def test_a_full_world_casts_its_election_once_for_both_behaviours(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(hevs, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in ("keygen_share", "encrypt_vote", "draw_fake_exponent"):
+        monkeypatch.setattr(hevs, name, counted(name))
+    n, k = 10, 3
+    configs = [TrialConfig(n=n, p_fail=0.3, k=k, mode="full", behavior=behavior)
+               for behavior in ("fake_share", "silent", "fake_share")]
+    for seed in range(5):
+        calls.clear()
+        run_trials(configs, seed)
+        assert calls["keygen_share"] == n and calls["encrypt_vote"] == n * k
+        # one tally per distinct behaviour: each fake-share voter draws once
+        assert calls["draw_fake_exponent"] == n - sum(flags(spawn(seed, "world"), 0.3, n))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_of_both_behaviours_gives_each_point_its_own_row(workers):
+    for mode in ("full", "symbolic"):
+        common = dict(mode=mode, trials=6, seeds=(1, 2))
+        single = {behavior: grid((6, 9), (0.3,), (2, 3), behavior=behavior, **common)
+                  for behavior in TRIAL_BEHAVIORS}
+        mixed = [config for behavior in TRIAL_BEHAVIORS for config in single[behavior]]
+        expected = [row for behavior in TRIAL_BEHAVIORS
+                    for row in run_sweep(single[behavior], workers=1)]
+        assert run_sweep(mixed, workers=workers) == expected
+        # interleaved, with min_consistency varying within a world too
+        mixed = [replace(config, min_consistency=2 + position % 2)
+                 for position, config in enumerate(
+                     config for pair in zip(*single.values()) for config in pair)]
+        expected = [run_sweep([config], workers=1)[0] for config in mixed]
+        assert run_sweep(mixed, workers=workers) == expected
 
 
 def test_run_point_bounds_and_exact_one():
@@ -297,27 +382,37 @@ def test_workers_must_be_a_positive_int(workers):
         run_sweep(grid((10,), (0.2,), (3,), trials=2, seeds=(1,)), workers=workers)
 
 
-def _patch_trial(monkeypatch, parent, child):
-    """run_trial through parent(trial, config, seed) in this process and through
-    child(...) in forked workers, which inherit the patch."""
-    real_trial, parent_pid = experiments.run_trial, os.getpid()
+@contextlib.contextmanager
+def _patched_trials(log, parent, child, ran_in):
+    """run_trials, the sweep's unit of work, through parent(trials, configs, seed)
+    in this process and through child(...) in forked workers, which inherit the
+    patch. Each call first appends its side to log; leaving the block fails
+    unless a wrapper ran on every side named in ran_in."""
+    real_trials, parent_pid = experiments.run_trials, os.getpid()
+    log.unlink(missing_ok=True)
 
-    def trial(config, seed):
-        wrapper = parent if os.getpid() == parent_pid else child
-        return wrapper(real_trial, config, seed)
+    def trials(configs, seed):
+        side = "parent" if os.getpid() == parent_pid else "child"
+        with open(log, "a") as fh:
+            fh.write(side + "\n")
+        return (parent if side == "parent" else child)(real_trials, configs, seed)
 
-    monkeypatch.setattr(experiments, "run_trial", trial)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "run_trials", trials)
+        yield
+    sides = set(log.read_text().split()) if log.exists() else set()
+    assert set(ran_in) <= sides, f"no wrapper ran in the {sorted(set(ran_in) - sides)}"
 
 
 def _raising(error):
-    def wrapper(real_trial, config, seed):
+    def wrapper(real_trials, configs, seed):
         raise error
     return wrapper
 
 
-def _slow(real_trial, config, seed):
+def _slow(real_trials, configs, seed):
     time.sleep(0.005)
-    return real_trial(config, seed)
+    return real_trials(configs, seed)
 
 
 def _assert_no_children_left():
@@ -327,58 +422,60 @@ def _assert_no_children_left():
 
 # The other worker's trials are slow, so the raising one takes a run first.
 @pytest.mark.parametrize("where", ["parent", "child"])
-def test_sweep_error_is_raised_with_its_type_and_children_are_reaped(monkeypatch, where):
+def test_sweep_error_is_raised_with_its_type_and_children_are_reaped(tmp_path, where):
     raising = _raising(KeyError("boom"))
-    _patch_trial(monkeypatch, *((raising, _slow) if where == "parent" else (_slow, raising)))
-    with pytest.raises(KeyError, match="boom"):
-        run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))], workers=2)
+    wrappers = (raising, _slow) if where == "parent" else (_slow, raising)
+    with _patched_trials(tmp_path / "sides", *wrappers, ran_in=(where,)):
+        with pytest.raises(KeyError, match="boom"):
+            run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))], workers=2)
     _assert_no_children_left()
 
 
-def test_child_error_that_does_not_unpickle_becomes_runtime_error(monkeypatch):
+def test_child_error_that_does_not_unpickle_becomes_runtime_error(tmp_path):
     # DiscreteLogNotFound(target, bound) cannot be rebuilt from its message alone
-    _patch_trial(monkeypatch, _slow, _raising(DiscreteLogNotFound(5, 3)))
-    with pytest.raises(RuntimeError, match="DiscreteLogNotFound"):
-        run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))], workers=2)
+    raising = _raising(DiscreteLogNotFound(5, 3))
+    with _patched_trials(tmp_path / "sides", _slow, raising, ran_in=("child",)):
+        with pytest.raises(RuntimeError, match="DiscreteLogNotFound"):
+            run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))], workers=2)
     _assert_no_children_left()
 
 
-def test_a_slow_worker_takes_fewer_trials(monkeypatch):
+def test_a_slow_worker_takes_fewer_trials(tmp_path):
     in_parent = []
 
-    def counted(real_trial, config, seed):
+    def counted(real_trials, configs, seed):
         in_parent.append(seed)
-        return real_trial(config, seed)
+        return real_trials(configs, seed)
 
-    def very_slow(real_trial, config, seed):
+    def very_slow(real_trials, configs, seed):
         time.sleep(0.05)
-        return real_trial(config, seed)
+        return real_trials(configs, seed)
 
-    _patch_trial(monkeypatch, counted, very_slow)
     configs = [TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))]
-    rows = run_sweep(configs, workers=2)
-    monkeypatch.undo()
+    with _patched_trials(tmp_path / "sides", counted, very_slow, ran_in=("parent",)):
+        rows = run_sweep(configs, workers=2)
     assert rows == run_sweep(configs, workers=1)
     # a fixed deal would give each worker 20
     assert len(in_parent) >= 30
     assert len(set(in_parent)) == len(in_parent)
 
 
-def test_workers_take_the_costliest_runs_first(monkeypatch, tmp_path):
+def test_workers_take_the_costliest_runs_first(tmp_path):
     log = tmp_path / "trials"
 
     def logged(delay):
-        def wrapper(real_trial, config, seed):
+        def wrapper(real_trials, configs, seed):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {config.n} {config.k}\n")
+                fh.write(f"{os.getpid()} {configs[0].n} {configs[0].k}\n")
             time.sleep(delay)
-            return real_trial(config, seed)
+            return real_trials(configs, seed)
         return wrapper
 
     configs = grid((6, 12), (0.3,), (2, 4), mode="full", trials=2, seeds=(7,))
+    sides = tmp_path / "sides"
     # slow enough that each worker starts a run before the other ends one
-    _patch_trial(monkeypatch, logged(0.2), logged(0.2))
-    rows = run_sweep(configs, workers=2)
+    with _patched_trials(sides, logged(0.2), logged(0.2), ran_in=("parent", "child")):
+        rows = run_sweep(configs, workers=2)
     firsts = {}
     for line in log.read_text().splitlines():
         pid, n, k = map(int, line.split())
@@ -388,27 +485,26 @@ def test_workers_take_the_costliest_runs_first(monkeypatch, tmp_path):
 
     # one worker keeps sweep order
     log.unlink()
-    monkeypatch.undo()
-    _patch_trial(monkeypatch, logged(0), logged(0))
-    assert run_sweep(configs, workers=1) == rows
+    with _patched_trials(sides, logged(0), logged(0), ran_in=("parent",)):
+        assert run_sweep(configs, workers=1) == rows
     seen = [tuple(map(int, line.split()[1:])) for line in log.read_text().splitlines()]
     assert seen == [(6, 2), (6, 2), (6, 4), (6, 4), (12, 2), (12, 2), (12, 4), (12, 4)]
 
 
-def test_each_worker_holds_its_own_cpu_and_the_affinity_comes_back(monkeypatch):
+def test_each_worker_holds_its_own_cpu_and_the_affinity_comes_back(tmp_path):
     cpus = sorted(START_AFFINITY)
 
     def on_cpu(cpu):
-        def wrapper(real_trial, config, seed):
+        def wrapper(real_trials, configs, seed):
             assert os.sched_getaffinity(0) == {cpu}, (os.getpid(), os.sched_getaffinity(0))
-            return real_trial(config, seed)
+            return real_trials(configs, seed)
         return wrapper
 
-    _patch_trial(monkeypatch, on_cpu(cpus[0]), _slow)
-    run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=20, seeds=(7,))], workers=2)
-    monkeypatch.undo()
-    _patch_trial(monkeypatch, _slow, on_cpu(cpus[1 % len(cpus)]))
-    run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=20, seeds=(7,))], workers=2)
+    sides = tmp_path / "sides"
+    with _patched_trials(sides, on_cpu(cpus[0]), _slow, ran_in=("parent",)):
+        run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=20, seeds=(7,))], workers=2)
+    with _patched_trials(sides, _slow, on_cpu(cpus[1 % len(cpus)]), ran_in=("child",)):
+        run_sweep([TrialConfig(n=10, p_fail=0.2, k=3, trials=20, seeds=(7,))], workers=2)
     # also catches an earlier test's sweep that left this process pinned
     assert os.sched_getaffinity(0) == START_AFFINITY
 

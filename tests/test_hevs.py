@@ -308,6 +308,29 @@ def test_run_sampled_election_fake_share_corrupts_samples(big):
             assert result.tally == sum(votes)
 
 
+def test_one_cast_tallies_as_each_behaviour_alone(big):
+    # voters 2 and 5 disrupt; each tally starts from the stream's state after the cast
+    n = 6
+    votes = [1, 0, 1, 1, 0, 1]
+    for seed in range(8):
+        plan = make_sampling_plan(random.Random(seed), n, 5, 3)
+        alone = {}
+        for behavior in (Behavior.FAKE_SHARE, Behavior.SILENT):
+            roles = [VoterRole(i, i not in (2, 5), None if i not in (2, 5) else behavior)
+                     for i in range(1, n + 1)]
+            alone[behavior] = (roles, run_sampled_election(big, votes, roles, plan,
+                                                           random.Random(seed)))
+        rng = random.Random(seed)
+        ballots = hevs.cast(big, votes, alone[Behavior.FAKE_SHARE][0], plan, [rng] * n)
+        after_cast = rng.getstate()
+        for behavior in (Behavior.SILENT, Behavior.FAKE_SHARE, Behavior.SILENT):
+            roles, results = alone[behavior]
+            rng.setstate(after_cast)
+            assert hevs.tally(ballots, roles, [rng] * n) == results
+        # a sampled disruptor blocks a sample or garbles it, which the two tell apart
+        assert alone[Behavior.SILENT][1] != alone[Behavior.FAKE_SHARE][1]
+
+
 def test_distinct_garbage_across_samples(big):
     # two samples containing the same fake-share voter, identical exponent:
     # the unmasked elements still differ because the nonce sums differ
