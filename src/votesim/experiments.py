@@ -163,11 +163,10 @@ def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
     mode, and may differ in behavior and min_consistency (see the module
     docstring).
     """
-    if not configs:
-        raise ValueError("need at least one config")
+    if len(configs) != 1 and len({_world(config) for config in configs}) != 1:
+        raise ValueError("a trial takes at least one config, and its configs must share "
+                         "n, p_fail, k, t and mode")
     config = configs[0]
-    if any(_world(other) != _world(config) for other in configs[1:]):
-        raise ValueError("the configs of one trial must share n, p_fail, k, t and mode")
     world = spawn(seed, "world")
     # The draws of assign_roles, then randrange(2) per honest voter, then the
     # plan's randrange(1, n + 1) per index.
@@ -194,17 +193,20 @@ def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
     votes = [next(drawn) if flag else 0 for flag in honest]
     crypto = spawn(seed, "crypto")
     voter_rngs = [crypto] * config.n
-
-    def roles(behavior: str) -> list[VoterRole]:
-        bad = Behavior(behavior)
-        return [VoterRole(i, flag == 1, None if flag else bad) for i, flag in enumerate(honest, 1)]
-
-    ballots = cast(default_group(), votes, roles(config.behavior), plan, voter_rngs)
-    after_cast = crypto.getstate()
-    tallies = {}
+    roles = {}
     for behavior in dict.fromkeys(other.behavior for other in configs):
-        crypto.setstate(after_cast)
-        tallies[behavior] = [r.tally for r in tally(ballots, roles(behavior), voter_rngs)]
+        bad = Behavior(behavior)
+        roles[behavior] = [VoterRole(i, flag == 1, None if flag else bad)
+                           for i, flag in enumerate(honest, 1)]
+
+    ballots = cast(default_group(), votes, roles[config.behavior], plan, voter_rngs)
+    # Only a second behavior's tally needs the stream set back.
+    after_cast = crypto.getstate() if len(roles) > 1 else None
+    tallies = {}
+    for behavior, behavior_roles in roles.items():
+        if tallies:
+            crypto.setstate(after_cast)
+        tallies[behavior] = [r.tally for r in tally(ballots, behavior_roles, voter_rngs)]
     verdicts = []
     for other in configs:
         try:
@@ -244,8 +246,11 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     ``workers=None`` means one worker per CPU in ``os.sched_getaffinity(0)``,
     or 1 while other threads are running, since a forked child holds only the
     calling thread. The count is capped at the number of trials. ``workers=1``
-    runs every trial in this process, in sweep order, so a patch or tracer
-    that records state here sees all of them.
+    runs every trial in this process, so a patch or tracer that records state
+    here sees all of them. It takes the worlds in the order each first appears
+    in ``configs``, each world's seeds in order and each seed's trials in
+    order, and one ``run_trials`` call scores all of a world's points: for
+    configs [A_fake, B_fake, A_silent, B_silent] it runs A's trials, then B's.
 
     An exception in a child is re-raised here with its type; the children
     are killed on any error and always reaped.
