@@ -46,6 +46,8 @@ NONCE_BYTES = 32
 
 #: smallest modulus signer_keygen accepts
 MIN_RSA_BITS = 16
+#: largest modulus an ElectionConfig asks signer_keygen for
+MAX_RSA_BITS = 4096
 
 
 @dataclass(frozen=True)

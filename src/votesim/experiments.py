@@ -27,13 +27,22 @@ stream after the plan. Both rely on CPython's ``random()`` construction and
   of 2. The two modes agree trial-for-trial, and symbolic is what makes
   thousand-trial sweeps cheap.
 
-Points that differ only in behavior and min_consistency share each trial's
-world, so ``run_sweep`` scores them together through ``run_trials``. A
-symbolic verdict does not depend on the behavior. A full world casts its
-election once (keys, ballots, aggregates), then tallies it per distinct
-behavior from the ``"crypto"`` stream's state right after the cast. A tally
-draws only after every draw of the cast (a fake-share voter's one fake
-exponent), so each behavior makes exactly the draws it would make alone.
+Points that differ only in k, behavior and min_consistency share each
+trial's world, so ``run_sweep`` scores them together through ``run_trials``,
+which draws the world once for their largest k. The plan's indices are drawn
+in order, so a k-sample plan is the first k * t indices of any larger one,
+and each point reads only its first k samples. A symbolic verdict counts the
+clean samples among those k, whatever the behavior. A full world casts its
+election once with the largest k (keys, ballots, aggregates), then tallies
+it per distinct behavior from the ``"crypto"`` stream's state right after the
+cast. A tally draws only after every draw of the cast (a fake-share voter's
+one fake exponent), so each behavior makes exactly the draws it would make
+alone. A full-mode k-point trial in a sweep is thus samples 1..k of its
+world's election with the largest k: its keys and nonces differ from those of
+a k-sample election, but not its verdict, which takes the mode decision over
+those k tallies. A clean sample decodes to the true tally, a blocked sample to
+nothing, and garbage never reaches a count of 2, so none of the three depends
+on the crypto stream.
 
 Accuracy per grid point is averaged over the configured seeds, and
 `expected_accuracy` provides the exact analytic value for cross-checking.
@@ -65,7 +74,8 @@ from .seeding import WorldReader, derive_seed, draws, flags, spawn
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
 
-#: the largest n, k and t a trial takes; a plan index is read from 16 bits
+#: the largest n, k and t a trial or an election (``simnet.ElectionConfig``)
+#: takes; a plan index is read from 16 bits
 MAX_TRIAL_SIZE = 65535
 #: the largest k * t a trial takes, so a symbolic trial's block of plan words
 #: stays below the 2**31 bits one getrandbits call can draw
@@ -147,9 +157,10 @@ CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _world(config: TrialConfig) -> tuple:
-    """What a trial's seeded world is drawn from; configs equal here share it."""
-    return (config.n, config.p_fail, config.k, resolve_sample_size(config.t_policy, config.n),
-            config.mode)
+    """What a trial's seeded world is drawn from; configs equal here share it,
+    whatever their k, since a k-sample plan is the first k * t indices of any
+    larger one."""
+    return (config.n, config.p_fail, resolve_sample_size(config.t_policy, config.n), config.mode)
 
 
 def run_trial(config: TrialConfig, seed: int) -> bool:
@@ -159,20 +170,25 @@ def run_trial(config: TrialConfig, seed: int) -> bool:
 
 def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
     """[run_trial(config, seed) for config in configs], drawing and running the
-    seeded world once. The configs must share n, p_fail, k, resolved t and
-    mode, and may differ in behavior and min_consistency (see the module
-    docstring).
+    seeded world once, for the configs' largest k. The configs must share n,
+    p_fail, resolved t and mode, and may differ in k, behavior and
+    min_consistency; each reads only its world's first k samples (see the
+    module docstring).
     """
-    if len(configs) != 1 and len({_world(config) for config in configs}) != 1:
+    if len(configs) == 1:
+        k = configs[0].k
+    elif len({_world(config) for config in configs}) == 1:
+        k = max(config.k for config in configs)
+    else:
         raise ValueError("a trial takes at least one config, and its configs must share "
-                         "n, p_fail, k, t and mode")
+                         "n, p_fail, t and mode")
     config = configs[0]
     world = spawn(seed, "world")
     # The draws of assign_roles, then randrange(2) per honest voter, then the
     # plan's randrange(1, n + 1) per index.
     honest = flags(world, config.p_fail, config.n)
     if config.mode == "symbolic":
-        n, k = config.n, config.k
+        n = config.n
         t = resolve_sample_size(config.t_policy, n)
         # A vote takes 2 words on average (variance 2) and an index 2^w / n
         # for w = n.bit_length() (variance at most 2), so the reader's first
@@ -184,11 +200,11 @@ def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
         reader.skip(2, voters)
         # A sample is clean when none of its indices lands on a 0 flag.
         marks = reader.lookup(honest, k * t)
-        clean = sum(0 not in marks[i:i + t] for i in range(0, k * t, t))
-        return [clean >= other.min_consistency for other in configs]
+        clean = [0 not in marks[i:i + t] for i in range(0, k * t, t)]
+        return [clean[:other.k].count(True) >= other.min_consistency for other in configs]
 
     honest_votes = draws(world, 0, 2, honest.count(1))
-    plan = make_sampling_plan(world, config.n, config.k, config.t_policy)
+    plan = make_sampling_plan(world, config.n, k, config.t_policy)
     drawn = iter(honest_votes)
     votes = [next(drawn) if flag else 0 for flag in honest]
     crypto = spawn(seed, "crypto")
@@ -210,7 +226,7 @@ def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
     verdicts = []
     for other in configs:
         try:
-            decision = mode_decision(tallies[other.behavior], other.min_consistency)
+            decision = mode_decision(tallies[other.behavior][:other.k], other.min_consistency)
         except (NoConsistentResult, AmbiguousMode):
             decision = None
         verdicts.append(decision == sum(votes))
@@ -225,15 +241,16 @@ def run_point(config: TrialConfig) -> SweepRow:
 def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> list[SweepRow]:
     """One row per grid point, using every CPU in the process's affinity set.
 
-    Points that share a seeded world (n, p_fail, k, resolved t, mode,
-    trials and seeds) share their trials: each trial's world is drawn and run
-    once by ``run_trials`` and scored for each of them. The sweep's (world,
-    seed, trial) list is cut into runs of consecutive trials, and the workers
-    take runs from a shared queue (a pipe) until it is empty: this process is
-    one worker and ``os.fork`` children are the others, each sending back its
-    correct-trial counts per (world, seed), one per point. The queue holds
-    the runs costliest first, a trial costing n * k, so the last runs, which
-    leave the other workers idle, are the shortest.
+    Points that share a seeded world (n, p_fail, resolved t, mode, trials
+    and seeds) share their trials: each trial's world is drawn and run once
+    by ``run_trials``, for the largest k among them, and scored for each of
+    them on its first k samples. The sweep's (world, seed, trial) list is cut
+    into runs of consecutive trials, and the workers take runs from a shared
+    queue (a pipe) until it is empty: this process is one worker and
+    ``os.fork`` children are the others, each sending back its correct-trial
+    counts per (world, seed), one per point. The queue holds the runs
+    costliest first, a trial costing n times its world's largest k, so the
+    last runs, which leave the other workers idle, are the shortest.
     Worker i is held on the set's i-th CPU (wrapping round) for the call,
     and this process gets its affinity back before returning. A worker slowed by a
     busy CPU just takes fewer runs, so the sweep's time follows the CPU time
@@ -250,7 +267,8 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     here sees all of them. It takes the worlds in the order each first appears
     in ``configs``, each world's seeds in order and each seed's trials in
     order, and one ``run_trials`` call scores all of a world's points: for
-    configs [A_fake, B_fake, A_silent, B_silent] it runs A's trials, then B's.
+    configs [A_k4_fake, B_k4_fake, A_k8_fake, A_k4_silent], where A and B
+    differ in n, it runs A's trials (at k = 8), then B's.
 
     An exception in a child is re-raised here with its type; the children
     are killed on any error and always reaped.
@@ -351,14 +369,15 @@ def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[
     runs = [(total * i // size, total * (i + 1) // size) for i in range(size)]
     # Costliest runs first (Graham's LPT order, SIAM J. Appl. Math. 1969), so
     # the runs taken last, while other workers may sit idle, are the cheapest.
-    # A trial costs about n * k: each of its n voters encrypts under k keys.
+    # A trial costs about n * k for its world's largest k: each of its n
+    # voters encrypts under k keys.
+    trial_costs = [world[0].n * max(config.k for config in world) for world, _ in groups]
     costs = list(itertools.accumulate(
-        (world[0].n * world[0].k * world[0].trials for world, _ in groups), initial=0))
+        (cost * world[0].trials for cost, (world, _) in zip(trial_costs, groups)), initial=0))
 
     def cost_before(position: int) -> int:
         group = bisect.bisect_right(starts, position) - 1
-        config = groups[group][0][0]
-        return costs[group] + (position - starts[group]) * config.n * config.k
+        return costs[group] + (position - starts[group]) * trial_costs[group]
 
     order = sorted(range(size), key=lambda i: cost_before(runs[i][0]) - cost_before(runs[i][1]))
     # Filled and closed before the first fork, so an empty queue reads as EOF.

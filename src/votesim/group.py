@@ -369,6 +369,9 @@ def default_group() -> GroupParams:
 
 #: smallest modulus generate_group accepts
 MIN_GROUP_BITS = 16
+#: largest modulus an ElectionConfig asks generate_group for; the safe-prime
+#: search's cost grows steeply with the size, so a larger one would not finish
+MAX_GROUP_BITS = 4096
 
 
 def generate_group(bits: int, rng: random.Random, max_attempts: int | None = None) -> GroupParams:

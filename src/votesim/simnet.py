@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 from . import bsv
 from .adversary import Behavior, assign_roles
 from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
-from .group import MIN_GROUP_BITS, default_group, generate_group
+from .experiments import MAX_TRIAL_SIZE
+from .group import MAX_GROUP_BITS, MIN_GROUP_BITS, default_group, generate_group
 from .hevs import (
     Recorder,
     SamplingPlan,
@@ -101,7 +102,14 @@ _INT_FIELDS = ("n", "seed", "k", "min_consistency", "extra_vote_value", "group_b
 
 @dataclass(frozen=True)
 class ElectionConfig:
-    """Everything a run needs; fully determines the transcript via the seed."""
+    """Everything a run needs; fully determines the transcript via the seed.
+
+    Sizes are bounded before any work: n, and for hevs k and the resolved t,
+    are at most ``experiments.MAX_TRIAL_SIZE`` (65535, the widest plan index
+    the draws read), ``group_bits`` is at most ``group.MAX_GROUP_BITS`` and
+    ``rsa_bits`` at most ``bsv.MAX_RSA_BITS``. A value outside its bound is a
+    ``ConfigError``, and so an unreadable header in ``replay``.
+    """
 
     protocol: str
     n: int
@@ -126,8 +134,14 @@ class ElectionConfig:
             value = getattr(self, name)
             if type(value) is not int and not (name == "group_bits" and value is None):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
+        if not 1 <= self.n <= MAX_TRIAL_SIZE:
+            raise ConfigError(f"n must be between 1 and {MAX_TRIAL_SIZE}, got {self.n}")
+        if self.group_bits is not None and not MIN_GROUP_BITS <= self.group_bits <= MAX_GROUP_BITS:
+            raise ConfigError(f"group_bits must be between {MIN_GROUP_BITS} and {MAX_GROUP_BITS}, "
+                              f"got {self.group_bits}")
+        if self.protocol == "bsv" and not bsv.MIN_RSA_BITS <= self.rsa_bits <= bsv.MAX_RSA_BITS:
+            raise ConfigError(f"rsa_bits must be between {bsv.MIN_RSA_BITS} and "
+                              f"{bsv.MAX_RSA_BITS}, got {self.rsa_bits}")
         if type(self.p_fail) not in (int, float) or not 0.0 <= self.p_fail <= 1.0:
             raise ConfigError(f"p_fail must be a number in [0, 1], got {self.p_fail!r}")
         try:
@@ -142,15 +156,15 @@ class ElectionConfig:
                 raise ConfigError("hev/hevs votes must be 0 or 1")
             if self.protocol == "bsv" and any(v not in self.candidates for v in self.votes):
                 raise ConfigError(f"bsv votes must be among the candidates {list(self.candidates)}")
-        if self.group_bits is not None and self.group_bits < MIN_GROUP_BITS:
-            raise ConfigError(f"group_bits must be at least {MIN_GROUP_BITS}")
         if self.protocol == "hevs":
-            if self.k < 1:
-                raise ConfigError("k must be at least 1")
+            if not 1 <= self.k <= MAX_TRIAL_SIZE:
+                raise ConfigError(f"k must be between 1 and {MAX_TRIAL_SIZE}, got {self.k}")
             try:
-                resolve_sample_size(self.t_policy, self.n)
+                t = resolve_sample_size(self.t_policy, self.n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            if t > MAX_TRIAL_SIZE:
+                raise ConfigError(f"t must be at most {MAX_TRIAL_SIZE}, got {t}")
             if not 2 <= self.min_consistency <= self.k:
                 raise ConfigError(f"min_consistency must be between 2 and k={self.k}")
         if self.protocol == "bsv":
@@ -165,8 +179,6 @@ class ElectionConfig:
             window = self.schedule.sign_window
             if window[1] - window[0] < 2:
                 raise ConfigError("signing window needs at least two rounds (request, response)")
-            if self.rsa_bits < bsv.MIN_RSA_BITS:
-                raise ConfigError(f"rsa_bits must be at least {bsv.MIN_RSA_BITS}")
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; JSON renders tuples as lists."""

@@ -317,6 +317,52 @@ def test_sweep_plan_above_the_bound_exits_config(capsys):
     assert "error config" in err and "k * t must be at most 16777216" in err
 
 
+#: (protocol, size field, its bound) for every size an election config bounds
+RUN_SIZE_BOUNDS = [
+    ("hev", "n", 65535), ("hevs", "n", 65535), ("bsv", "n", 65535),
+    ("hevs", "k", 65535), ("hevs", "t", 65535),
+    ("hev", "group_bits", 4096), ("hevs", "group_bits", 4096), ("bsv", "rsa_bits", 4096),
+]
+#: per protocol, a setting that fails after the size checks: (flags, header fields, its name)
+LATER_ERROR = {
+    "hev": (["--p-fail", "2"], {"p_fail": 2.0}, "p_fail"),
+    "hevs": (["--min-consistency", "1"], {"min_consistency": 1}, "min_consistency"),
+    "bsv": (["--replay-voters", "0"], {"replay_voters": [0]}, "replay_voters"),
+}
+#: a pinned transcript per protocol, whose header replay reads
+RUN_TRANSCRIPT = {"hev": "hev_n4", "hevs": "hevs_n8_k4", "bsv": "bsv_n3"}
+
+
+@pytest.mark.parametrize("protocol, field, bound", RUN_SIZE_BOUNDS,
+                         ids=[f"{p}-{f}" for p, f, _ in RUN_SIZE_BOUNDS])
+@pytest.mark.parametrize("value_of", [lambda b: b, lambda b: b + 1, lambda b: 10 ** 40],
+                         ids=["bound", "bound+1", "10**40"])
+def test_sizes_are_bounded_before_any_work(tmp_path, capsys, protocol, field, bound, value_of):
+    value = value_of(bound)
+    flags = [f"--{field.replace('_', '-')}", str(value)]
+    header = {"t_policy" if field == "t" else field: value}
+    named = field
+    if value == bound:
+        # the size passes its check, so a later setting fails the run before any work
+        later_flags, later_header, named = LATER_ERROR[protocol]
+        flags += later_flags
+        header.update(later_header)
+
+    code, out, err = run_cli(capsys, [f"{protocol}-run", *flags])
+    assert (code, out) == (3, "")
+    assert f"error config: {named} must be" in err
+
+    # replay of a pinned transcript whose header holds the same values
+    first, rest = (DATA / f"{RUN_TRANSCRIPT[protocol]}.transcript").read_text(
+        encoding="utf-8").split("\n", 1)
+    config = json.loads(first[len(TRANSCRIPT_MAGIC) + 1:]) | header
+    transcript = tmp_path / "edited.transcript"
+    transcript.write_text(f"{TRANSCRIPT_MAGIC} {json.dumps(config)}\n{rest}", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["replay", str(transcript)])
+    assert (code, out) == (4, "")
+    assert f"error protocol: unreadable header: {named} must be" in err
+
+
 def test_sweep_min_consistency(capsys):
     code, out, err = run_cli(capsys, GOLDEN_SWEEP_ARGS + ["--min-consistency", "1"])
     assert (code, out) == (3, "")

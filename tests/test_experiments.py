@@ -196,26 +196,32 @@ MODE_AND_N = st.sampled_from(("symbolic", "full")).flatmap(
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(mode_and_n=MODE_AND_N, p_fail=st.sampled_from((0.0, 0.3, 1.0)) | st.floats(0.0, 1.0),
-       k=st.integers(1, 5), t_policy=st.sampled_from(("sqrt-half", "half")) | st.integers(1, 6),
-       scoring=st.lists(st.tuples(st.sampled_from(TRIAL_BEHAVIORS), st.integers(2, 4)),
+       t_policy=st.sampled_from(("sqrt-half", "half")) | st.integers(1, 6),
+       scoring=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(TRIAL_BEHAVIORS),
+                                  st.integers(2, 4)),
                         min_size=1, max_size=4),
        seed=st.integers(0, 2 ** 64 - 1))
-def test_one_world_scores_each_config_as_its_own_trial(mode_and_n, p_fail, k, t_policy,
+def test_one_world_scores_each_config_as_its_own_trial(mode_and_n, p_fail, t_policy,
                                                        scoring, seed):
+    # each config its own k: a world is drawn for the largest, and each reads
+    # its first k samples; a few trial seeds per example, as one seldom tells
+    # the first k samples from any other k
     mode, n = mode_and_n
     configs = [TrialConfig(n=n, p_fail=p_fail, k=k, t_policy=t_policy, mode=mode,
                            behavior=behavior, min_consistency=min_consistency)
-               for behavior, min_consistency in scoring]
-    assert run_trials(configs, seed) == [run_trial(config, seed) for config in configs]
+               for k, behavior, min_consistency in scoring]
+    for trial_seed in range(seed, seed + 5):
+        assert run_trials(configs, trial_seed) == [run_trial(c, trial_seed) for c in configs]
 
 
 def test_run_trials_takes_only_configs_of_one_world():
     base = TrialConfig(n=10, p_fail=0.3, k=4, mode="full")
-    # sqrt-half of 10 is 3, so an explicit t of 3 draws the same world
-    same = [base, replace(base, t_policy=3, behavior="silent", min_consistency=3)]
+    # sqrt-half of 10 is 3, so an explicit t of 3 draws the same world, and
+    # a larger k reads more samples of it
+    same = [base, replace(base, t_policy=3, behavior="silent", min_consistency=3),
+            replace(base, k=5)]
     assert run_trials(same, 5) == [run_trial(config, 5) for config in same]
-    for other in (dict(n=11), dict(p_fail=0.2), dict(k=5), dict(t_policy=4),
-                  dict(mode="symbolic")):
+    for other in (dict(n=11), dict(p_fail=0.2), dict(t_policy=4), dict(mode="symbolic")):
         with pytest.raises(ValueError, match="share"):
             run_trials([base, replace(base, **other)], 5)
     with pytest.raises(ValueError, match="at least one"):
@@ -244,6 +250,28 @@ def test_a_full_world_casts_its_election_once_for_both_behaviours(monkeypatch):
         assert calls["keygen_share"] == n and calls["encrypt_vote"] == n * k
         # one tally per distinct behaviour: each fake-share voter draws once
         assert calls["draw_fake_exponent"] == n - sum(flags(spawn(seed, "world"), 0.3, n))
+
+
+def test_a_full_world_casts_its_election_once_for_every_k(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(hevs, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in ("keygen_share", "encrypt_vote"):
+        monkeypatch.setattr(hevs, name, counted(name))
+    n = 10
+    configs = [TrialConfig(n=n, p_fail=0.3, k=k, mode="full") for k in (2, 3, 5)]
+    for seed in range(5):
+        calls.clear()
+        run_trials(configs, seed)
+        # keys once, and each voter's ballot under the largest k's keys alone
+        assert calls["keygen_share"] == n and calls["encrypt_vote"] == 5 * n
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -466,7 +494,7 @@ def test_workers_take_the_costliest_runs_first(tmp_path):
     def logged(delay):
         def wrapper(real_trials, configs, seed):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {configs[0].n} {configs[0].k}\n")
+                fh.write(f"{os.getpid()} {configs[0].n} {max(c.k for c in configs)}\n")
             time.sleep(delay)
             return real_trials(configs, seed)
         return wrapper
@@ -480,15 +508,15 @@ def test_workers_take_the_costliest_runs_first(tmp_path):
     for line in log.read_text().splitlines():
         pid, n, k = map(int, line.split())
         firsts.setdefault(pid, (n, k))
-    # the queue starts with both trials of the costliest point, n * k = 48
+    # the queue starts with both trials of the costliest world, n * largest k = 48
     assert list(firsts.values()) == [(12, 4), (12, 4)]
 
-    # one worker keeps sweep order
+    # one worker keeps sweep order, one world trial for both of its k
     log.unlink()
     with _patched_trials(sides, logged(0), logged(0), ran_in=("parent",)):
         assert run_sweep(configs, workers=1) == rows
     seen = [tuple(map(int, line.split()[1:])) for line in log.read_text().splitlines()]
-    assert seen == [(6, 2), (6, 2), (6, 4), (6, 4), (12, 2), (12, 2), (12, 4), (12, 4)]
+    assert seen == [(6, 4), (6, 4), (12, 4), (12, 4)]
 
 
 def test_each_worker_holds_its_own_cpu_and_the_affinity_comes_back(tmp_path):
