@@ -50,7 +50,9 @@ Accuracy per grid point is averaged over the configured seeds, and
 
 from __future__ import annotations
 
+import atexit
 import bisect
+import contextlib
 import itertools
 import math
 import os
@@ -251,14 +253,25 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     counts per (world, seed), one per point. The queue holds the runs
     costliest first, a trial costing n times its world's largest k, so the
     last runs, which leave the other workers idle, are the shortest.
-    Worker i is held on the set's i-th CPU (wrapping round) for the call,
-    and this process gets its affinity back before returning. A worker slowed by a
+    Worker i is held on the set's i-th CPU (wrapping round), this process for
+    the call only: it gets its affinity back before returning. A worker slowed by a
     busy CPU just takes fewer runs, so the sweep's time follows the CPU time
     it gets rather than its slowest CPU. The bytes of a row cannot depend on
     ``workers`` or on who ran which trial: each trial draws only from its own
     ``derive_seed("trial", seed, index)`` stream, and a point's accuracy is
     computed from integer counts by one fixed float expression. To use fewer
     CPUs, narrow the affinity set, e.g. with ``taskset -c 0 votesim sweep ...``.
+
+    The children are forked by the first sweep that needs more than one
+    worker and kept for later sweeps of this process while the worker count
+    and the affinity set stay the same; a change in either, or a child found
+    dead before a call, forks new ones. So the children run the code as it
+    stood when they were forked: a patch made after that reaches this
+    process's share of the trials only. They are killed and reaped when this
+    process exits (``atexit``), or at once if a sweep fails, and a child exits
+    by itself when this process dies without reaping it. Sweeps from several
+    threads take the children in turn. A process forked from this one never
+    uses or kills them, and forks its own.
 
     ``workers=None`` means one worker per CPU in ``os.sched_getaffinity(0)``,
     or 1 while other threads are running, since a forked child holds only the
@@ -270,8 +283,8 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     configs [A_k4_fake, B_k4_fake, A_k8_fake, A_k4_silent], where A and B
     differ in n, it runs A's trials (at k = 8), then B's.
 
-    An exception in a child is re-raised here with its type; the children
-    are killed on any error and always reaped.
+    An exception in a child is re-raised here with its type; on any error
+    the children are killed and reaped.
     """
     if not configs:
         raise ValueError("empty sweep grid")
@@ -296,7 +309,7 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
         counts = [[0] * len(world) for world, _ in groups]
         _add_counts(groups, starts, 0, total, counts)
     else:
-        counts = _forked_counts(groups, starts, total, workers)
+        counts = _pooled_counts(groups, starts, total, workers)
 
     # each point's correct-trial counts, in its seeds' order
     correct: list[list[int]] = [[] for _ in configs]
@@ -322,7 +335,7 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
 
 #: queue runs per worker: enough that the last runs even out unequal trials
 _RUNS_PER_WORKER = 64
-#: at most 1024 four-byte run ids, so the queue fits an empty pipe in one write
+#: at most 1024 four-byte run ids, so a call's ids fit the empty queue in one write
 _MAX_RUNS = 1024
 
 
@@ -342,10 +355,16 @@ def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[list[i
 
 
 def _drain(groups, starts: list[int], runs: list[tuple[int, int]], queue: int) -> list[list[int]]:
-    """Run the queue's runs until it is empty; counts per (world, seed)."""
+    """Run the queue's runs until it is empty; counts per (world, seed).
+
+    The queue's read end does not block, and a call writes all of its run ids
+    before any worker starts, so an empty queue means the call's runs are all
+    taken. A read of b"" means the owner died, and ends the loop too.
+    """
     counts = [[0] * len(world) for world, _ in groups]
-    while token := os.read(queue, 4):
-        _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts)
+    with contextlib.suppress(BlockingIOError):
+        while token := os.read(queue, 4):
+            _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts)
     return counts
 
 
@@ -359,14 +378,133 @@ def _pin(cpus) -> None:
         pass
 
 
-def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[list[int]]:
-    """Sum of every worker's counts; workers 1..W-1 are forked children."""
-    # Imported here, so a process that never forks a sweep does not load them.
-    import pickle
+def _send(fd: int, data: bytes) -> None:
+    """Write one message to a pipe: its length in 8 bytes, then data."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int) -> bytes:
+    """One message written by _send, or b"" if the writer closed the pipe
+    first. A pool pipe holds at most one message at a time, so the buffered
+    reads take nothing that belongs to the next one."""
+    with open(fd, "rb", closefd=False) as pipe:
+        size = int.from_bytes(pipe.read(8), "little")
+        data = pipe.read(size)
+    return data if size and len(data) == size else b""
+
+
+class _Pool:
+    """Forked sweep workers, kept for the next sweep of the same shape.
+
+    ``key`` is (owner pid, worker count, sorted affinity CPUs). The queue is
+    one pipe whose read end, shared by the owner and every worker, does not
+    block; each worker has a pipe for its jobs and one for its results.
+    """
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.queue, self.feed = os.pipe()
+        os.set_blocking(self.queue, False)
+        self.workers: list[tuple[int, int, int]] = []  # (pid, job write end, result read end)
+
+    def fds(self) -> list[int]:
+        """Every pipe end the owner holds."""
+        return [self.queue, self.feed, *(fd for _, jobs, results in self.workers
+                                          for fd in (jobs, results))]
+
+
+#: this process's sweep workers, forked by the first sweep that needs more than one
+_pool: _Pool | None = None
+#: held by the thread whose sweep uses the pool
+_pool_lock = threading.Lock()
+
+
+def _new_pool_lock() -> None:
+    """A process forked while another thread held the lock gets a free one."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_new_pool_lock)
+
+
+def _close_pool() -> None:
+    """Kill and reap the pool's workers and close its pipes. A process forked
+    from the pool's owner only closes the pipe ends it inherited: the workers
+    are the owner's."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is None:
+        return
+    for fd in pool.fds():
+        os.close(fd)
+    if pool.key[0] != os.getpid():
+        return
     import signal
 
+    for pid, _, _ in pool.workers:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    for pid, _, _ in pool.workers:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+atexit.register(_close_pool)
+
+
+def _running(pid: int) -> bool:
+    """Is this worker alive? A dead one stays unreaped, for _close_pool."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+    except ChildProcessError:  # reaped by someone else
+        return False
+
+
+def _open_pool(workers: int, cpus: list[int]) -> _Pool:
+    """This process's pool of workers - 1 workers on cpus: the kept one while
+    its key holds and every worker is alive, else a newly forked one."""
+    global _pool
+    key = (os.getpid(), workers, tuple(cpus))
+    if _pool is not None and (_pool.key != key or not all(
+            _running(pid) for pid, _, _ in _pool.workers)):
+        _close_pool()
+    if _pool is not None:
+        return _pool
+    # Registered before the first fork, so a failed fork closes the workers before it.
+    pool = _pool = _Pool(key)
+    for worker in range(1, workers):
+        job_read, jobs = os.pipe()
+        results, result_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (job_read, jobs, results, result_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # Only this worker's own ends stay open: a worker holding another's
+            # job write end would keep it alive after the owner dies.
+            for fd in (jobs, results, *pool.fds()):
+                if fd != pool.queue:
+                    os.close(fd)
+            _work(job_read, result_write, pool.queue, cpus[worker % len(cpus)])
+        os.close(job_read)
+        os.close(result_write)
+        pool.workers.append((pid, jobs, results))
+    return pool
+
+
+def _pooled_counts(groups, starts: list[int], total: int, workers: int) -> list[list[int]]:
+    """Sum of every worker's counts; workers 1..W-1 are the pool's."""
+    # Imported here, so a process that never forks a sweep does not load it.
+    import pickle
+
     size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
-    runs = [(total * i // size, total * (i + 1) // size) for i in range(size)]
+    bounds = [total * i // size for i in range(size + 1)]
+    runs = list(zip(bounds, bounds[1:]))
     # Costliest runs first (Graham's LPT order, SIAM J. Appl. Math. 1969), so
     # the runs taken last, while other workers may sit idle, are the cheapest.
     # A trial costs about n * k for its world's largest k: each of its n
@@ -379,75 +517,62 @@ def _forked_counts(groups, starts: list[int], total: int, workers: int) -> list[
         group = bisect.bisect_right(starts, position) - 1
         return costs[group] + (position - starts[group]) * trial_costs[group]
 
-    order = sorted(range(size), key=lambda i: cost_before(runs[i][0]) - cost_before(runs[i][1]))
-    # Filled and closed before the first fork, so an empty queue reads as EOF.
-    queue, feed = os.pipe()
-    try:
-        os.write(feed, b"".join(i.to_bytes(4, "little") for i in order))
-    finally:
-        os.close(feed)
+    before = [cost_before(bound) for bound in bounds]
+    order = sorted(range(size), key=lambda i: before[i] - before[i + 1])
     cpus = sorted(os.sched_getaffinity(0))
-    children = []  # (pid, read end of the child's result pipe)
-    try:
-        for worker in range(1, workers):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                os.close(read_end)
-                _child_main(groups, starts, runs, queue, write_end, cpus[worker % len(cpus)])
-            os.close(write_end)
-            children.append((pid, read_end))
-        _pin({cpus[0]})
-        counts = _drain(groups, starts, runs, queue)
-        for pid, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError(f"sweep worker {pid} exited without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            counts = [[a + b for a, b in zip(mine, theirs)]
-                      for mine, theirs in zip(counts, value)]
-        return counts
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _pin(cpus)
-        os.close(queue)
-        for pid, read_end in children:
-            os.close(read_end)
-            os.waitpid(pid, 0)
+    with _pool_lock:
+        try:
+            pool = _open_pool(workers, cpus)
+            # Every id is written before any job is sent, so an empty queue ends the call.
+            os.write(pool.feed, b"".join(i.to_bytes(4, "little") for i in order))
+            job = pickle.dumps((groups, starts, runs))
+            for _, jobs, _ in pool.workers:
+                _send(jobs, job)
+            _pin({cpus[0]})
+            counts = _drain(groups, starts, runs, pool.queue)
+            for pid, _, results in pool.workers:
+                data = _receive(results)
+                if not data:
+                    raise RuntimeError(f"sweep worker {pid} exited without a result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                counts = [[a + b for a, b in zip(mine, theirs)]
+                          for mine, theirs in zip(counts, value)]
+            return counts
+        except BaseException:
+            _close_pool()
+            raise
+        finally:
+            _pin(cpus)
 
 
-def _child_main(groups, starts, runs, queue: int, write_end: int, cpu: int):
-    """Drain the queue in a forked child, write (ok, counts or exception), exit.
+def _work(jobs: int, results: int, queue: int, cpu: int):
+    """A pool worker: for each job, drain the queue and send back (ok, counts
+    or exception); exit once the owner's end of the job pipe is closed.
 
-    Leaving through ``os._exit`` skips the parent's atexit handlers and never
-    flushes the stdout and stderr buffers the child inherited.
+    SIGINT is ignored, so a terminal's Ctrl-C reaches the owner alone, which
+    then kills the pool. Leaving through ``os._exit`` skips the owner's atexit
+    handlers and never flushes the stdout and stderr buffers the worker
+    inherited.
     """
     import pickle
+    import signal
 
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         _pin({cpu})
-        try:
-            payload = (True, _drain(groups, starts, runs, queue))
-        except BaseException as exc:  # sent to the parent, which raises it
-            payload = (False, exc)
-        try:
-            data = pickle.dumps(payload)
-            pickle.loads(data)
-        except Exception:  # an exception that cannot be rebuilt from its args
-            data = pickle.dumps((False, RuntimeError(f"sweep worker failed: {payload[1]!r}")))
-        with open(write_end, "wb") as pipe:
-            pipe.write(data)
+        while job := _receive(jobs):
+            try:
+                payload = (True, _drain(*pickle.loads(job), queue))
+            except BaseException as exc:  # sent to the owner, which raises it
+                payload = (False, exc)
+            try:
+                data = pickle.dumps(payload)
+                pickle.loads(data)
+            except Exception:  # an exception that cannot be rebuilt from its args
+                data = pickle.dumps((False, RuntimeError(f"sweep worker failed: {payload[1]!r}")))
+            _send(results, data)
     finally:
         os._exit(0)
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from . import bsv
 from .adversary import Behavior, assign_roles
 from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
-from .experiments import MAX_TRIAL_SIZE
+from .experiments import MAX_PLAN_INDICES, MAX_TRIAL_SIZE
 from .group import MAX_GROUP_BITS, MIN_GROUP_BITS, default_group, generate_group
 from .hevs import (
     Recorder,
@@ -106,9 +106,11 @@ class ElectionConfig:
 
     Sizes are bounded before any work: n, and for hevs k and the resolved t,
     are at most ``experiments.MAX_TRIAL_SIZE`` (65535, the widest plan index
-    the draws read), ``group_bits`` is at most ``group.MAX_GROUP_BITS`` and
-    ``rsa_bits`` at most ``bsv.MAX_RSA_BITS``. A value outside its bound is a
-    ``ConfigError``, and so an unreadable header in ``replay``.
+    the draws read), a hevs plan's k * t indices at most
+    ``experiments.MAX_PLAN_INDICES`` (2**24), ``group_bits`` is at most
+    ``group.MAX_GROUP_BITS`` and ``rsa_bits`` at most ``bsv.MAX_RSA_BITS``. A
+    value outside its bound is a ``ConfigError``, and so an unreadable header
+    in ``replay``.
     """
 
     protocol: str
@@ -165,6 +167,9 @@ class ElectionConfig:
                 raise ConfigError(str(exc)) from exc
             if t > MAX_TRIAL_SIZE:
                 raise ConfigError(f"t must be at most {MAX_TRIAL_SIZE}, got {t}")
+            if self.k * t > MAX_PLAN_INDICES:
+                raise ConfigError(f"k * t must be at most {MAX_PLAN_INDICES}, "
+                                  f"got k={self.k}, t={t}")
             if not 2 <= self.min_consistency <= self.k:
                 raise ConfigError(f"min_consistency must be between 2 and k={self.k}")
         if self.protocol == "bsv":

@@ -333,17 +333,25 @@ LATER_ERROR = {
 RUN_TRANSCRIPT = {"hev": "hev_n4", "hevs": "hevs_n8_k4", "bsv": "bsv_n3"}
 
 
-@pytest.mark.parametrize("protocol, field, bound", RUN_SIZE_BOUNDS,
-                         ids=[f"{p}-{f}" for p, f, _ in RUN_SIZE_BOUNDS])
-@pytest.mark.parametrize("value_of", [lambda b: b, lambda b: b + 1, lambda b: 10 ** 40],
-                         ids=["bound", "bound+1", "10**40"])
-def test_sizes_are_bounded_before_any_work(tmp_path, capsys, protocol, field, bound, value_of):
-    value = value_of(bound)
-    flags = [f"--{field.replace('_', '-')}", str(value)]
-    header = {"t_policy" if field == "t" else field: value}
-    named = field
-    if value == bound:
-        # the size passes its check, so a later setting fails the run before any work
+def _size_cases():
+    """(protocol, size flags, the name its error gives or None when every size
+    is within its bound) per case, each bound at, one past and far past it."""
+    for protocol, field, bound in RUN_SIZE_BOUNDS:
+        for label, value in (("bound", bound), ("bound+1", bound + 1), ("10**40", 10 ** 40)):
+            yield pytest.param(protocol, {field: value}, None if value == bound else field,
+                               id=f"{label}-{protocol}-{field}")
+    # each size within its bound, a plan of k * t = 2**24 indices at the bound and past it
+    yield pytest.param("hevs", {"k": 4096, "t": 4096}, None, id="bound-hevs-k*t")
+    yield pytest.param("hevs", {"k": 4097, "t": 4096}, "k * t", id="bound+1-hevs-k*t")
+
+
+@pytest.mark.parametrize("protocol, sizes, named", _size_cases())
+def test_sizes_are_bounded_before_any_work(tmp_path, capsys, protocol, sizes, named):
+    flags = [arg for field, value in sizes.items()
+             for arg in (f"--{field.replace('_', '-')}", str(value))]
+    header = {"t_policy" if field == "t" else field: value for field, value in sizes.items()}
+    if named is None:
+        # the sizes pass their checks, so a later setting fails the run before any work
         later_flags, later_header, named = LATER_ERROR[protocol]
         flags += later_flags
         header.update(later_header)

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -365,7 +366,11 @@ def test_parallel_sweep_csv_equals_serial(configs):
         assert sweep_csv(run_sweep(configs, workers=workers)) == serial, workers
 
 
-def _count_forks(monkeypatch) -> list[int]:
+@contextlib.contextmanager
+def _count_forks():
+    """The pids os.fork returns in this process inside the block. The sweep
+    pool is closed on entry and exit, so the block forks its own workers and
+    leaves none behind."""
     forks = []
     real_fork = os.fork
 
@@ -375,33 +380,183 @@ def _count_forks(monkeypatch) -> list[int]:
             forks.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
+    experiments._close_pool()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", counting_fork)
+            yield forks
+    finally:
+        experiments._close_pool()
 
 
-def test_default_workers_fork_one_child_per_extra_cpu(monkeypatch):
-    forks = _count_forks(monkeypatch)
+def test_default_workers_fork_one_child_per_extra_cpu():
     cpus = len(os.sched_getaffinity(0))
     configs = grid((10,), (0.2,), (3,), trials=cpus, seeds=(1,))
-    assert run_sweep(configs) == run_sweep(configs, workers=1)
-    assert len(forks) == cpus - 1
-    # capped at the trial count: a one-trial sweep never forks
-    run_sweep(grid((10,), (0.2,), (3,), trials=1, seeds=(1,)), workers=4)
-    assert len(forks) == cpus - 1
+    with _count_forks() as forks:
+        assert run_sweep(configs) == run_sweep(configs, workers=1)
+        assert len(forks) == cpus - 1
+        # the workers are kept for the next sweep of the same shape
+        assert run_sweep(configs) == run_sweep(configs, workers=1)
+        assert len(forks) == cpus - 1
+        # capped at the trial count: a one-trial sweep never forks
+        run_sweep(grid((10,), (0.2,), (3,), trials=1, seeds=(1,)), workers=4)
+        assert len(forks) == cpus - 1
 
 
-def test_default_workers_stay_in_process_while_other_threads_run(monkeypatch):
-    forks = _count_forks(monkeypatch)
+def test_default_workers_stay_in_process_while_other_threads_run():
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        run_sweep(grid((10,), (0.2,), (3,), trials=4, seeds=(1,)))
-    finally:
-        release.set()
-        thread.join(timeout=10)
+    with _count_forks() as forks:
+        thread.start()
+        try:
+            run_sweep(grid((10,), (0.2,), (3,), trials=4, seeds=(1,)))
+        finally:
+            release.set()
+            thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+
+
+def test_a_repeated_parallel_sweep_forks_nothing():
+    configs = grid((10, 20), (0.2,), (2, 3), trials=9, seeds=(1, 2))
+    expected = run_sweep(configs, workers=1)
+    with _count_forks() as forks:
+        for _ in range(3):
+            assert run_sweep(configs, workers=2) == expected
+            assert len(forks) == 1
+        # another grid of the same worker count and CPUs takes the same workers
+        other = grid((12,), (0.3,), (4,), trials=5, seeds=(3,))
+        assert run_sweep(other, workers=2) == run_sweep(other, workers=1)
+        assert len(forks) == 1 and experiments._running(forks[0])
+    _assert_no_children_left()
+
+
+def test_a_changed_worker_count_or_affinity_forks_new_workers():
+    configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
+    expected = run_sweep(configs, workers=1)
+    cpus = sorted(START_AFFINITY)
+    with _count_forks() as forks:
+        assert run_sweep(configs, workers=2) == expected
+        assert run_sweep(configs, workers=3) == expected
+        assert len(forks) == 3
+        # the two-worker pool's worker was killed and reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+        if len(cpus) > 1:
+            try:
+                os.sched_setaffinity(0, cpus[:1])
+                assert run_sweep(configs, workers=3) == expected
+                assert len(forks) == 5
+            finally:
+                os.sched_setaffinity(0, START_AFFINITY)
+            assert run_sweep(configs, workers=3) == expected
+            assert len(forks) == 7
+    _assert_no_children_left()
+
+
+def test_an_idle_worker_killed_from_outside_is_replaced():
+    configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
+    expected = run_sweep(configs, workers=1)
+    with _count_forks() as forks:
+        assert run_sweep(configs, workers=2) == expected
+        os.kill(forks[0], signal.SIGKILL)
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        assert run_sweep(configs, workers=2) == expected
+        assert len(forks) == 2 and experiments._running(forks[1])
+    _assert_no_children_left()
+
+
+def test_a_process_forked_from_the_owner_keeps_off_its_pool():
+    configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
+    expected = run_sweep(configs, workers=1)
+    with _count_forks() as forks:
+        assert run_sweep(configs, workers=2) == expected
+        worker = forks[0]
+        # forked while the pool's lock is held, as by a sweep on another thread
+        with experiments._pool_lock:
+            pid = os.fork()  # counted too, so forks[1] is this child
+            if pid == 0:
+                code = 1
+                try:
+                    # sweeps on workers of its own, then leaves the owner's alone on exit
+                    ok = run_sweep(configs, workers=2) == expected
+                    ok = ok and experiments._pool.key[0] == os.getpid()
+                    experiments._close_pool()
+                    code = 0 if ok else 2
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert experiments._running(worker)
+        assert run_sweep(configs, workers=2) == expected
+        assert forks == [worker, pid]
+    _assert_no_children_left()
+
+
+def test_sweeps_from_more_threads_than_cpus_take_the_pool_in_turn():
+    configs = grid((10, 20), (0.2,), (2, 3), trials=6, seeds=(1,))
+    expected = run_sweep(configs, workers=1)
+    results = []
+
+    def sweep():
+        for _ in range(5):
+            results.append(run_sweep(configs, workers=2) == expected)
+
+    threads = [threading.Thread(target=sweep, daemon=True)
+               for _ in range(2 * len(START_AFFINITY) + 1)]
+    with _count_forks() as forks:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        for thread in threads:
+            thread.join(timeout=max(deadline - time.monotonic(), 0))
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(forks) == 1
+    assert results == [True] * 5 * len(threads)
+    _assert_no_children_left()
+
+
+def test_a_killed_owner_leaves_no_worker_behind(tmp_path):
+    pids = tmp_path / "pids"
+    script = (
+        "import os, signal, sys\n"
+        "from votesim import experiments\n"
+        "configs = experiments.grid((10, 20), (0.2,), (3,), trials=12, seeds=(1,))\n"
+        "expected = experiments.run_sweep(configs, workers=1)\n"
+        "for _ in range(2):\n"
+        "    assert experiments.run_sweep(configs, workers=3) == expected\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    fh.write(' '.join(str(pid) for pid, _, _ in experiments._pool.workers))\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # no pipe to the owner, which its workers would hold open after it dies
+    with open(tmp_path / "log", "w") as log:
+        proc = subprocess.run([sys.executable, "-c", script, str(pids)], env=env,
+                              stdout=log, stderr=subprocess.STDOUT, timeout=60)
+    assert proc.returncode == -signal.SIGKILL, (tmp_path / "log").read_text()
+    workers = [int(pid) for pid in pids.read_text().split()]
+    assert len(workers) == 2
+
+    def alive(pid):
+        """Running, or stopped: neither gone nor a zombie."""
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except (FileNotFoundError, ProcessLookupError):
+            return False
+        return stat[stat.rindex(")") + 2] != "Z"
+
+    deadline = time.monotonic() + 2
+    while any(map(alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(map(alive, workers)), workers
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True])
@@ -413,8 +568,8 @@ def test_workers_must_be_a_positive_int(workers):
 @contextlib.contextmanager
 def _patched_trials(log, parent, child, ran_in):
     """run_trials, the sweep's unit of work, through parent(trials, configs, seed)
-    in this process and through child(...) in forked workers, which inherit the
-    patch. Each call first appends its side to log; leaving the block fails
+    in this process and through child(...) in the workers forked inside the
+    block, which inherit the patch. Each call first appends its side to log; leaving the block fails
     unless a wrapper ran on every side named in ran_in."""
     real_trials, parent_pid = experiments.run_trials, os.getpid()
     log.unlink(missing_ok=True)
@@ -425,9 +580,15 @@ def _patched_trials(log, parent, child, ran_in):
             fh.write(side + "\n")
         return (parent if side == "parent" else child)(real_trials, configs, seed)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "run_trials", trials)
-        yield
+    # Workers run the code as it stood when they were forked: the block forks
+    # its own, and none of them outlives it to run the patch later.
+    experiments._close_pool()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "run_trials", trials)
+            yield
+    finally:
+        experiments._close_pool()
     sides = set(log.read_text().split()) if log.exists() else set()
     assert set(ran_in) <= sides, f"no wrapper ran in the {sorted(set(ran_in) - sides)}"
 
