@@ -263,15 +263,21 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     CPUs, narrow the affinity set, e.g. with ``taskset -c 0 votesim sweep ...``.
 
     The children are forked by the first sweep that needs more than one
-    worker and kept for later sweeps of this process while the worker count
-    and the affinity set stay the same; a change in either, or a child found
-    dead before a call, forks new ones. So the children run the code as it
-    stood when they were forked: a patch made after that reaches this
-    process's share of the trials only. They are killed and reaped when this
-    process exits (``atexit``), or at once if a sweep fails, and a child exits
-    by itself when this process dies without reaping it. Sweeps from several
-    threads take the children in turn. A process forked from this one never
-    uses or kills them, and forks its own.
+    worker, and start on its trials from the memory they inherit. They are
+    kept for later sweeps of this process while the worker count and the
+    affinity set stay the same, and those sweeps send them their work
+    pickled; a change in either, or a child found dead before a call, forks
+    new ones. So the children run the code as it stood when they were
+    forked: a patch made after that reaches this process's share of the
+    trials only. Keeping them saves a fork only where a process makes
+    several parallel sweeps, as a loop over ``run_point`` does; a process
+    that sweeps once, as ``votesim sweep`` does, forks as often as before.
+    They are killed and reaped when this process exits (``atexit``), or at
+    once if a sweep fails. Each exits by itself once this process dies,
+    since only this process holds the write end of its job pipe: a process
+    forked from this one by ``os.fork`` closes its copies, and never uses
+    or kills the children. Sweeps from several threads take the children in
+    turn.
 
     ``workers=None`` means one worker per CPU in ``os.sched_getaffinity(0)``,
     or 1 while other threads are running, since a forked child holds only the
@@ -378,29 +384,41 @@ def _pin(cpus) -> None:
         pass
 
 
-def _send(fd: int, data: bytes) -> None:
-    """Write one message to a pipe: its length in 8 bytes, then data."""
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
+def _write(fd: int, data: bytes) -> None:
+    """Write all of data to a pool pipe."""
+    with open(fd, "wb", closefd=False) as pipe:
+        pipe.write(data)
 
 
-def _receive(fd: int) -> bytes:
-    """One message written by _send, or b"" if the writer closed the pipe
-    first. A pool pipe holds at most one message at a time, so the buffered
-    reads take nothing that belongs to the next one."""
+def _receive(fd: int):
+    """The one pickled object in a pool pipe, or None once its writer has
+    closed it. A pool pipe holds at most one object at a time, so the buffered
+    reads take nothing that belongs to the next one, and pickle's STOP opcode
+    ends each. (``multiprocessing.connection`` frames messages too, but takes
+    14-19 ms to import, paid by every process's first parallel sweep.)"""
+    import pickle
+
     with open(fd, "rb", closefd=False) as pipe:
-        size = int.from_bytes(pipe.read(8), "little")
-        data = pipe.read(size)
-    return data if size and len(data) == size else b""
+        try:
+            return pickle.load(pipe)
+        except EOFError:
+            return None
+
+
+def _running(pid: int) -> bool:
+    """Is this child alive? A dead one stays unreaped, for _Pool.close."""
+    try:
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+    except ChildProcessError:  # reaped by someone else
+        return False
 
 
 class _Pool:
     """Forked sweep workers, kept for the next sweep of the same shape.
 
-    ``key`` is (owner pid, worker count, sorted affinity CPUs). The queue is
-    one pipe whose read end, shared by the owner and every worker, does not
-    block; each worker has a pipe for its jobs and one for its results.
+    ``key`` is (worker count, sorted affinity CPUs). The queue is one pipe
+    whose read end, shared by the owner and every worker, does not block;
+    each worker has a pipe for its jobs and one for its results.
     """
 
     def __init__(self, key: tuple):
@@ -414,94 +432,116 @@ class _Pool:
         return [self.queue, self.feed, *(fd for _, jobs, results in self.workers
                                           for fd in (jobs, results))]
 
+    def close(self) -> None:
+        """Kill and reap the workers and close the pipes.
 
-#: this process's sweep workers, forked by the first sweep that needs more than one
+        Only a worker that is still this process's child is signalled and
+        reaped. One that someone else reaped (``os.wait()``, a SIGCHLD
+        handler) has left its pid free for any new process to take.
+        """
+        import signal
+
+        children = []
+        for pid, _, _ in self.workers:
+            with contextlib.suppress(ChildProcessError):
+                if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                    os.kill(pid, signal.SIGKILL)
+                children.append(pid)
+        for pid in children:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        for fd in self.fds():
+            os.close(fd)
+
+
+#: this process's sweep workers, forked by its first sweep that needs more than one
 _pool: _Pool | None = None
 #: held by the thread whose sweep uses the pool
 _pool_lock = threading.Lock()
 
 
-def _new_pool_lock() -> None:
-    """A process forked while another thread held the lock gets a free one."""
-    global _pool_lock
+def _after_fork_in_child() -> None:
+    """A forked process starts with a free lock, which another thread may
+    have held, and no pool. It closes the pool pipe ends it inherited: the
+    workers are the owner's, and each exits when the owner's end of its job
+    pipe closes, which a copy held here would put off. (A process forked by
+    another thread while a sweep forks its workers keeps the copies of that
+    new pool's pipes.)"""
+    global _pool, _pool_lock
     _pool_lock = threading.Lock()
+    if _pool is not None:
+        for fd in _pool.fds():
+            os.close(fd)
+        _pool = None
 
 
-os.register_at_fork(after_in_child=_new_pool_lock)
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _close_pool() -> None:
-    """Kill and reap the pool's workers and close its pipes. A process forked
-    from the pool's owner only closes the pipe ends it inherited: the workers
-    are the owner's."""
+    """Kill and reap this process's sweep workers and close their pipes."""
     global _pool
     pool, _pool = _pool, None
-    if pool is None:
-        return
-    for fd in pool.fds():
-        os.close(fd)
-    if pool.key[0] != os.getpid():
-        return
-    import signal
-
-    for pid, _, _ in pool.workers:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-    for pid, _, _ in pool.workers:
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
+    if pool is not None:
+        pool.close()
 
 
 atexit.register(_close_pool)
 
 
-def _running(pid: int) -> bool:
-    """Is this worker alive? A dead one stays unreaped, for _close_pool."""
-    try:
-        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
-    except ChildProcessError:  # reaped by someone else
-        return False
+def _start_pool(key: tuple, ids: bytes, job: tuple) -> _Pool:
+    """This process's pool of workers, started on job, a call's (groups,
+    starts, runs): the kept pool while its key holds and every worker is
+    alive, which gets the job pickled, else newly forked workers, which
+    inherit it. The call's run ids are queued first, so once a worker starts
+    on the job an empty queue means every run is taken."""
+    # Imported here, so a process that never forks a sweep does not load
+    # them, and before any fork, so that no worker has to load them.
+    import pickle
+    import signal  # noqa: F401 (the workers' SIGINT handler)
 
-
-def _open_pool(workers: int, cpus: list[int]) -> _Pool:
-    """This process's pool of workers - 1 workers on cpus: the kept one while
-    its key holds and every worker is alive, else a newly forked one."""
     global _pool
-    key = (os.getpid(), workers, tuple(cpus))
     if _pool is not None and (_pool.key != key or not all(
             _running(pid) for pid, _, _ in _pool.workers)):
         _close_pool()
     if _pool is not None:
+        os.write(_pool.feed, ids)
+        data = pickle.dumps(job)
+        for _, jobs, _ in _pool.workers:
+            _write(jobs, data)
         return _pool
-    # Registered before the first fork, so a failed fork closes the workers before it.
-    pool = _pool = _Pool(key)
-    for worker in range(1, workers):
-        job_read, jobs = os.pipe()
-        results, result_write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (job_read, jobs, results, result_write):
-                os.close(fd)
-            raise
-        if pid == 0:
-            # Only this worker's own ends stay open: a worker holding another's
-            # job write end would keep it alive after the owner dies.
-            for fd in (jobs, results, *pool.fds()):
-                if fd != pool.queue:
+    workers, cpus = key
+    pool = _Pool(key)
+    try:
+        os.write(pool.feed, ids)
+        for worker in range(1, workers):
+            job_read, jobs = os.pipe()
+            results, result_write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (job_read, jobs, results, result_write):
                     os.close(fd)
-            _work(job_read, result_write, pool.queue, cpus[worker % len(cpus)])
-        os.close(job_read)
-        os.close(result_write)
-        pool.workers.append((pid, jobs, results))
+                raise
+            if pid == 0:
+                # Only this worker's own ends stay open: a worker holding another's
+                # job write end would keep it alive after the owner dies.
+                for fd in (jobs, results, *pool.fds()):
+                    if fd != pool.queue:
+                        os.close(fd)
+                _work(job, job_read, result_write, pool.queue, cpus[worker % len(cpus)])
+            os.close(job_read)
+            os.close(result_write)
+            pool.workers.append((pid, jobs, results))
+    except BaseException:
+        pool.close()
+        raise
+    _pool = pool
     return pool
 
 
 def _pooled_counts(groups, starts: list[int], total: int, workers: int) -> list[list[int]]:
     """Sum of every worker's counts; workers 1..W-1 are the pool's."""
-    # Imported here, so a process that never forks a sweep does not load it.
-    import pickle
-
     size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
     bounds = [total * i // size for i in range(size + 1)]
     runs = list(zip(bounds, bounds[1:]))
@@ -519,22 +559,18 @@ def _pooled_counts(groups, starts: list[int], total: int, workers: int) -> list[
 
     before = [cost_before(bound) for bound in bounds]
     order = sorted(range(size), key=lambda i: before[i] - before[i + 1])
+    ids = b"".join(i.to_bytes(4, "little") for i in order)
     cpus = sorted(os.sched_getaffinity(0))
     with _pool_lock:
         try:
-            pool = _open_pool(workers, cpus)
-            # Every id is written before any job is sent, so an empty queue ends the call.
-            os.write(pool.feed, b"".join(i.to_bytes(4, "little") for i in order))
-            job = pickle.dumps((groups, starts, runs))
-            for _, jobs, _ in pool.workers:
-                _send(jobs, job)
+            pool = _start_pool((workers, tuple(cpus)), ids, (groups, starts, runs))
             _pin({cpus[0]})
             counts = _drain(groups, starts, runs, pool.queue)
             for pid, _, results in pool.workers:
-                data = _receive(results)
-                if not data:
+                payload = _receive(results)
+                if payload is None:
                     raise RuntimeError(f"sweep worker {pid} exited without a result")
-                ok, value = pickle.loads(data)
+                ok, value = payload
                 if not ok:
                     raise value
                 counts = [[a + b for a, b in zip(mine, theirs)]
@@ -547,9 +583,10 @@ def _pooled_counts(groups, starts: list[int], total: int, workers: int) -> list[
             _pin(cpus)
 
 
-def _work(jobs: int, results: int, queue: int, cpu: int):
-    """A pool worker: for each job, drain the queue and send back (ok, counts
-    or exception); exit once the owner's end of the job pipe is closed.
+def _work(job: tuple, jobs: int, results: int, queue: int, cpu: int):
+    """A pool worker: drain the queue for job, the call that forked it, and
+    each job read from its job pipe after that, sending back (ok, counts or
+    exception) for each; exit once the owner's end of the job pipe is closed.
 
     SIGINT is ignored, so a terminal's Ctrl-C reaches the owner alone, which
     then kills the pool. Leaving through ``os._exit`` skips the owner's atexit
@@ -562,9 +599,9 @@ def _work(jobs: int, results: int, queue: int, cpu: int):
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         _pin({cpu})
-        while job := _receive(jobs):
+        while job is not None:
             try:
-                payload = (True, _drain(*pickle.loads(job), queue))
+                payload = (True, _drain(*job, queue))
             except BaseException as exc:  # sent to the owner, which raises it
                 payload = (False, exc)
             try:
@@ -572,7 +609,8 @@ def _work(jobs: int, results: int, queue: int, cpu: int):
                 pickle.loads(data)
             except Exception:  # an exception that cannot be rebuilt from its args
                 data = pickle.dumps((False, RuntimeError(f"sweep worker failed: {payload[1]!r}")))
-            _send(results, data)
+            _write(results, data)
+            job = _receive(jobs)
     finally:
         os._exit(0)
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -431,6 +432,25 @@ def test_a_repeated_parallel_sweep_forks_nothing():
     _assert_no_children_left()
 
 
+def test_new_workers_inherit_their_first_sweep_and_kept_ones_get_theirs_pickled():
+    configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
+    expected = run_sweep(configs, workers=1)
+    owner, dumped, real_dumps = os.getpid(), [], pickle.dumps
+
+    def recording_dumps(obj, *args, **kwargs):
+        if os.getpid() == owner:
+            dumped.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    with _count_forks() as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pickle, "dumps", recording_dumps)
+        assert run_sweep(configs, workers=2) == expected
+        assert len(forks) == 1 and dumped == []
+        assert run_sweep(configs, workers=2) == expected
+        assert len(forks) == 1 and len(dumped) == 1
+    _assert_no_children_left()
+
+
 def test_a_changed_worker_count_or_affinity_forks_new_workers():
     configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
     expected = run_sweep(configs, workers=1)
@@ -478,9 +498,11 @@ def test_a_process_forked_from_the_owner_keeps_off_its_pool():
             if pid == 0:
                 code = 1
                 try:
-                    # sweeps on workers of its own, then leaves the owner's alone on exit
-                    ok = run_sweep(configs, workers=2) == expected
-                    ok = ok and experiments._pool.key[0] == os.getpid()
+                    # starts with no pool, sweeps on workers of its own, then
+                    # leaves the owner's alone on exit
+                    ok = experiments._pool is None
+                    ok = ok and run_sweep(configs, workers=2) == expected
+                    ok = ok and [pid for pid, _, _ in experiments._pool.workers] != [worker]
                     experiments._close_pool()
                     code = 0 if ok else 2
                 finally:
@@ -495,6 +517,31 @@ def test_a_process_forked_from_the_owner_keeps_off_its_pool():
         assert experiments._running(worker)
         assert run_sweep(configs, workers=2) == expected
         assert forks == [worker, pid]
+    _assert_no_children_left()
+
+
+def test_a_worker_reaped_from_outside_gets_no_signal():
+    configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
+    expected = run_sweep(configs, workers=1)
+    kills, real_kill = [], os.kill
+
+    def recording_kill(pid, sig):
+        kills.append(pid)
+        real_kill(pid, sig)
+
+    with _count_forks() as forks:
+        assert run_sweep(configs, workers=3) == expected
+        reaped, live = forks
+        os.kill(reaped, signal.SIGKILL)
+        # as os.wait() or a SIGCHLD handler in the host program would: the pid
+        # is free for any new process to take
+        os.waitpid(reaped, 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "kill", recording_kill)
+            assert run_sweep(configs, workers=3) == expected
+            assert kills == [live] and len(forks) == 4
+            experiments._close_pool()
+            assert kills == [live, *forks[2:]]
     _assert_no_children_left()
 
 
@@ -524,14 +571,20 @@ def test_sweeps_from_more_threads_than_cpus_take_the_pool_in_turn():
 def test_a_killed_owner_leaves_no_worker_behind(tmp_path):
     pids = tmp_path / "pids"
     script = (
-        "import os, signal, sys\n"
+        "import os, signal, sys, time\n"
         "from votesim import experiments\n"
         "configs = experiments.grid((10, 20), (0.2,), (3,), trials=12, seeds=(1,))\n"
         "expected = experiments.run_sweep(configs, workers=1)\n"
         "for _ in range(2):\n"
         "    assert experiments.run_sweep(configs, workers=3) == expected\n"
+        "workers = [pid for pid, _, _ in experiments._pool.workers]\n"
+        "# a forked process that outlives the owner holds no job pipe of theirs\n"
+        "sleeper = os.fork()\n"
+        "if sleeper == 0:\n"
+        "    time.sleep(60)\n"
+        "    os._exit(0)\n"
         "with open(sys.argv[1], 'w') as fh:\n"
-        "    fh.write(' '.join(str(pid) for pid, _, _ in experiments._pool.workers))\n"
+        "    fh.write(' '.join(map(str, [sleeper, *workers])))\n"
         "os.kill(os.getpid(), signal.SIGKILL)\n"
     )
     env = dict(os.environ)
@@ -542,7 +595,7 @@ def test_a_killed_owner_leaves_no_worker_behind(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, str(pids)], env=env,
                               stdout=log, stderr=subprocess.STDOUT, timeout=60)
     assert proc.returncode == -signal.SIGKILL, (tmp_path / "log").read_text()
-    workers = [int(pid) for pid in pids.read_text().split()]
+    sleeper, *workers = [int(pid) for pid in pids.read_text().split()]
     assert len(workers) == 2
 
     def alive(pid):
@@ -553,10 +606,15 @@ def test_a_killed_owner_leaves_no_worker_behind(tmp_path):
             return False
         return stat[stat.rindex(")") + 2] != "Z"
 
-    deadline = time.monotonic() + 2
-    while any(map(alive, workers)) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not any(map(alive, workers)), workers
+    try:
+        deadline = time.monotonic() + 2
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(alive, workers)), workers
+        assert alive(sleeper)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(sleeper, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("workers", [0, -1, 2.0, "2", True])
