@@ -28,11 +28,11 @@ stream after the plan. Both rely on CPython's ``random()`` construction and
   thousand-trial sweeps cheap.
 
 Points that differ only in k, behavior and min_consistency share each
-trial's world, so ``run_sweep`` scores them together through ``run_trials``,
-which draws the world once for their largest k. The plan's indices are drawn
-in order, so a k-sample plan is the first k * t indices of any larger one,
-and each point reads only its first k samples. A symbolic verdict counts the
-clean samples among those k, whatever the behavior. A full world casts its
+trial's world, so ``run_sweep`` scores them together, drawing the world once
+for their largest k. The plan's indices are drawn in order, so a k-sample
+plan is the first k * t indices of any larger one, and each point reads only
+its first k samples. A symbolic verdict counts the clean samples among those
+k, whatever the behavior. A full world casts its
 election once with the largest k (keys, ballots, aggregates), then tallies
 it per distinct behavior from the ``"crypto"`` stream's state right after the
 cast. A tally draws only after every draw of the cast (a fake-share voter's
@@ -44,6 +44,13 @@ those k tallies. A clean sample decodes to the true tally, a blocked sample to
 nothing, and garbage never reaches a count of 2, so none of the three depends
 on the crypto stream.
 
+A world's trials go through one kernel. ``_kernel`` builds
+``trial(trial_seed) -> verdicts`` from the world's spec once per sweep job
+(one worker's share of one ``run_sweep`` call). It does there what no trial
+seed changes: t, the largest k, each point's scoring, the plan's size. Each
+trial reseeds the kernel's own generator (``seeding.reseed``).
+``run_trials`` is one trial of a kernel built for its configs.
+
 Accuracy per grid point is averaged over the configured seeds, and
 `expected_accuracy` provides the exact analytic value for cross-checking.
 """
@@ -53,12 +60,14 @@ from __future__ import annotations
 import atexit
 import bisect
 import contextlib
+import functools
 import itertools
 import math
 import os
+import random
 import threading
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
@@ -72,7 +81,7 @@ from .hevs import (
     resolve_sample_size,
     tally,
 )
-from .seeding import WorldReader, derive_seed, draws, flags, spawn
+from .seeding import WorldReader, derive_seeds, draws, flags, reseed
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
 
@@ -158,11 +167,96 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _world(config: TrialConfig) -> tuple:
+def _world(config: TrialConfig, size=resolve_sample_size) -> tuple:
     """What a trial's seeded world is drawn from; configs equal here share it,
     whatever their k, since a k-sample plan is the first k * t indices of any
-    larger one."""
-    return (config.n, config.p_fail, resolve_sample_size(config.t_policy, config.n), config.mode)
+    larger one. ``size`` resolves (t_policy, n) to t."""
+    return (config.n, config.p_fail, size(config.t_policy, config.n), config.mode)
+
+
+def _spec(configs: Sequence[TrialConfig], size=resolve_sample_size) -> tuple:
+    """The kernel spec of configs that share a seeded world, in plain tuples:
+    (mode, n, p_fail, t, points), one point (k, min_consistency, behavior)
+    per config. ``size`` resolves (t_policy, n) to t."""
+    worlds = {_world(config, size) for config in configs}
+    if len(worlds) != 1:
+        raise ValueError("a trial takes at least one config, and its configs must share "
+                         "n, p_fail, t and mode")
+    (n, p_fail, t, mode), = worlds
+    return mode, n, p_fail, t, tuple((c.k, c.min_consistency, c.behavior) for c in configs)
+
+
+def _kernel(spec: tuple) -> Callable[[int], list[bool]]:
+    """``trial(trial_seed)``: the verdicts of one trial of spec's world, one per
+    point, as ``run_trials`` gives them. What no trial seed changes is done
+    here once: the largest k, the plan's size and word estimate, each point's
+    scoring and each behaviour's ``Behavior``. Each trial reseeds the
+    kernel's own generators, so a kernel serves one thread.
+    """
+    mode, n, p_fail, t, points = spec
+    largest = max(point[0] for point in points)
+    # Left unseeded where the interpreter allows: each trial reseeds it first.
+    world = random.Random.__new__(random.Random)
+    if mode == "symbolic":
+        scores = [(k, min_consistency) for k, min_consistency, _ in points]
+        indices = largest * t
+        samples = range(0, indices, t)
+        # An index takes 2^w / n words on average for w = n.bit_length()
+        # (variance at most 2), a vote 2 (variance 2).
+        plan_words = (indices << n.bit_length()) // n
+
+        def trial(trial_seed: int) -> list[bool]:
+            reseed(world, trial_seed, "world")
+            # The draws of assign_roles, then randrange(2) per honest voter,
+            # then the plan's randrange(1, n + 1) per index.
+            honest = flags(world, p_fail, n)
+            # The reader's first block adds two to three standard deviations
+            # to the expected words, so it seldom has to refill.
+            voters = honest.count(1)
+            words = 2 * voters + plan_words
+            reader = WorldReader(world, words + 3 * math.isqrt(words) + 8)
+            reader.skip(2, voters)
+            # A sample is clean when none of its indices lands on a 0 flag.
+            marks = reader.lookup(honest, indices)
+            clean = [0 not in marks[i:i + t] for i in samples]
+            return [clean[:k].count(True) >= min_consistency for k, min_consistency in scores]
+        return trial
+
+    crypto = random.Random.__new__(random.Random)
+    group = default_group()
+    # each distinct behaviour, in the points' order
+    bad = {behavior: Behavior(behavior) for _, _, behavior in points}
+    casting = points[0][2]
+
+    def trial(trial_seed: int) -> list[bool]:
+        reseed(world, trial_seed, "world")
+        honest = flags(world, p_fail, n)
+        honest_votes = draws(world, 0, 2, honest.count(1))
+        plan = make_sampling_plan(world, n, largest, t)
+        drawn = iter(honest_votes)
+        votes = [next(drawn) if flag else 0 for flag in honest]
+        voter_rngs = [reseed(crypto, trial_seed, "crypto")] * n
+        roles = {behavior: [VoterRole(i, flag == 1, None if flag else disruption)
+                            for i, flag in enumerate(honest, 1)]
+                 for behavior, disruption in bad.items()}
+        ballots = cast(group, votes, roles[casting], plan, voter_rngs)
+        # Only a second behavior's tally needs the stream set back.
+        after_cast = crypto.getstate() if len(roles) > 1 else None
+        tallies = {}
+        for behavior, behavior_roles in roles.items():
+            if tallies:
+                crypto.setstate(after_cast)
+            tallies[behavior] = [r.tally for r in tally(ballots, behavior_roles, voter_rngs)]
+        truth = sum(honest_votes)
+        verdicts = []
+        for k, min_consistency, behavior in points:
+            try:
+                decision = mode_decision(tallies[behavior][:k], min_consistency)
+            except (NoConsistentResult, AmbiguousMode):
+                decision = None
+            verdicts.append(decision == truth)
+        return verdicts
+    return trial
 
 
 def run_trial(config: TrialConfig, seed: int) -> bool:
@@ -177,62 +271,7 @@ def run_trials(configs: Sequence[TrialConfig], seed: int) -> list[bool]:
     min_consistency; each reads only its world's first k samples (see the
     module docstring).
     """
-    if len(configs) == 1:
-        k = configs[0].k
-    elif len({_world(config) for config in configs}) == 1:
-        k = max(config.k for config in configs)
-    else:
-        raise ValueError("a trial takes at least one config, and its configs must share "
-                         "n, p_fail, t and mode")
-    config = configs[0]
-    world = spawn(seed, "world")
-    # The draws of assign_roles, then randrange(2) per honest voter, then the
-    # plan's randrange(1, n + 1) per index.
-    honest = flags(world, config.p_fail, config.n)
-    if config.mode == "symbolic":
-        n = config.n
-        t = resolve_sample_size(config.t_policy, n)
-        # A vote takes 2 words on average (variance 2) and an index 2^w / n
-        # for w = n.bit_length() (variance at most 2), so the reader's first
-        # block adds two to three standard deviations to their sum and seldom
-        # has to refill.
-        voters = honest.count(1)
-        words = 2 * voters + (k * t << n.bit_length()) // n
-        reader = WorldReader(world, words + 3 * math.isqrt(words) + 8)
-        reader.skip(2, voters)
-        # A sample is clean when none of its indices lands on a 0 flag.
-        marks = reader.lookup(honest, k * t)
-        clean = [0 not in marks[i:i + t] for i in range(0, k * t, t)]
-        return [clean[:other.k].count(True) >= other.min_consistency for other in configs]
-
-    honest_votes = draws(world, 0, 2, honest.count(1))
-    plan = make_sampling_plan(world, config.n, k, config.t_policy)
-    drawn = iter(honest_votes)
-    votes = [next(drawn) if flag else 0 for flag in honest]
-    crypto = spawn(seed, "crypto")
-    voter_rngs = [crypto] * config.n
-    roles = {}
-    for behavior in dict.fromkeys(other.behavior for other in configs):
-        bad = Behavior(behavior)
-        roles[behavior] = [VoterRole(i, flag == 1, None if flag else bad)
-                           for i, flag in enumerate(honest, 1)]
-
-    ballots = cast(default_group(), votes, roles[config.behavior], plan, voter_rngs)
-    # Only a second behavior's tally needs the stream set back.
-    after_cast = crypto.getstate() if len(roles) > 1 else None
-    tallies = {}
-    for behavior, behavior_roles in roles.items():
-        if tallies:
-            crypto.setstate(after_cast)
-        tallies[behavior] = [r.tally for r in tally(ballots, behavior_roles, voter_rngs)]
-    verdicts = []
-    for other in configs:
-        try:
-            decision = mode_decision(tallies[other.behavior][:other.k], other.min_consistency)
-        except (NoConsistentResult, AmbiguousMode):
-            decision = None
-        verdicts.append(decision == sum(votes))
-    return verdicts
+    return _kernel(_spec(configs))(seed)
 
 
 def run_point(config: TrialConfig) -> SweepRow:
@@ -244,9 +283,13 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     """One row per grid point, using every CPU in the process's affinity set.
 
     Points that share a seeded world (n, p_fail, resolved t, mode, trials
-    and seeds) share their trials: each trial's world is drawn and run once
-    by ``run_trials``, for the largest k among them, and scored for each of
-    them on its first k samples. The sweep's (world, seed, trial) list is cut
+    and seeds) share their trials: each trial's world is drawn and run once,
+    for the largest k among them, and scored for each of them on its first k
+    samples. Each (world, seed) group's trials go through one kernel
+    (``_kernel``), built from the world's spec, plain tuples, by the first
+    run that reaches the group in each job: once per call in this process
+    and once per call in each worker that runs the group. t is resolved
+    once per (t_policy, n) in a call. The sweep's (world, seed, trial) list is cut
     into runs of consecutive trials, and the workers take runs from a shared
     queue (a pipe) until it is empty: this process is one worker and
     ``os.fork`` children are the others, each sending back its correct-trial
@@ -266,7 +309,8 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     worker, and start on its trials from the memory they inherit. They are
     kept for later sweeps of this process while the worker count and the
     affinity set stay the same, and those sweeps send them their work
-    pickled; a change in either, or a child found dead before a call, forks
+    pickled (the groups' specs, their seeds and the runs); a change in
+    either, or a child found dead before a call, forks
     new ones. So the children run the code as it stood when they were
     forked: a patch made after that reaches this process's share of the
     trials only. Keeping them saves a fork only where a process makes
@@ -285,7 +329,7 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     runs every trial in this process, so a patch or tracer that records state
     here sees all of them. It takes the worlds in the order each first appears
     in ``configs``, each world's seeds in order and each seed's trials in
-    order, and one ``run_trials`` call scores all of a world's points: for
+    order, and one kernel trial scores all of a world's points: for
     configs [A_k4_fake, B_k4_fake, A_k8_fake, A_k4_silent], where A and B
     differ in n, it runs A's trials (at k = 8), then B's.
 
@@ -298,24 +342,26 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
         workers = 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
+    size = functools.cache(resolve_sample_size)  # t per (t_policy, n), resolved once
     # point positions per world; a world's configs also share trials and seeds
     worlds: dict[tuple, list[int]] = {}
     for position, config in enumerate(configs):
-        worlds.setdefault((_world(config), config.trials, config.seeds), []).append(position)
-    members, groups = [], []  # per (world, seed): its points' positions; its configs and seed
-    for positions in worlds.values():
-        world = tuple(configs[p] for p in positions)
-        for seed in world[0].seeds:
+        worlds.setdefault((_world(config, size), config.trials, config.seeds), []).append(position)
+    members, groups, trials = [], [], []  # per (world, seed): its points' positions; (spec, seed)
+    for (_, world_trials, seeds), positions in worlds.items():
+        spec = _spec([configs[p] for p in positions], size)
+        for seed in seeds:
             members.append(positions)
-            groups.append((world, seed))
-    starts = list(itertools.accumulate((world[0].trials for world, _ in groups), initial=0))
-    total = starts.pop()
+            groups.append((spec, seed))
+            trials.append(world_trials)
+    starts = list(itertools.accumulate(trials, initial=0))
+    total = starts[-1]
     workers = min(workers, total)
     if workers == 1:
-        counts = [[0] * len(world) for world, _ in groups]
-        _add_counts(groups, starts, 0, total, counts)
+        counts = [[0] * len(spec[4]) for spec, _ in groups]
+        _add_counts(groups, starts, 0, total, counts, [None] * len(groups))
     else:
-        counts = _pooled_counts(groups, starts, total, workers)
+        counts = _pooled_counts(groups, starts, workers)
 
     # each point's correct-trial counts, in its seeds' order
     correct: list[list[int]] = [[] for _ in configs]
@@ -330,7 +376,7 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
             p_fail=config.p_fail,
             k=config.k,
             min_consistency=config.min_consistency,
-            t=resolve_sample_size(config.t_policy, config.n),
+            t=size(config.t_policy, config.n),
             trials=config.trials,
             seeds=len(config.seeds),
             accuracy=sum(per_seed) / len(per_seed),
@@ -345,17 +391,26 @@ _RUNS_PER_WORKER = 64
 _MAX_RUNS = 1024
 
 
-def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[list[int]]) -> None:
+def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[list[int]],
+                kernels: list) -> None:
     """Add the correct trials at sweep positions lo..hi-1 to counts per (world, seed),
-    one count per config of the world."""
+    one count per point of the world.
+
+    ``kernels`` holds each group's trial kernel, built by the first run that
+    reaches the group. A job's runs share one table, so a worker builds each
+    kernel at most once per call.
+    """
     group = bisect.bisect_right(starts, lo) - 1
-    while group < len(groups) and starts[group] < hi:
-        world, seed = groups[group]
+    while starts[group] < hi:
+        spec, seed = groups[group]
+        trial = kernels[group]
+        if trial is None:
+            trial = kernels[group] = _kernel(spec)
         world_counts = counts[group]
-        first = max(lo - starts[group], 0)
-        for index in range(first, min(hi - starts[group], world[0].trials)):
-            verdicts = run_trials(world, derive_seed("trial", seed, index))
-            for i, verdict in enumerate(verdicts):
+        start = starts[group]
+        indices = range(max(lo - start, 0), min(hi, starts[group + 1]) - start)
+        for trial_seed in derive_seeds(("trial", seed), indices):
+            for i, verdict in enumerate(trial(trial_seed)):
                 world_counts[i] += verdict
         group += 1
 
@@ -367,10 +422,11 @@ def _drain(groups, starts: list[int], runs: list[tuple[int, int]], queue: int) -
     before any worker starts, so an empty queue means the call's runs are all
     taken. A read of b"" means the owner died, and ends the loop too.
     """
-    counts = [[0] * len(world) for world, _ in groups]
+    counts = [[0] * len(spec[4]) for spec, _ in groups]
+    kernels = [None] * len(groups)
     with contextlib.suppress(BlockingIOError):
         while token := os.read(queue, 4):
-            _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts)
+            _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts, kernels)
     return counts
 
 
@@ -540,8 +596,9 @@ def _start_pool(key: tuple, ids: bytes, job: tuple) -> _Pool:
     return pool
 
 
-def _pooled_counts(groups, starts: list[int], total: int, workers: int) -> list[list[int]]:
+def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
     """Sum of every worker's counts; workers 1..W-1 are the pool's."""
+    total = starts[-1]
     size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
     bounds = [total * i // size for i in range(size + 1)]
     runs = list(zip(bounds, bounds[1:]))
@@ -549,12 +606,13 @@ def _pooled_counts(groups, starts: list[int], total: int, workers: int) -> list[
     # the runs taken last, while other workers may sit idle, are the cheapest.
     # A trial costs about n * k for its world's largest k: each of its n
     # voters encrypts under k keys.
-    trial_costs = [world[0].n * max(config.k for config in world) for world, _ in groups]
+    trial_costs = [spec[1] * max(k for k, _, _ in spec[4]) for spec, _ in groups]
     costs = list(itertools.accumulate(
-        (cost * world[0].trials for cost, (world, _) in zip(trial_costs, groups)), initial=0))
+        (cost * (end - start) for cost, start, end in zip(trial_costs, starts, starts[1:])),
+        initial=0))
 
     def cost_before(position: int) -> int:
-        group = bisect.bisect_right(starts, position) - 1
+        group = bisect.bisect_right(starts, position, hi=len(groups)) - 1
         return costs[group] + (position - starts[group]) * trial_costs[group]
 
     before = [cost_before(bound) for bound in bounds]

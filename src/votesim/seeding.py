@@ -4,6 +4,12 @@ Every component that needs randomness gets its own child generator derived
 from (seed, labels...), so streams never interleave and adding draws in one
 place cannot shift results anywhere else.
 
+``derive_seeds`` and ``reseed`` give what ``derive_seed`` and ``spawn`` give,
+bit for bit, for callers that derive many seeds: ``derive_seeds`` hashes the
+labels the seeds share once, and ``reseed`` puts a generator the caller keeps
+in a spawned one's state instead of allocating a new one. A sweep's trial
+kernel (``experiments``) draws each trial's seed and world stream through them.
+
 ``draws`` and ``flags`` leave a generator in exactly the state the
 one-call-per-value loop would, for streams that are read on afterwards.
 ``WorldReader`` reads what the same draws name from a stream's words taken
@@ -13,11 +19,13 @@ such as a sweep trial's world.
 
 from __future__ import annotations
 
+import _random
 import functools
 import hashlib
 import math
 import random
 import sys
+from typing import Iterable, Iterator
 
 
 def derive_seed(*parts) -> int:
@@ -27,6 +35,33 @@ def derive_seed(*parts) -> int:
 
 def spawn(*parts) -> random.Random:
     return random.Random(derive_seed(*parts))
+
+
+def derive_seeds(parts: tuple, indices: Iterable) -> Iterator[int]:
+    """``derive_seed(*parts, index)`` for each index, in order.
+
+    The material's prefix, each part followed by the separator, is hashed
+    once; each index's hash goes on from a copy of that sha256 state."""
+    prefix = hashlib.sha256("".join(str(p) + "\x1f" for p in parts).encode("utf-8"))
+    for index in indices:
+        material = prefix.copy()
+        material.update(str(index).encode("utf-8"))
+        yield int.from_bytes(material.digest()[:8], "big")
+
+
+def reseed(rng: random.Random, *parts) -> random.Random:
+    """``rng``, an exact ``random.Random``, in the state ``spawn(*parts)``
+    starts in (``getstate()`` equal), so one generator serves many streams.
+
+    It sets the Mersenne Twister as ``Random.seed`` does for an int, through
+    the C seed, and clears the cached ``gauss`` value as that method does.
+    """
+    _seed(rng, derive_seed(*parts))
+    rng.gauss_next = None
+    return rng
+
+
+_seed = _random.Random.seed
 
 
 def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:

@@ -418,6 +418,33 @@ def test_default_workers_stay_in_process_while_other_threads_run():
     assert forks == []
 
 
+def test_a_sweep_builds_each_groups_kernel_once_per_call():
+    # 160 trials in 128 queue runs, so a kernel built per run would be built
+    # dozens of times in the owner alone
+    configs = grid((10, 20), (0.2,), (3, 5), trials=40, seeds=(1, 2))
+    expected = run_sweep(configs, workers=1)
+    owner, built, real_kernel = os.getpid(), Counter(), experiments._kernel
+
+    def counting_kernel(spec):
+        if os.getpid() == owner:
+            built[spec] += 1
+        return real_kernel(spec)
+
+    with _count_forks() as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_kernel", counting_kernel)
+        for _ in range(2):
+            built.clear()
+            assert run_sweep(configs, workers=1) == expected
+            # two worlds of two seeds: one kernel per (world, seed) group
+            assert len(built) == 2 and set(built.values()) == {2}
+        for _ in range(2):  # newly forked workers, then kept ones
+            built.clear()
+            assert run_sweep(configs, workers=2) == expected
+            assert built and max(built.values()) <= 2, built
+        assert len(forks) == 1
+    _assert_no_children_left()
+
+
 def test_a_repeated_parallel_sweep_forks_nothing():
     configs = grid((10, 20), (0.2,), (2, 3), trials=9, seeds=(1, 2))
     expected = run_sweep(configs, workers=1)
@@ -625,25 +652,31 @@ def test_workers_must_be_a_positive_int(workers):
 
 @contextlib.contextmanager
 def _patched_trials(log, parent, child, ran_in):
-    """run_trials, the sweep's unit of work, through parent(trials, configs, seed)
-    in this process and through child(...) in the workers forked inside the
-    block, which inherit the patch. Each call first appends its side to log; leaving the block fails
-    unless a wrapper ran on every side named in ran_in."""
-    real_trials, parent_pid = experiments.run_trials, os.getpid()
+    """Each trial of a sweep, the kernel's unit of work, through
+    parent(trial, spec, seed) in this process and through child(...) in the
+    workers forked inside the block, which inherit the patch; spec is the
+    kernel's (mode, n, p_fail, t, points). Each call first appends its side to
+    log; leaving the block fails unless a wrapper ran on every side named in
+    ran_in."""
+    real_kernel, parent_pid = experiments._kernel, os.getpid()
     log.unlink(missing_ok=True)
 
-    def trials(configs, seed):
-        side = "parent" if os.getpid() == parent_pid else "child"
-        with open(log, "a") as fh:
-            fh.write(side + "\n")
-        return (parent if side == "parent" else child)(real_trials, configs, seed)
+    def kernel(spec):
+        trial = real_kernel(spec)
+
+        def patched(seed):
+            side = "parent" if os.getpid() == parent_pid else "child"
+            with open(log, "a") as fh:
+                fh.write(side + "\n")
+            return (parent if side == "parent" else child)(trial, spec, seed)
+        return patched
 
     # Workers run the code as it stood when they were forked: the block forks
     # its own, and none of them outlives it to run the patch later.
     experiments._close_pool()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "run_trials", trials)
+            patch.setattr(experiments, "_kernel", kernel)
             yield
     finally:
         experiments._close_pool()
@@ -652,14 +685,14 @@ def _patched_trials(log, parent, child, ran_in):
 
 
 def _raising(error):
-    def wrapper(real_trials, configs, seed):
+    def wrapper(trial, spec, seed):
         raise error
     return wrapper
 
 
-def _slow(real_trials, configs, seed):
+def _slow(trial, spec, seed):
     time.sleep(0.005)
-    return real_trials(configs, seed)
+    return trial(seed)
 
 
 def _assert_no_children_left():
@@ -690,13 +723,13 @@ def test_child_error_that_does_not_unpickle_becomes_runtime_error(tmp_path):
 def test_a_slow_worker_takes_fewer_trials(tmp_path):
     in_parent = []
 
-    def counted(real_trials, configs, seed):
+    def counted(trial, spec, seed):
         in_parent.append(seed)
-        return real_trials(configs, seed)
+        return trial(seed)
 
-    def very_slow(real_trials, configs, seed):
+    def very_slow(trial, spec, seed):
         time.sleep(0.05)
-        return real_trials(configs, seed)
+        return trial(seed)
 
     configs = [TrialConfig(n=10, p_fail=0.2, k=3, trials=40, seeds=(7,))]
     with _patched_trials(tmp_path / "sides", counted, very_slow, ran_in=("parent",)):
@@ -711,11 +744,12 @@ def test_workers_take_the_costliest_runs_first(tmp_path):
     log = tmp_path / "trials"
 
     def logged(delay):
-        def wrapper(real_trials, configs, seed):
+        def wrapper(trial, spec, seed):
+            _, n, _, _, points = spec
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {configs[0].n} {max(c.k for c in configs)}\n")
+                fh.write(f"{os.getpid()} {n} {max(k for k, _, _ in points)}\n")
             time.sleep(delay)
-            return real_trials(configs, seed)
+            return trial(seed)
         return wrapper
 
     configs = grid((6, 12), (0.3,), (2, 4), mode="full", trials=2, seeds=(7,))
@@ -742,9 +776,9 @@ def test_each_worker_holds_its_own_cpu_and_the_affinity_comes_back(tmp_path):
     cpus = sorted(START_AFFINITY)
 
     def on_cpu(cpu):
-        def wrapper(real_trials, configs, seed):
+        def wrapper(trial, spec, seed):
             assert os.sched_getaffinity(0) == {cpu}, (os.getpid(), os.sched_getaffinity(0))
-            return real_trials(configs, seed)
+            return trial(seed)
         return wrapper
 
     sides = tmp_path / "sides"

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim.seeding import WorldReader, draws, flags
+from votesim.seeding import WorldReader, derive_seed, derive_seeds, draws, flags, reseed, spawn
 
 WIDTHS = (1, 2, 3, 127, 128, 254, 255, 256, 257, 501, 2 ** 32, 2 ** 32 + 5)
 
@@ -178,3 +178,23 @@ def test_reader_takes_widths_up_to_sixteen_bits(width):
         reader.lookup(bytes(width), 1)
     with pytest.raises(ValueError):
         reader.skip(width, 1)
+
+
+#: ints a seed or an index may be: negative, 0, and above 2**64
+SEED_INTS = st.integers(-2 ** 80, -1) | st.just(0) | st.integers(2 ** 64, 2 ** 80) | st.integers()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parts=st.lists(SEED_INTS | st.sampled_from(("trial", "world", "")), max_size=3),
+       start=SEED_INTS, length=st.integers(0, 12))
+def test_seed_helpers_equal_derive_seed_and_spawn(parts, start, length):
+    indices = range(start, start + length)
+    seeds = list(derive_seeds(tuple(parts), indices))
+    assert seeds == [derive_seed(*parts, index) for index in indices]
+    # one generator, reseeded for every stream, even after a gauss() draw
+    rng = random.Random(1)
+    rng.gauss()
+    for seed in (*seeds, *parts, start):
+        assert reseed(rng, seed, "world") is rng
+        assert rng.getstate() == spawn(seed, "world").getstate()
+        assert rng.random() == spawn(seed, "world").random()
