@@ -85,6 +85,17 @@ def test_sweep_golden_output(capsys):
     assert out == GOLDEN_SWEEP
 
 
+@pytest.mark.parametrize("behavior", ["fake_share", "silent"])
+def test_full_mode_sweep_output_matches_its_fixture(capsys, behavior):
+    # the only pin of a full-mode sweep's CSV bytes, whose votes and plans are
+    # drawn from each trial's seeded world
+    code, out, _ = run_cli(capsys, ["sweep", "--mode", "full", "--n", "6,12", "--k", "2,4",
+                                    "--p-fail", "0.3", "--trials", "20", "--seeds", "1,2",
+                                    "--behavior", behavior])
+    assert code == 0
+    assert out == (DATA / f"sweep_full_{behavior}.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("one_cpu", [False, True], ids=["default-affinity", "one-cpu"])
 def test_sweep_subprocess_prints_golden_csv_once(one_cpu):
     env = dict(os.environ)
