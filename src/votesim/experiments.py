@@ -6,8 +6,8 @@ defined). Both evaluation modes share one draw of the seeded world per trial
 from its ``"world"`` stream: an honesty flag per voter, a vote per honest
 voter, then the sampling plan, the words a one-call-per-value loop would
 take. ``seeding.flags`` draws the flags (``random() >= p_fail``, settled on
-a word's top byte but for ties). Full mode draws the votes by
-``seeding.draws`` and the plan by ``make_sampling_plan``. The symbolic mode
+a word's top byte but for ties). Full mode draws each vote by
+``randrange(2)`` and the plan by ``make_sampling_plan``. The symbolic mode
 makes neither: a ``seeding.WorldReader`` takes the rest of the stream's words
 in one block, sized for the votes and the plan with a margin, and reads from
 it only where the vote words end and which plan indices name a disruptor.
@@ -81,7 +81,7 @@ from .hevs import (
     resolve_sample_size,
     tally,
 )
-from .seeding import WorldReader, derive_seeds, draws, flags, reseed
+from .seeding import WorldReader, derive_seeds, flags, reseed
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
 
@@ -125,8 +125,8 @@ class TrialConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if type(self.p_fail) not in (int, float):
             raise ValueError(f"p_fail must be a number, got {self.p_fail!r}")
-        if any(type(seed) is not int for seed in self.seeds):
-            raise ValueError(f"seeds must be integers, got {self.seeds!r}")
+        if type(self.seeds) is not tuple or any(type(seed) is not int for seed in self.seeds):
+            raise ValueError(f"seeds must be a tuple of integers, got {self.seeds!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be at least 1")
         if not 0.0 <= self.p_fail <= 1.0:
@@ -231,7 +231,7 @@ def _kernel(spec: tuple) -> Callable[[int], list[bool]]:
     def trial(trial_seed: int) -> list[bool]:
         reseed(world, trial_seed, "world")
         honest = flags(world, p_fail, n)
-        honest_votes = draws(world, 0, 2, honest.count(1))
+        honest_votes = [world.randrange(2) for _ in range(honest.count(1))]
         plan = make_sampling_plan(world, n, largest, t)
         drawn = iter(honest_votes)
         votes = [next(drawn) if flag else 0 for flag in honest]

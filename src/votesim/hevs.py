@@ -23,7 +23,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .adversary import Behavior, VoterRole, draw_fake_exponent, fake_decryption_share
@@ -39,7 +38,6 @@ from .hev import (
     encrypt_vote,
     keygen_share,
 )
-from .seeding import draws
 
 #: recorder callback: (phase, voter id or None for the government, value) -> None
 Recorder = Callable[[str, int | None, object], None]
@@ -104,8 +102,7 @@ def resolve_sample_size(policy, n: int) -> int:
 def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> SamplingPlan:
     """Draw k multisets of size t uniformly with replacement from [1, n].
 
-    The indices are drawn in order, one ``randrange(1, n + 1)`` each, through
-    ``seeding.draws``.
+    The indices are drawn in order, one ``rng.randrange(1, n + 1)`` each.
     """
     if n < 1:
         raise ValueError("population must be at least 1")
@@ -117,8 +114,7 @@ def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> Sam
             raise ValueError(f"got {len(sizes)} sample sizes for k={k}")
     else:
         sizes = [resolve_sample_size(t_policy, n)] * k
-    indices = iter(draws(rng, 1, n + 1, sum(sizes)))
-    multisets = tuple(tuple(islice(indices, size)) for size in sizes)
+    multisets = tuple(tuple(rng.randrange(1, n + 1) for _ in range(size)) for size in sizes)
     return SamplingPlan(population=n, multisets=multisets)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation and bulk draws.
+"""Deterministic seed derivation and block reads of seeded streams.
 
 Every component that needs randomness gets its own child generator derived
 from (seed, labels...), so streams never interleave and adding draws in one
@@ -10,11 +10,11 @@ labels the seeds share once, and ``reseed`` puts a generator the caller keeps
 in a spawned one's state instead of allocating a new one. A sweep's trial
 kernel (``experiments``) draws each trial's seed and world stream through them.
 
-``draws`` and ``flags`` leave a generator in exactly the state the
-one-call-per-value loop would, for streams that are read on afterwards.
-``WorldReader`` reads what the same draws name from a stream's words taken
-ahead of need, in one block, so it serves a stream whose last reader it is,
-such as a sweep trial's world.
+``flags`` leaves a generator in exactly the state the one-call-per-value
+``random()`` loop would, for streams that are read on afterwards.
+``WorldReader`` reads what ``randrange`` calls would draw from a stream's words
+taken ahead of need, in one block, so it serves a stream whose last reader it
+is, such as a sweep trial's world.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import functools
 import hashlib
 import math
 import random
-import sys
 from typing import Iterable, Iterator
 
 
@@ -64,65 +63,6 @@ def reseed(rng: random.Random, *parts) -> random.Random:
 _seed = _random.Random.seed
 
 
-def draws(rng: random.Random, start: int, stop: int, count: int) -> list[int]:
-    """``count`` uniform ints in [start, stop), drawn as ``randrange`` would.
-
-    The result, and the state ``rng`` is left in, equal those of
-    ``[start + rng._randbelow(stop - start) for _ in range(count)]``, which
-    is CPython's ``randrange(start, stop)`` without its argument checks; so
-    a caller that switches to this keeps every seeded output. ``_randbelow(n)``
-    takes one 32-bit Mersenne Twister word per try, keeps its top
-    ``n.bit_length()`` bits, and draws again while they are >= n.
-
-    For an exact ``random.Random`` the same words are drawn in rounds: one
-    ``getrandbits(32 * need)`` for the ``need`` values still missing. A round
-    cannot draw a word the loop would not, since every value the loop still
-    has to make takes at least one word. Two widths take this path:
-
-    * byte-sized values (0 <= start, stop <= 256, 1 <= stop - start <= 255):
-      the words' top bytes are mapped and filtered by one ``bytes.translate``;
-    * 256 <= stop - start <= 65535: the words' top 16 bits are read as a
-      native ``memoryview`` of unsigned shorts, which needs a little-endian
-      host, then shifted and filtered in one comprehension.
-
-    Both rely on CPython's ``getrandbits`` word order (its first word is the
-    least significant 32 bits, and so on up), which the seeded fixtures pin.
-    Any other input, a big-endian host for the 16-bit path, and any subclass
-    take the loop itself.
-    """
-    n = stop - start
-    exact = type(rng) is random.Random
-    if exact and 0 <= start and stop <= 256 and 1 <= n <= 255:
-        table, reject = _byte_tables(start, n)
-        values = b""
-        while (need := count - len(values)) > 0:
-            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-            values += words[3::4].translate(table, reject)
-        return list(values)
-    if exact and 256 <= n <= 65535 and _LITTLE_ENDIAN:
-        shift = 16 - n.bit_length()
-        values = []
-        while (need := count - len(values)) > 0:
-            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-            values += [start + v for top in memoryview(words).cast("H")[1::2]
-                       if (v := top >> shift) < n]
-        return values
-    draw = rng._randbelow
-    return [start + draw(n) for _ in range(count)]
-
-
-_LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-@functools.cache
-def _byte_tables(start: int, n: int) -> tuple[bytes, bytes]:
-    """(translation table, rejected bytes) turning a word's top byte into a draw."""
-    shift = 8 - n.bit_length()
-    table = bytes(start + (b >> shift) if b >> shift < n else 0 for b in range(256))
-    reject = bytes(b for b in range(256) if b >> shift >= n)
-    return table, reject
-
-
 def flags(rng: random.Random, p: float, count: int) -> bytes:
     """``count`` flags, 1 where ``rng.random() >= p`` and 0 elsewhere.
 
@@ -138,9 +78,10 @@ def flags(rng: random.Random, p: float, count: int) -> bytes:
     one ``bytes.translate`` of those bytes settles every flag whose byte
     differs from T's top byte; the ties (about 1 in 256, found by
     ``bytes.find``) are settled one by one on the full 53 bits. This relies
-    on the word order ``draws`` relies on and on CPython's ``random()``
-    construction, both pinned by the seeded fixtures. Any other p, a count
-    below 1, and any subclass take the loop itself.
+    on CPython's ``getrandbits`` word order (its first word is the least
+    significant 32 bits) and ``random()`` construction, both pinned by the
+    seeded fixtures. Any other p, a count below 1, and any subclass take the
+    loop itself.
     """
     if type(rng) is not random.Random or not 0.0 <= p <= 1.0 or count < 1:
         return bytes(rng.random() >= p for _ in range(count))
@@ -222,9 +163,10 @@ class WorldReader:
         """(status bytes of the unread words, the end of the ``count``-th draw).
 
         Each unread word becomes one status byte: the table byte of its draw,
-        or 2 where the draw rejects the word. The end is found in rounds, as
-        ``draws`` finds it: each round takes one word per draw still missing
-        and counts the rejections among them.
+        or 2 where the draw rejects the word. ``randrange(n)`` takes one word
+        per try, keeps its top ``n.bit_length()`` bits, and tries again while
+        they are >= n. So the end is found in rounds: each round takes one
+        word per draw still missing and counts the rejections among them.
         """
         if not 1 <= len(table) <= 65535:
             raise ValueError(f"the reader draws widths 1 to 65535, not {len(table)}")

@@ -87,8 +87,7 @@ def test_sweep_golden_output(capsys):
 
 @pytest.mark.parametrize("behavior", ["fake_share", "silent"])
 def test_full_mode_sweep_output_matches_its_fixture(capsys, behavior):
-    # the only pin of a full-mode sweep's CSV bytes, whose votes and plans are
-    # drawn from each trial's seeded world
+    # full mode draws its votes and plans by randrange; the fixture pins the CSV bytes
     code, out, _ = run_cli(capsys, ["sweep", "--mode", "full", "--n", "6,12", "--k", "2,4",
                                     "--p-fail", "0.3", "--trials", "20", "--seeds", "1,2",
                                     "--behavior", behavior])

@@ -51,6 +51,8 @@ def test_trial_config_validation():
         dict(n=10, p_fail=0.1, k=4, min_consistency=1),
         dict(n=10, p_fail=0.1, k=4, trials=0),
         dict(n=10, p_fail=0.1, k=4, seeds=()),
+        dict(n=10, p_fail=0.1, k=4, seeds=[1, 2]),
+        dict(n=10, p_fail=0.1, k=4, seeds=(seed for seed in (1, 2))),
         dict(n=10, p_fail=0.1, k=4, mode="psychic"),
         dict(n=10, p_fail=0.1, k=4, behavior="extra_vote"),
         dict(n=10, p_fail=0.1, k=4, t_policy="cube"),

@@ -3,22 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim.seeding import WorldReader, derive_seed, derive_seeds, draws, flags, reseed, spawn
-
-WIDTHS = (1, 2, 3, 127, 128, 254, 255, 256, 257, 501, 2 ** 32, 2 ** 32 + 5)
+from votesim.seeding import WorldReader, derive_seed, derive_seeds, flags, reseed, spawn
 
 
-def reference(rng, start, stop, count):
-    return [start + rng._randbelow(stop - start) for _ in range(count)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 64), count=st.integers(0, 600), width=st.sampled_from(WIDTHS),
-       start=st.sampled_from((0, 1)) | st.integers(-3, 300))
-def test_draws_equal_the_randbelow_loop(seed, count, width, start):
-    fast, slow = random.Random(seed), random.Random(seed)
-    assert draws(fast, start, start + width, count) == reference(slow, start, start + width, count)
-    assert fast.getrandbits(32) == slow.getrandbits(32)
+def randranges(rng, start, stop, count):
+    """``count`` values as full mode draws them: one ``randrange(start, stop)`` each."""
+    return [rng.randrange(start, stop) for _ in range(count)]
 
 
 def counted(seed):
@@ -27,61 +17,6 @@ def counted(seed):
     bits = rng.getrandbits
     rng.getrandbits = lambda k: calls.append(k) or bits(k)
     return rng, calls
-
-
-def test_byte_sized_draws_take_the_loops_words_in_few_calls():
-    fast, bulk = counted(7)
-    slow, single = counted(7)
-    assert draws(fast, 0, 2, 600) == reference(slow, 0, 2, 600)
-    assert len(bulk) < 30 and all(k % 32 == 0 for k in bulk)
-    assert sum(bulk) // 32 == len(single)
-
-
-def test_subclass_with_its_own_random_takes_the_loop():
-    class Stepped(random.Random):
-        def random(self):
-            return (super().random() + 0.5) % 1.0
-
-    for width in (2, 100, 255, 600):
-        fast, slow = Stepped(11), Stepped(11)
-        assert draws(fast, 1, 1 + width, 200) == reference(slow, 1, 1 + width, 200)
-        assert fast.random() == slow.random()
-
-
-def test_subclass_with_its_own_random_draws_wide_values_by_the_loop():
-    class Stepped(random.Random):
-        def getrandbits(self, k):
-            return super().getrandbits(k) ^ 1
-
-    for width in (256, 500, 65535):
-        fast, slow = Stepped(12), Stepped(12)
-        assert draws(fast, 0, width, 300) == reference(slow, 0, width, 300)
-        assert fast.getrandbits(32) == slow.getrandbits(32)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 64), count=st.integers(0, 600),
-       width=st.sampled_from((256, 257, 500, 65535, 65536)), start=st.integers(-3, 70000))
-def test_sixteen_bit_draws_equal_the_randbelow_loop(seed, count, width, start):
-    fast, slow = random.Random(seed), random.Random(seed)
-    assert draws(fast, start, start + width, count) == reference(slow, start, start + width, count)
-    assert fast.getrandbits(32) == slow.getrandbits(32)
-
-
-def test_sixteen_bit_draws_take_the_loops_words_in_few_calls():
-    for width in (256, 257, 500, 65535):
-        fast, bulk = counted(width)
-        slow, single = counted(width)
-        assert draws(fast, 1, 1 + width, 600) == reference(slow, 1, 1 + width, 600)
-        assert len(bulk) < 30 and all(k % 32 == 0 for k in bulk)
-        assert sum(bulk) // 32 == len(single)
-
-
-def test_draws_just_past_sixteen_bits_take_the_loop():
-    fast, bulk = counted(3)
-    slow, single = counted(3)
-    assert draws(fast, 0, 65536, 50) == reference(slow, 0, 65536, 50)
-    assert bulk == single and set(bulk) == {17}
 
 
 def flags_reference(rng, p, count):
@@ -146,9 +81,9 @@ def test_reader_reads_the_values_draws_makes(seed, width, counts, words, density
     marks = random.Random(-seed)
     table = bytes(marks.random() < density for _ in range(width))
     slow = random.Random(seed)
-    votes = draws(slow, 0, 2, counts[0])
-    skipped = draws(slow, 0, width, counts[1])
-    looked_up = bytes(table[v] for v in draws(slow, 0, width, counts[2]))
+    votes = randranges(slow, 0, 2, counts[0])
+    randranges(slow, 0, width, counts[1])
+    looked_up = bytes(table[v] for v in randranges(slow, 0, width, counts[2]))
     reader = WorldReader(random.Random(seed), words)
     assert reader.lookup(b"\x00\x01", counts[0]) == bytes(votes)
     reader.skip(width, counts[1])
@@ -163,10 +98,10 @@ def test_reader_refills_a_short_block_with_just_the_missing_words(width):
     slow = random.Random(width)
     table = bytes(v % 3 == 0 for v in range(width))
     reader = WorldReader(fast, 0)
-    assert reader.lookup(b"\x00\x01", 300) == bytes(draws(slow, 0, 2, 300))
+    assert reader.lookup(b"\x00\x01", 300) == bytes(randranges(slow, 0, 2, 300))
     reader.skip(width, 200)
-    draws(slow, 0, width, 200)
-    assert reader.lookup(table, 300) == bytes(table[v] for v in draws(slow, 0, width, 300))
+    randranges(slow, 0, width, 200)
+    assert reader.lookup(table, 300) == bytes(table[v] for v in randranges(slow, 0, width, 300))
     assert len(bulk) > 5
     assert fast.getrandbits(32) == slow.getrandbits(32)
 
