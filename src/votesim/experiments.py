@@ -60,13 +60,12 @@ from __future__ import annotations
 import atexit
 import bisect
 import contextlib
-import functools
 import itertools
 import math
 import os
 import random
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 from .adversary import Behavior, VoterRole
@@ -93,6 +92,20 @@ MAX_TRIAL_SIZE = 65535
 MAX_PLAN_INDICES = 2 ** 24
 
 
+def bounded_sample_size(n: int, k: int, t_policy) -> int:
+    """t_policy resolved at n, once n, k and t are each in [1, MAX_TRIAL_SIZE]
+    and k * t is at most MAX_PLAN_INDICES; else a ValueError naming the field."""
+    for name, value in (("n", n), ("k", k)):
+        if not 1 <= value <= MAX_TRIAL_SIZE:
+            raise ValueError(f"{name} must be at least 1 and at most {MAX_TRIAL_SIZE}, got {value}")
+    t = resolve_sample_size(t_policy, n)
+    if t > MAX_TRIAL_SIZE:
+        raise ValueError(f"t must be at most {MAX_TRIAL_SIZE}, got {t}")
+    if k * t > MAX_PLAN_INDICES:
+        raise ValueError(f"k * t must be at most {MAX_PLAN_INDICES}, got k={k}, t={t}")
+    return t
+
+
 def format_number(value) -> str:
     """CSV number rendering: six significant digits."""
     return format(value, ".6g")
@@ -104,9 +117,9 @@ class TrialConfig:
 
     The default sample-size policy is sqrt-half (t = ceil(sqrt(n/2))): the
     mode decision needs a macroscopic fraction of clean samples, so the
-    per-sample draw count must grow much slower than n. n, k and the
-    resolved t are at most ``MAX_TRIAL_SIZE``, and k * t at most
-    ``MAX_PLAN_INDICES``.
+    per-sample draw count must grow much slower than n. The attribute ``t``
+    is t_policy resolved at n, bounded by ``bounded_sample_size``; it is
+    derived, so it is no init argument and takes no part in repr or ==.
     """
 
     n: int
@@ -118,6 +131,7 @@ class TrialConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
     mode: str = "symbolic"
     behavior: str = "fake_share"
+    t: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "k", "min_consistency", "trials"):
@@ -127,8 +141,6 @@ class TrialConfig:
             raise ValueError(f"p_fail must be a number, got {self.p_fail!r}")
         if type(self.seeds) is not tuple or any(type(seed) is not int for seed in self.seeds):
             raise ValueError(f"seeds must be a tuple of integers, got {self.seeds!r}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError("n and k must be at least 1")
         if not 0.0 <= self.p_fail <= 1.0:
             raise ValueError("p_fail must be in [0, 1]")
         if self.min_consistency < 2:
@@ -141,13 +153,13 @@ class TrialConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.behavior not in TRIAL_BEHAVIORS:
             raise ValueError(f"trial behavior must be one of {TRIAL_BEHAVIORS}")
-        t = resolve_sample_size(self.t_policy, self.n)
-        if max(self.n, self.k, t) > MAX_TRIAL_SIZE:
-            raise ValueError(f"n, k and t must be at most {MAX_TRIAL_SIZE}, "
-                             f"got n={self.n}, k={self.k}, t={t}")
-        if self.k * t > MAX_PLAN_INDICES:
-            raise ValueError(f"k * t must be at most {MAX_PLAN_INDICES}, "
-                             f"got k={self.k}, t={t}")
+        object.__setattr__(self, "t", bounded_sample_size(self.n, self.k, self.t_policy))
+
+    @property
+    def world(self) -> tuple:
+        """(mode, n, p_fail, t): configs equal here share each trial's seeded
+        world whatever their k, as a k-sample plan starts any larger one."""
+        return self.mode, self.n, self.p_fail, self.t
 
 
 @dataclass(frozen=True)
@@ -167,23 +179,15 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _world(config: TrialConfig, size=resolve_sample_size) -> tuple:
-    """What a trial's seeded world is drawn from; configs equal here share it,
-    whatever their k, since a k-sample plan is the first k * t indices of any
-    larger one. ``size`` resolves (t_policy, n) to t."""
-    return (config.n, config.p_fail, size(config.t_policy, config.n), config.mode)
-
-
-def _spec(configs: Sequence[TrialConfig], size=resolve_sample_size) -> tuple:
+def _spec(configs: Sequence[TrialConfig]) -> tuple:
     """The kernel spec of configs that share a seeded world, in plain tuples:
     (mode, n, p_fail, t, points), one point (k, min_consistency, behavior)
-    per config. ``size`` resolves (t_policy, n) to t."""
-    worlds = {_world(config, size) for config in configs}
+    per config."""
+    worlds = {config.world for config in configs}
     if len(worlds) != 1:
         raise ValueError("a trial takes at least one config, and its configs must share "
                          "n, p_fail, t and mode")
-    (n, p_fail, t, mode), = worlds
-    return mode, n, p_fail, t, tuple((c.k, c.min_consistency, c.behavior) for c in configs)
+    return *worlds.pop(), tuple((c.k, c.min_consistency, c.behavior) for c in configs)
 
 
 def _kernel(spec: tuple) -> Callable[[int], list[bool]]:
@@ -288,14 +292,13 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     samples. Each (world, seed) group's trials go through one kernel
     (``_kernel``), built from the world's spec, plain tuples, by the first
     run that reaches the group in each job: once per call in this process
-    and once per call in each worker that runs the group. t is resolved
-    once per (t_policy, n) in a call. The sweep's (world, seed, trial) list is cut
-    into runs of consecutive trials, and the workers take runs from a shared
-    queue (a pipe) until it is empty: this process is one worker and
-    ``os.fork`` children are the others, each sending back its correct-trial
-    counts per (world, seed), one per point. The queue holds the runs
-    costliest first, a trial costing n times its world's largest k, so the
-    last runs, which leave the other workers idle, are the shortest.
+    and once per call in each worker that runs the group. The sweep's (world,
+    seed, trial) list is cut into runs of consecutive trials, and the workers
+    take runs from a shared queue (a pipe) until it is empty: this process is
+    one worker and ``os.fork`` children are the others, each sending back its
+    correct-trial counts per (world, seed), one per point. The queue holds the
+    runs costliest first, a trial costing n times its world's largest k, so
+    the last runs, which leave the other workers idle, are the shortest.
     Worker i is held on the set's i-th CPU (wrapping round), this process for
     the call only: it gets its affinity back before returning. A worker slowed by a
     busy CPU just takes fewer runs, so the sweep's time follows the CPU time
@@ -342,14 +345,13 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
         workers = 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
-    size = functools.cache(resolve_sample_size)  # t per (t_policy, n), resolved once
     # point positions per world; a world's configs also share trials and seeds
     worlds: dict[tuple, list[int]] = {}
     for position, config in enumerate(configs):
-        worlds.setdefault((_world(config, size), config.trials, config.seeds), []).append(position)
+        worlds.setdefault((config.world, config.trials, config.seeds), []).append(position)
     members, groups, trials = [], [], []  # per (world, seed): its points' positions; (spec, seed)
     for (_, world_trials, seeds), positions in worlds.items():
-        spec = _spec([configs[p] for p in positions], size)
+        spec = _spec([configs[p] for p in positions])
         for seed in seeds:
             members.append(positions)
             groups.append((spec, seed))
@@ -376,7 +378,7 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
             p_fail=config.p_fail,
             k=config.k,
             min_consistency=config.min_consistency,
-            t=size(config.t_policy, config.n),
+            t=config.t,
             trials=config.trials,
             seeds=len(config.seeds),
             accuracy=sum(per_seed) / len(per_seed),

@@ -22,14 +22,13 @@ from typing import Iterable, Sequence
 from . import bsv
 from .adversary import Behavior, assign_roles
 from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
-from .experiments import MAX_PLAN_INDICES, MAX_TRIAL_SIZE
+from .experiments import MAX_TRIAL_SIZE, bounded_sample_size
 from .group import MAX_GROUP_BITS, MIN_GROUP_BITS, default_group, generate_group
 from .hevs import (
     Recorder,
     SamplingPlan,
     make_sampling_plan,
     mode_decision,
-    resolve_sample_size,
     run_pipeline,
     run_sampled_election,
 )
@@ -104,13 +103,14 @@ _INT_FIELDS = ("n", "seed", "k", "min_consistency", "extra_vote_value", "group_b
 class ElectionConfig:
     """Everything a run needs; fully determines the transcript via the seed.
 
-    Sizes are bounded before any work: n, and for hevs k and the resolved t,
-    are at most ``experiments.MAX_TRIAL_SIZE`` (65535, the widest plan index
-    the draws read), a hevs plan's k * t indices at most
-    ``experiments.MAX_PLAN_INDICES`` (2**24), ``group_bits`` is at most
-    ``group.MAX_GROUP_BITS`` and ``rsa_bits`` at most ``bsv.MAX_RSA_BITS``. A
-    value outside its bound is a ``ConfigError``, and so an unreadable header
-    in ``replay``.
+    Sizes are bounded before any work: n is at most
+    ``experiments.MAX_TRIAL_SIZE`` (65535, the widest plan index the draws
+    read), hevs sizes n, k and t pass ``experiments.bounded_sample_size`` as
+    a sweep point's do, ``group_bits`` is at most ``group.MAX_GROUP_BITS`` and
+    ``rsa_bits`` at most ``bsv.MAX_RSA_BITS``. A value outside its bound is a
+    ``ConfigError``, and so an unreadable header in ``replay``. ``votes``,
+    ``candidates`` and ``replay_voters`` are tuples, as ``from_dict`` makes
+    them, so a config hashes and its transcript replays to an equal one.
     """
 
     protocol: str
@@ -136,6 +136,10 @@ class ElectionConfig:
             value = getattr(self, name)
             if type(value) is not int and not (name == "group_bits" and value is None):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("votes", "candidates", "replay_voters"):
+            value = getattr(self, name)
+            if type(value) is not tuple and not (name == "votes" and value is None):
+                raise ConfigError(f"{name} must be a tuple, got {value!r}")
         if not 1 <= self.n <= MAX_TRIAL_SIZE:
             raise ConfigError(f"n must be between 1 and {MAX_TRIAL_SIZE}, got {self.n}")
         if self.group_bits is not None and not MIN_GROUP_BITS <= self.group_bits <= MAX_GROUP_BITS:
@@ -159,17 +163,10 @@ class ElectionConfig:
             if self.protocol == "bsv" and any(v not in self.candidates for v in self.votes):
                 raise ConfigError(f"bsv votes must be among the candidates {list(self.candidates)}")
         if self.protocol == "hevs":
-            if not 1 <= self.k <= MAX_TRIAL_SIZE:
-                raise ConfigError(f"k must be between 1 and {MAX_TRIAL_SIZE}, got {self.k}")
             try:
-                t = resolve_sample_size(self.t_policy, self.n)
+                bounded_sample_size(self.n, self.k, self.t_policy)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            if t > MAX_TRIAL_SIZE:
-                raise ConfigError(f"t must be at most {MAX_TRIAL_SIZE}, got {t}")
-            if self.k * t > MAX_PLAN_INDICES:
-                raise ConfigError(f"k * t must be at most {MAX_PLAN_INDICES}, "
-                                  f"got k={self.k}, t={t}")
             if not 2 <= self.min_consistency <= self.k:
                 raise ConfigError(f"min_consistency must be between 2 and k={self.k}")
         if self.protocol == "bsv":

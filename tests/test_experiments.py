@@ -31,9 +31,10 @@ from votesim.experiments import (
     run_trials,
     sweep_csv,
 )
-from votesim.errors import DiscreteLogNotFound
-from votesim.hevs import reliability_probability_with_replacement
+from votesim.errors import ConfigError, DiscreteLogNotFound
+from votesim.hevs import reliability_probability_with_replacement, resolve_sample_size
 from votesim.seeding import WorldReader, derive_seed, flags, spawn
+from votesim.simnet import ElectionConfig
 
 from pins import EDGE_PIN, TRIAL_PIN, WIDE_PIN, edge_pinned_text, pinned_text, wide_pinned_text
 from reference import empirical_sample_reliability, symbolic_trial
@@ -64,6 +65,16 @@ def test_trial_config_validation():
     ):
         with pytest.raises(ValueError):
             TrialConfig(**bad)
+    # t is derived from t_policy and n: no init argument, and outside repr and ==
+    with pytest.raises(TypeError):
+        TrialConfig(n=10, p_fail=0.1, k=4, t=3)
+    config = TrialConfig(n=10, p_fail=0.1, k=4)
+    assert repr(config) == ("TrialConfig(n=10, p_fail=0.1, k=4, t_policy='sqrt-half', "
+                            "min_consistency=2, trials=1000, seeds=(1, 2, 3), mode='symbolic', "
+                            "behavior='fake_share')")
+    assert config == replace(config) and hash(config) == hash(replace(config))
+    # sqrt-half of 10 is 3: the same t, but another t_policy
+    assert config.t == replace(config, t_policy=3).t == 3 and replace(config, t_policy=3) != config
 
 
 @pytest.mark.parametrize("bad", [
@@ -83,12 +94,52 @@ def test_trial_config_takes_sizes_up_to_the_bound():
     assert experiments.MAX_TRIAL_SIZE == 65535
     assert experiments.MAX_PLAN_INDICES == 2 ** 24
     # half of 65535 is t = 32768 = 2 ** 15, so k * t is exactly the bound
-    TrialConfig(n=65535, p_fail=0.1, k=2 ** 9, t_policy="half")
-    TrialConfig(n=10, p_fail=0.1, k=4, t_policy=65535)
-    TrialConfig(n=10, p_fail=0.1, k=4000, t_policy=4000)
+    config = TrialConfig(n=65535, p_fail=0.1, k=2 ** 9, t_policy="half")
+    assert config.t == resolve_sample_size("half", 65535) == 2 ** 15
+    # replace resolves t again for the new n
+    for n in (1, 2, 50, 65534):
+        assert replace(config, n=n).t == resolve_sample_size("half", n)
+    assert replace(config, n=50, t_policy="sqrt-half").t == 5
+    assert TrialConfig(n=10, p_fail=0.1, k=4, t_policy=65535).t == 65535
+    assert TrialConfig(n=10, p_fail=0.1, k=4000, t_policy=4000).t == 4000
     for k, t_policy in ((2 ** 9 + 1, "half"), (65535, 65535), (4000, 4195)):
         with pytest.raises(ValueError, match="k \\* t must be at most 16777216"):
             TrialConfig(n=65535, p_fail=0.1, k=k, t_policy=t_policy)
+
+
+def _named_field(make, error) -> str | None:
+    """The field that make()'s error names, or None when make() succeeds."""
+    try:
+        make()
+    except error as exc:
+        return str(exc).split(" must be")[0]
+    return None
+
+
+def _size_agreement_cases():
+    """(n, k, t_policy, the field an error names or None) at each size's
+    bounds: n, k and an integer t at 1, the bound, one past it and far past
+    it; "half" at the largest n; k * t at its bound and one past it."""
+    for field, named in (("n", "n"), ("k", "k"), ("t_policy", "t")):
+        for value in (1, 65535, 65536, 10 ** 40):
+            yield pytest.param({"n": 10, "k": 4, "t_policy": 3, field: value},
+                               named if value > 65535 else None, id=f"{named}={value}")
+    yield pytest.param({"n": 65535, "k": 4, "t_policy": "half"}, None, id="half-at-n=65535")
+    yield pytest.param({"n": 10, "k": 4096, "t_policy": 4096}, None, id="k*t=2**24")
+    # 2**24 + 1 = 24929 * 673
+    yield pytest.param({"n": 10, "k": 24929, "t_policy": 673}, "k * t", id="k*t=2**24+1")
+
+
+@pytest.mark.parametrize("sizes, named", _size_agreement_cases())
+def test_trial_and_election_configs_agree_on_sizes(sizes, named):
+    trial = _named_field(lambda: TrialConfig(p_fail=0.1, **sizes), ValueError)
+    election = _named_field(lambda: ElectionConfig(protocol="hevs", **sizes), ConfigError)
+    if sizes["k"] == 1:
+        # past its size checks an election also needs min_consistency (2) <= k,
+        # a rule a trial does not have
+        assert election == "min_consistency"
+        election = None
+    assert trial == election == named
 
 
 def test_trial_config_accepts_int_p_fail():

@@ -365,6 +365,16 @@ def test_config_validation():
         ElectionConfig(protocol="hevs", n=2, p_fail="0.5")
     with pytest.raises(ConfigError):
         ElectionConfig(protocol="bsv", n=2, candidates=("a\tb", "c"), votes=("c", "c"))
+    # votes, candidates and replay_voters must be tuples, as from_dict makes
+    # them: a str or list config would not hash or replay to an equal one
+    for bad in (dict(protocol="bsv", n=2, votes="ab", candidates=("a", "b")),
+                dict(protocol="bsv", n=2, votes=["a", "b"], candidates=("a", "b")),
+                dict(protocol="bsv", n=2, candidates=["a", "b"]),
+                dict(protocol="bsv", n=2, candidates="ab"),
+                dict(protocol="bsv", n=2, replay_voters=[1]),
+                dict(protocol="hev", n=2, votes=[1, 0])):
+        with pytest.raises(ConfigError, match="must be a tuple"):
+            ElectionConfig(**bad)
 
 
 def test_config_roundtrips_through_dict():
