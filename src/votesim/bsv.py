@@ -18,16 +18,16 @@ in under half the time. Key generation tests each random candidate with the
 Baillie-PSW test of ``group.is_probable_prime``; ``tests/data/rsa_keys.json``
 pins the keys it returns for fixed seeds.
 
-Anyone holding only the public key can confirm a blind signature exactly.
+Anyone holding only the public key can confirm a ballot signature exactly.
 With distinct primes p, q and gcd(e, lambda(n)) = 1, x -> x**e mod n is a
 permutation of [0, n): from s**e = b (mod p) and e * d_p = 1 (mod p - 1),
 Fermat gives s = b**d_p (mod p), even when p divides s, and likewise mod q.
-So the one s in [0, n) with s**e = b is the value ``sign_blinded`` returns,
-and ``is_blind_signature`` checks it with one pow to the small public
-exponent, where signing again costs two half-width pows to private
-exponents. ``simnet.replay`` relies on this: it re-derives the key, the
-blinding and the ledger from the seed, but takes each recorded blind
-signature once this check confirms it.
+So ``verify_ballot`` accepts only the s that ``unblind`` returns, and since
+(s * r)**e = digest * r**e, s * r mod n is what ``sign_blinded`` returned.
+``simnet.replay`` relies on this: it re-derives the key, the blinding and the
+ledger from the seed, but takes each posted signature once ``verify_ballot``
+confirms it, one pow to e and a multiplication in place of two half-width
+private pows and an inverse.
 """
 
 from __future__ import annotations
@@ -211,22 +211,15 @@ def sign_blinded(keys: SignerKeys, blinded: int, voter_id, registry: SignerRegis
     return s_q + (pow(blinded, keys._dp, p) - s_q) * keys._q_inv % p * q
 
 
-def is_blind_signature(pub: RsaPublicKey, blinded: int, value: int) -> bool:
-    """True iff value is the signer's blind signature on blinded.
-
-    The public check is exact for a blinded value in [0, n): only the
-    signature lies in [0, n) and raises to blinded (see the module docstring).
-    """
-    return 0 <= value < pub.modulus and pow(value, pub.exponent, pub.modulus) == blinded
-
-
 def unblind(signed_blind: int, state: BlindingState, pub: RsaPublicKey) -> int:
     """Divide out the blinding factor, leaving a signature on the digest."""
     return signed_blind * pow(state.factor, -1, pub.modulus) % pub.modulus
 
 
 def verify_ballot(pub: RsaPublicKey, ballot: Ballot) -> bool:
-    if ballot.signature is None:
+    """True iff the signature is in [0, n), as PKCS #1's RSAVP1 requires, and
+    e raises it to the digest: only the signer's signature passes, not s + n."""
+    if ballot.signature is None or not 0 <= ballot.signature < pub.modulus:
         return False
     expected = ballot_digest(ballot.content, ballot.nonce, pub.modulus)
     return pow(ballot.signature, pub.exponent, pub.modulus) == expected

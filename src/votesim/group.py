@@ -36,45 +36,63 @@ from dataclasses import dataclass, field
 
 from .errors import DiscreteLogNotFound, GroupGenerationError
 
-#: trial division covers every prime below this bound
-SIEVE_BOUND = 1000
-_SIEVE_PRIMES = frozenset(
-    n for n in range(2, SIEVE_BOUND) if all(n % d for d in range(2, math.isqrt(n) + 1)))
-#: product of the primes below SIEVE_BOUND: one gcd with it trial-divides by all of them
-_SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
+#: trial division covers every prime below this bound, at most 2**15 (see generate_group)
+SIEVE_BOUND = 4096
+
+
+def _primes_below(bound: int) -> list[int]:
+    """The primes below `bound`, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return [p for p in range(bound) if sieve[p]]
+
+
+_SIEVE_PRIMES = frozenset(_primes_below(SIEVE_BOUND))
+#: products of the primes in [2, 50), [50, 1000) and [1000, SIEVE_BOUND)
+_SIEVE_STAGES = tuple(math.prod(p for p in _SIEVE_PRIMES if low <= p < high)
+                      for low, high in ((2, 50), (50, 1000), (1000, SIEVE_BOUND)))
+
+
+def _has_sieve_factor(n: int) -> bool:
+    """True iff a prime below SIEVE_BOUND divides n; stops at the first stage that finds one."""
+    return any(math.gcd(n, product) != 1 for product in _SIEVE_STAGES)
 
 
 def is_probable_prime(n: int) -> bool:
     """The Baillie-PSW test: trial division by the primes below SIEVE_BOUND,
     one strong Miller-Rabin round to base 2, then one strong Lucas test.
 
-    The trial division is one gcd with the product of those primes, so most
-    composites cost no modexp. The two probable-prime tests are Baillie and
-    Wagstaff's (Math. Comp. 1980) with Selfridge's parameters (Pomerance,
-    Selfridge and Wagstaff, Math. Comp. 1980). Their failure sets look
-    unrelated: no composite is known to pass both, and none exists below 2**64,
-    since every base-2 strong pseudoprime there has been listed (Feitsma and
-    Galway) and each one fails the Lucas test. That is ample for the 256-bit
-    group and 512-bit RSA parameters simulated here.
+    The trial division is one gcd each with the products of the primes below
+    50, to 1000 and to 4096, stopping at the first common factor; it leaves
+    13.5 % of random odd n for the modexps. The two probable-prime tests are
+    Baillie and Wagstaff's (Math. Comp. 1980) with Selfridge's parameters
+    (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980). Their failure sets
+    look unrelated: no composite is known to pass both, and none exists below
+    2**64, since every base-2 strong pseudoprime there has been listed
+    (Feitsma and Galway) and each one fails the Lucas test. That is ample for
+    the 256-bit group and 512-bit RSA parameters simulated here.
     """
     if n < 2:
         return False
-    if math.gcd(n, _SIEVE_PRODUCT) != 1:
+    if _has_sieve_factor(n):
         return n in _SIEVE_PRIMES
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(2, d, n)
-    if x != 1 and x != n - 1:
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return _is_strong_lucas_probable_prime(n)
+    return _is_strong_probable_prime_base_2(n) and _is_strong_lucas_probable_prime(n)
+
+
+def _is_strong_probable_prime_base_2(n: int) -> bool:
+    """One strong Miller-Rabin round for odd n > 2: with n - 1 = d * 2**s, n
+    passes iff 2**d = 1 or 2**(d * 2**r) = -1 (mod n) for some 0 <= r < s."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -111,11 +129,8 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
     # U_k, V_k and Q**k from k = 1, doubling and stepping k up to d by its bits
     U, V, Qk = 1, 1, Q % n
     for bit in bin(d)[3:]:
@@ -379,8 +394,8 @@ def generate_group(bits: int, rng: random.Random, max_attempts: int | None = Non
 
     Searches for a safe prime p = 2q + 1 and picks a square as generator,
     which has order q automatically. Deterministic for a seeded rng. A
-    candidate q is dropped before any primality test when 2q + 1 shares a
-    factor with the sieve primes: p is at least 2**15, above every one of
+    candidate q is dropped before any primality test when a sieve prime, one
+    below SIEVE_BOUND, divides 2q + 1: p is at least 2**15, above every one of
     them, so that factor proves p composite and the draws stay the same.
     """
     if bits < MIN_GROUP_BITS:
@@ -389,7 +404,7 @@ def generate_group(bits: int, rng: random.Random, max_attempts: int | None = Non
     for _ in range(attempts):
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
         p = 2 * q + 1
-        if math.gcd(p, _SIEVE_PRODUCT) != 1 or not is_probable_prime(q):
+        if _has_sieve_factor(p) or not is_probable_prime(q):
             continue
         if not is_probable_prime(p):
             continue

@@ -132,6 +132,8 @@ class ElectionConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
+        if type(self.schedule) is not Schedule:
+            raise ConfigError(f"schedule must be a Schedule, got {self.schedule!r}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if type(value) is not int and not (name == "group_bits" and value is None):
@@ -223,18 +225,17 @@ def _error_code(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
-def run_election(config: ElectionConfig, *, _blind_signatures: dict | None = None) -> ElectionOutcome:
+def run_election(config: ElectionConfig, *, _signatures: dict | None = None) -> ElectionOutcome:
     """Run one election; protocol failures become structured outcomes.
 
-    ``_blind_signatures`` is for ``replay`` alone: a transcript's claimed bsv
-    blind signatures by voter id, each taken only once the public key
-    confirms it (see ``_run_bsv``).
+    ``_signatures`` is for ``replay`` alone: a transcript's claimed bsv ballot
+    signatures by nonce, each checked before use (see ``_run_bsv``).
     """
     outcome = ElectionOutcome(config=config, ok=False)
     messages: list[Message] = []
     try:
         if config.protocol == "bsv":
-            _run_bsv(config, outcome, messages, _blind_signatures or {})
+            _run_bsv(config, outcome, messages, _signatures or {})
         else:
             _run_hev(config, outcome, messages)
         outcome.ok = True
@@ -342,9 +343,9 @@ def _run_hev(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Me
 
 def _run_bsv(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Message],
              claimed: dict) -> None:
-    """The bsv election. A blind signature in `claimed` under the voter's id
-    stands in for signing once the public key confirms it; the signer still
-    marks the voter served."""
+    """The bsv election. A signature in `claimed` under the ballot's nonce
+    that verifies stands in for signing and unblinding, times the blinding
+    factor for the blind signature; the signer still marks the voter served."""
     schedule = config.schedule
     vote_rng = spawn(config.seed, "votes")
     choices = config.votes if config.votes is not None else [
@@ -367,14 +368,16 @@ def _run_bsv(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Me
             "tag": "blind_request", "voter_id": i, "blinded": _hex(state.blinded)}))
     signed: list[bsv.Ballot] = []
     for i, (ballot, state) in enumerate(pending, start=1):
-        blind_sig = claimed.get(i)
-        if blind_sig is not None and bsv.is_blind_signature(pub, state.blinded, blind_sig):
+        signature = claimed.get(ballot.nonce)
+        if signature is not None and bsv.verify_ballot(pub, ballot.with_signature(signature)):
             registry.check_and_mark(i)
+            blind_sig = signature * state.factor % pub.modulus
         else:
             blind_sig = bsv.sign_blinded(keys, state.blinded, i, registry)
+            signature = bsv.unblind(blind_sig, state, pub)
         messages.append(Message("signed_blind", "government", f"voter:{i}", {
             "tag": "signed_blind", "voter_id": i, "value": _hex(blind_sig)}))
-        signed.append(ballot.with_signature(bsv.unblind(blind_sig, state, pub)))
+        signed.append(ballot.with_signature(signature))
 
     pool = [(i + 1, ballot) for i, ballot in enumerate(signed)]
     pool.extend((voter_id, signed[voter_id - 1]) for voter_id in config.replay_voters)
@@ -414,17 +417,16 @@ def write_transcript(outcome: ElectionOutcome, path) -> None:
             fh.write(line + "\n")
 
 
-def _claimed_blind_signatures(lines: Sequence[str]) -> dict:
-    """Voter id -> value of each ``signed_blind`` record that parses; the
-    last record for an id wins, and the re-run checks every value it uses."""
+def _claimed_signatures(lines: Sequence[str]) -> dict:
+    """Nonce -> signature of each ``post`` record that parses; the last
+    record for a nonce wins, and the re-run checks every value it uses."""
     claimed = {}
     for line in lines:
-        phase, _, rest = line.partition("\t")
-        if phase != "signed_blind":
+        if not line.startswith("post\t"):
             continue
         try:
-            payload = json.loads(bytes.fromhex(rest.rpartition("\t")[2]))
-            claimed[payload["voter_id"]] = int(payload["value"], 16)
+            payload = json.loads(bytes.fromhex(line.rpartition("\t")[2]))
+            claimed[int(payload["nonce"], 16)] = int(payload["signature"], 16)
         except (ValueError, LookupError, TypeError, RecursionError):
             continue
     return claimed
@@ -439,13 +441,13 @@ def replay(lines: Iterable[str]) -> ElectionOutcome:
 
     Every value is re-derived from the header's seed - keys, votes, nonces,
     blinding factors, ciphertexts, shares and the ledger's verdicts - except
-    the bsv blind signatures. Each of those is read from its ``signed_blind``
-    record and checked with the public key, s**e = blinded mod n with
-    0 <= s < n; a record that fails the check or does not parse is signed
-    again. The check is exact because s -> s**e mod n permutes [0, n) for
-    an RSA key (see ``votesim.bsv``): the one value that passes is the
-    signature re-signing would give. So the re-derived records, and the
-    line named for any corrupt transcript, are those of a full re-run.
+    the bsv ballot signatures, each read from a ``post`` record by its nonce.
+    ``bsv.verify_ballot`` checks each, 0 <= s < n and s**e = digest mod n,
+    and the blind signature is then s * r mod n for the blinding factor r; a
+    claim that fails or does not parse is signed again. The check is exact,
+    as s -> s**e mod n permutes [0, n) for an RSA key (see ``votesim.bsv``),
+    so the re-derived records, and the line named for any corrupt
+    transcript, are those of a full re-run.
     """
     lines = [line.rstrip("\n") for line in lines]
     if not lines or not lines[0].startswith(TRANSCRIPT_MAGIC + " "):
@@ -454,8 +456,8 @@ def replay(lines: Iterable[str]) -> ElectionOutcome:
         config = ElectionConfig.from_dict(json.loads(lines[0][len(TRANSCRIPT_MAGIC) + 1:]))
     except (ValueError, LookupError, TypeError, ConfigError) as exc:
         raise CorruptTranscript(f"unreadable header: {exc}") from exc
-    claimed = _claimed_blind_signatures(lines) if config.protocol == "bsv" else None
-    outcome = run_election(config, _blind_signatures=claimed)
+    claimed = _claimed_signatures(lines) if config.protocol == "bsv" else None
+    outcome = run_election(config, _signatures=claimed)
     expected = transcript_lines(outcome)
     if len(lines) != len(expected):
         raise CorruptTranscript(

@@ -14,7 +14,6 @@ from votesim.bsv import (
     SignerRegistry,
     ballot_digest,
     blind,
-    is_blind_signature,
     make_ballot,
     sign_blinded,
     signer_keygen,
@@ -145,14 +144,28 @@ def test_public_exponent_permutes_the_residues(signer):
     assert len(set(map(pow, range(n), repeat(signer.public_exponent), repeat(n)))) == n
 
 
+def ballot_with_digest(digest, modulus):
+    """A ballot whose digest mod `modulus` is `digest`, by searching nonces."""
+    return next(Ballot("for", nonce) for nonce in range(100 * modulus)
+                if ballot_digest("for", nonce, modulus) == digest)
+
+
 def test_public_check_accepts_only_the_signature(keys, rng):
+    """verify_ballot takes only the unblinded signature s, whose product with
+    the blinding factor is the blind signature; s + 1 and s + n fail."""
     for signer in (TEST_SIGNER_KEYS, keys, signer_keygen(random.Random(3), 64)):
         pub, n = signer.public, signer.modulus
-        for blinded in [0, 1, n - 1, *(rng.randrange(n) for _ in range(100))]:
-            value = crt_signature(signer, blinded)
-            assert is_blind_signature(pub, blinded, value)
-            assert not is_blind_signature(pub, blinded, value + 1)
-            assert not is_blind_signature(pub, blinded, value + n)
+        ballots = [make_ballot("for", rng) for _ in range(100)]
+        if signer is TEST_SIGNER_KEYS:
+            ballots += [ballot_with_digest(digest, n) for digest in (0, 1, n - 1)]
+        for ballot in ballots:
+            state = blind(ballot, pub, rng)
+            blind_sig = crt_signature(signer, state.blinded)
+            value = unblind(blind_sig, state, pub)
+            assert value * state.factor % n == blind_sig
+            assert verify_ballot(pub, ballot.with_signature(value))
+            assert not verify_ballot(pub, ballot.with_signature(value + 1))
+            assert not verify_ballot(pub, ballot.with_signature(value + n))
 
 
 def test_make_ballot_nonce_width(rng):
@@ -300,6 +313,9 @@ def test_ledger_rejects_bad_signature(keys, rng):
     assert not result.accepted and result.reason is RejectReason.BAD_SIGNATURE
     unsigned = Ballot("for", ballot.nonce)
     assert ledger.submit(unsigned, POST).reason is RejectReason.BAD_SIGNATURE
+    widened = ballot.with_signature(ballot.signature + keys.modulus)
+    assert ledger.submit(widened, POST).reason is RejectReason.BAD_SIGNATURE
+    assert ledger.submit(ballot, POST).accepted
 
 
 def test_ledger_rejects_outside_posting_window(keys, rng):

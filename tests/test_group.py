@@ -98,7 +98,7 @@ def test_generate_group_tests_only_q_whose_2q_plus_1_passes_the_sieve(monkeypatc
         params = generate_group(bits, random.Random(seed))
         candidates = [n for n in tested if n.bit_length() == bits - 1]
         assert params.order in candidates
-        assert all(math.gcd(2 * q + 1, votesim.group._SIEVE_PRODUCT) == 1 for q in candidates)
+        assert not any(votesim.group._has_sieve_factor(2 * q + 1) for q in candidates)
 
 
 def test_generate_group_is_deterministic_and_valid():
@@ -158,11 +158,17 @@ def reference_is_probable_prime(n):
 
 PRIMES_BELOW_1000 = [n for n in range(2, 1000) if all(n % d for d in range(2, n))]
 
+#: strong pseudoprimes to base 2 that only the Lucas test rejects, two of them
+#: squares of Wieferich primes (1093**2, 3511**2)
+BASE_2_PSEUDOPRIMES = (1678541, 2284453, 3125281, 3375041, 4513841, 21359521, 1194649, 12327121)
+#: strong Lucas pseudoprimes that only the base-2 round rejects
+LUCAS_PSEUDOPRIMES = (1711469, 2263127, 2518889, 2624399)
 #: Carmichael numbers, and strong pseudoprimes to the first prime bases up to 41
 #: (the last one sets the 3.3e24 bound below which 25 bases are deterministic);
-#: then strong pseudoprimes to base 2 that only the Lucas test rejects, two of
-#: them squares of Wieferich primes (1093**2, 3511**2); then strong Lucas
-#: pseudoprimes that only the base-2 round rejects. None has a factor below 1000.
+#: then the two sets above. Each of those two has a prime factor in [1000, 4096),
+#: as have 1373653, 25326001 and 3474749660383, so trial division rejects them
+#: before either round runs; test_each_bpsw_round_rejects_the_others_pseudoprimes
+#: checks the rounds on them directly.
 PSEUDOPRIMES = (
     561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
     52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
@@ -170,8 +176,7 @@ PSEUDOPRIMES = (
     488881, 512461, 825265, 2047, 1373653, 25326001, 3215031751, 2152302898747,
     3474749660383, 341550071728321, 3825123056546413051,
     318665857834031151167461, 3317044064679887385961981,
-    1678541, 2284453, 3125281, 3375041, 4513841, 21359521, 1194649, 12327121,
-    1711469, 2263127, 2518889, 2624399,
+    *BASE_2_PSEUDOPRIMES, *LUCAS_PSEUDOPRIMES,
 )
 
 
@@ -184,6 +189,17 @@ def test_sieved_prime_test_rejects_pseudoprimes():
     for n in PSEUDOPRIMES:
         assert not is_probable_prime(n), n
         assert not reference_is_probable_prime(n), n
+
+
+def test_each_bpsw_round_rejects_the_others_pseudoprimes():
+    for n in BASE_2_PSEUDOPRIMES:
+        assert votesim.group._has_sieve_factor(n), n
+        assert votesim.group._is_strong_probable_prime_base_2(n), n
+        assert not votesim.group._is_strong_lucas_probable_prime(n), n
+    for n in LUCAS_PSEUDOPRIMES:
+        assert votesim.group._has_sieve_factor(n), n
+        assert votesim.group._is_strong_lucas_probable_prime(n), n
+        assert not votesim.group._is_strong_probable_prime_base_2(n), n
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,6 +250,19 @@ def test_small_factors_cost_no_modexp(monkeypatch):
     for p in PRIMES_BELOW_1000:
         assert is_probable_prime(p)
         assert not is_probable_prime(p * 1009)
+        assert not is_probable_prime(p * big_prime)
+    assert calls == []
+
+
+def test_sieve_stages_cover_every_prime_below_4096(monkeypatch):
+    primes = [n for n in range(2, 4096) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert sorted(votesim.group._SIEVE_PRIMES) == primes
+    assert math.prod(votesim.group._SIEVE_STAGES) == math.prod(primes)
+    calls = count_pows(monkeypatch)
+    big_prime = 2 ** 127 - 1
+    for p in primes:
+        assert is_probable_prime(p)
+        assert not is_probable_prime(p * 4099)
         assert not is_probable_prime(p * big_prime)
     assert calls == []
 

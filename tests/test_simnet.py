@@ -206,17 +206,20 @@ def test_bsv_replay_matches_the_run(config):
 
 
 def test_bsv_replay_signs_nothing_for_a_clean_transcript(monkeypatch):
+    """Replay neither signs nor unblinds: each posted signature verifies."""
     calls = []
-    sign_blinded = bsv.sign_blinded
 
-    def counted(*args):
-        calls.append(args)
-        return sign_blinded(*args)
+    def spy(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(bsv, "sign_blinded", counted)
+    for name in ("sign_blinded", "unblind"):
+        monkeypatch.setattr(bsv, name, spy(name, getattr(bsv, name)))
     config = ElectionConfig(protocol="bsv", n=6, seed=2, rsa_bits=128, replay_voters=(3,))
     lines = lines_for(config)
-    assert len(calls) == config.n
+    assert sorted(calls) == ["sign_blinded"] * config.n + ["unblind"] * config.n
     calls.clear()
     replay(lines)
     assert calls == []
@@ -265,6 +268,30 @@ def test_replay_names_each_edited_blind_signature():
             "another voter's signature": lambda p: p.update(value=values[other]),
             "not hex": lambda p: p.update(value="not hex"),
             "voter_id": lambda p: p.update(voter_id=other),
+        }
+        for name, edit in edits.items():
+            tampered = list(lines)
+            tampered[index] = edit_payload(lines[index], edit)
+            assert tampered[index] != lines[index], name
+            with pytest.raises(CorruptTranscript, match=f"at line {index + 1}$"):
+                replay(tampered)
+
+
+def test_replay_names_each_edited_ballot_signature():
+    config = ElectionConfig(protocol="bsv", n=4, seed=6, rsa_bits=64, replay_voters=(2,))
+    lines = lines_for(config)
+    n = int(payload_of(lines[1])["modulus"], 16)
+    records = {index: payload_of(line)
+               for index, line in enumerate(lines) if line.startswith("post\t")}
+    assert len(records) == config.n + len(config.replay_voters)
+    signatures = {p["nonce"]: p["signature"] for p in records.values()}
+    for index, record in records.items():
+        other = next(s for nonce, s in signatures.items() if nonce != record["nonce"])
+        edits = {
+            "signature + 1": lambda p: p.update(signature=format(int(p["signature"], 16) + 1, "x")),
+            "signature + n": lambda p: p.update(signature=format(int(p["signature"], 16) + n, "x")),
+            "another ballot's signature": lambda p: p.update(signature=other),
+            "not hex": lambda p: p.update(signature="not hex"),
         }
         for name, edit in edits.items():
             tampered = list(lines)
@@ -374,6 +401,14 @@ def test_config_validation():
                 dict(protocol="bsv", n=2, replay_voters=[1]),
                 dict(protocol="hev", n=2, votes=[1, 0])):
         with pytest.raises(ConfigError, match="must be a tuple"):
+            ElectionConfig(**bad)
+    # a schedule that is not a Schedule failed later with AttributeError:
+    # None once transcript_lines read it, a dict at bsv's window check
+    schedule = Schedule().__dict__
+    for bad in (dict(protocol="hev", n=2, schedule=None),
+                dict(protocol="bsv", n=2, schedule=schedule),
+                dict(protocol="hevs", n=2, k=2, schedule=schedule)):
+        with pytest.raises(ConfigError, match="schedule must be a Schedule"):
             ElectionConfig(**bad)
 
 
