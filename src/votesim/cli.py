@@ -43,18 +43,28 @@ def _bool(text: str) -> bool:
     except KeyError:
         raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}") from None
 
-def _int_range(text: str) -> tuple[int, ...]:
-    """A single integer, a comma list, or lo:hi[:step] (hi inclusive)."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
+def _size(name: str, listed: bool = True) -> Callable[[str], object]:
+    """The parser of analytic's --name: an integer or, if listed, a tuple from
+    a single integer, a comma list or lo:hi[:step] (hi inclusive). Each value
+    must lie in [0, MAX_TRIAL_SIZE], a range's checked at its ends before its
+    tuple is built. Else a ConfigError names the setting: argparse passes it
+    on, so the command exits 3 before its config is echoed."""
+
+    def size(text: str):
+        if listed and ":" in text:
+            parts = [int(p) for p in text.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError(f"bad range {text!r}")
+            values = range(parts[0], parts[1] + 1, *parts[2:])
+            ends = (values[0], values[-1]) if values else ()
         else:
-            raise ValueError(f"bad range {text!r}")
-        return tuple(range(lo, hi + 1, step))
-    return _int_list(text)
+            values = ends = _int_list(text) if listed else (int(text),)
+        for value in ends:
+            if not 0 <= value <= experiments.MAX_TRIAL_SIZE:
+                raise ConfigError(f"{name} must be at least 0 and at most "
+                                  f"{experiments.MAX_TRIAL_SIZE}, got {value}")
+        return tuple(values) if listed else values[0]
+    return size
 
 
 def _read_lines(path: str, error: type[Exception]) -> list[str]:
@@ -295,9 +305,9 @@ _COMMANDS = {
     )),
     "analytic": ("single-sample reliability probabilities", _cmd_analytic, (
         _OUT,
-        _Setting("--n", _int_range, (50,), "electorate size(s), int/list/lo:hi[:step]"),
-        _Setting("--m", _int_range, (5,), "uncooperative count(s)"),
-        _Setting("--t", int, 25, "sample size"),
+        _Setting("--n", _size("n"), (50,), "electorate size(s), int/list/lo:hi[:step]"),
+        _Setting("--m", _size("m"), (5,), "uncooperative count(s)"),
+        _Setting("--t", _size("t", listed=False), 25, "sample size"),
     )),
 }
 
@@ -329,14 +339,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         if args.settings is None:
             return args.func(args)
         resolved = _resolve(args, args.settings)
         print("config " + json.dumps(resolved, sort_keys=True, default=str), file=sys.stderr)
         return args.func(resolved)
+    except SystemExit as exc:  # from argparse: --help or a usage error
+        return exc.code if isinstance(exc.code, int) else 2
     except OSError as exc:
         print(f"error io: {exc}", file=sys.stderr)
         return 3

@@ -46,7 +46,8 @@ on the crypto stream.
 
 A world's trials go through one kernel. ``_kernel`` builds
 ``trial(trial_seed) -> verdicts`` from the world's spec once per sweep job
-(one worker's share of one ``run_sweep`` call). It does there what no trial
+(one worker's runs of one ``run_sweep`` call, counted by ``_count``, whether
+the call has one worker or a pool of them). It does there what no trial
 seed changes: t, the largest k, each point's scoring, the plan's size. Each
 trial reseeds the kernel's own generator (``seeding.reseed``).
 ``run_trials`` is one trial of a kernel built for its configs.
@@ -309,16 +310,14 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     CPUs, narrow the affinity set, e.g. with ``taskset -c 0 votesim sweep ...``.
 
     The children are forked by the first sweep that needs more than one
-    worker, and start on its trials from the memory they inherit. They are
-    kept for later sweeps of this process while the worker count and the
-    affinity set stay the same, and those sweeps send them their work
-    pickled (the groups' specs, their seeds and the runs); a change in
-    either, or a child found dead before a call, forks
-    new ones. So the children run the code as it stood when they were
+    worker and kept for later sweeps of this process while the worker count
+    and the affinity set stay the same; a change in either, or a child found
+    dead before a call, forks new ones. Every sweep, the forking one too,
+    sends each child its work pickled (the groups' specs, their seeds and
+    the runs). So the children run the code as it stood when they were
     forked: a patch made after that reaches this process's share of the
     trials only. Keeping them saves a fork only where a process makes
-    several parallel sweeps, as a loop over ``run_point`` does; a process
-    that sweeps once, as ``votesim sweep`` does, forks as often as before.
+    several parallel sweeps, as a loop over ``run_point`` does.
     They are killed and reaped when this process exits (``atexit``), or at
     once if a sweep fails. Each exits by itself once this process dies,
     since only this process holds the write end of its job pipe: a process
@@ -360,8 +359,7 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     total = starts[-1]
     workers = min(workers, total)
     if workers == 1:
-        counts = [[0] * len(spec[4]) for spec, _ in groups]
-        _add_counts(groups, starts, 0, total, counts, [None] * len(groups))
+        counts = _count(groups, starts, [(0, total)])
     else:
         counts = _pooled_counts(groups, starts, workers)
 
@@ -393,43 +391,42 @@ _RUNS_PER_WORKER = 64
 _MAX_RUNS = 1024
 
 
-def _add_counts(groups, starts: list[int], lo: int, hi: int, counts: list[list[int]],
-                kernels: list) -> None:
-    """Add the correct trials at sweep positions lo..hi-1 to counts per (world, seed),
-    one count per point of the world.
+def _count(groups, starts: list[int], runs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The correct trials at sweep positions lo..hi-1 of each (lo, hi) in runs,
+    counted per (world, seed), one count per point of the world.
 
-    ``kernels`` holds each group's trial kernel, built by the first run that
-    reaches the group. A job's runs share one table, so a worker builds each
-    kernel at most once per call.
-    """
-    group = bisect.bisect_right(starts, lo) - 1
-    while starts[group] < hi:
-        spec, seed = groups[group]
-        trial = kernels[group]
-        if trial is None:
-            trial = kernels[group] = _kernel(spec)
-        world_counts = counts[group]
-        start = starts[group]
-        indices = range(max(lo - start, 0), min(hi, starts[group + 1]) - start)
-        for trial_seed in derive_seeds(("trial", seed), indices):
-            for i, verdict in enumerate(trial(trial_seed)):
-                world_counts[i] += verdict
-        group += 1
-
-
-def _drain(groups, starts: list[int], runs: list[tuple[int, int]], queue: int) -> list[list[int]]:
-    """Run the queue's runs until it is empty; counts per (world, seed).
-
-    The queue's read end does not block, and a call writes all of its run ids
-    before any worker starts, so an empty queue means the call's runs are all
-    taken. A read of b"" means the owner died, and ends the loop too.
+    Each group's trial kernel is built by the first run that reaches the
+    group, so a worker builds it at most once per call.
     """
     counts = [[0] * len(spec[4]) for spec, _ in groups]
     kernels = [None] * len(groups)
+    for lo, hi in runs:
+        group = bisect.bisect_right(starts, lo) - 1
+        while starts[group] < hi:
+            spec, seed = groups[group]
+            trial = kernels[group]
+            if trial is None:
+                trial = kernels[group] = _kernel(spec)
+            world_counts = counts[group]
+            start = starts[group]
+            indices = range(max(lo - start, 0), min(hi, starts[group + 1]) - start)
+            for trial_seed in derive_seeds(("trial", seed), indices):
+                for i, verdict in enumerate(trial(trial_seed)):
+                    world_counts[i] += verdict
+            group += 1
+    return counts
+
+
+def _taken(runs: list[tuple[int, int]], queue: int):
+    """The runs this worker takes from the queue until it is empty.
+
+    The queue's read end does not block, and a call writes all of its run ids
+    before it sends any worker its job, so an empty queue means the call's
+    runs are all taken. A read of b"" means the owner died, and ends it too.
+    """
     with contextlib.suppress(BlockingIOError):
         while token := os.read(queue, 4):
-            _add_counts(groups, starts, *runs[int.from_bytes(token, "little")], counts, kernels)
-    return counts
+            yield runs[int.from_bytes(token, "little")]
 
 
 def _pin(cpus) -> None:
@@ -474,7 +471,8 @@ def _running(pid: int) -> bool:
 class _Pool:
     """Forked sweep workers, kept for the next sweep of the same shape.
 
-    ``key`` is (worker count, sorted affinity CPUs). The queue is one pipe
+    ``key`` is (worker count, sorted affinity CPUs); the constructor forks
+    the workers, each of which waits for its first job. The queue is one pipe
     whose read end, shared by the owner and every worker, does not block;
     each worker has a pipe for its jobs and one for its results.
     """
@@ -484,6 +482,30 @@ class _Pool:
         self.queue, self.feed = os.pipe()
         os.set_blocking(self.queue, False)
         self.workers: list[tuple[int, int, int]] = []  # (pid, job write end, result read end)
+        workers, cpus = key
+        try:
+            for worker in range(1, workers):
+                job_read, jobs = os.pipe()
+                results, result_write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    for fd in (job_read, jobs, results, result_write):
+                        os.close(fd)
+                    raise
+                if pid == 0:
+                    # Only this worker's own ends stay open: a worker holding another's
+                    # job write end would keep it alive after the owner dies.
+                    for fd in (jobs, results, *self.fds()):
+                        if fd != self.queue:
+                            os.close(fd)
+                    _work(job_read, result_write, self.queue, cpus[worker % len(cpus)])
+                os.close(job_read)
+                os.close(result_write)
+                self.workers.append((pid, jobs, results))
+        except BaseException:
+            self.close()
+            raise
 
     def fds(self) -> list[int]:
         """Every pipe end the owner holds."""
@@ -547,57 +569,6 @@ def _close_pool() -> None:
 atexit.register(_close_pool)
 
 
-def _start_pool(key: tuple, ids: bytes, job: tuple) -> _Pool:
-    """This process's pool of workers, started on job, a call's (groups,
-    starts, runs): the kept pool while its key holds and every worker is
-    alive, which gets the job pickled, else newly forked workers, which
-    inherit it. The call's run ids are queued first, so once a worker starts
-    on the job an empty queue means every run is taken."""
-    # Imported here, so a process that never forks a sweep does not load
-    # them, and before any fork, so that no worker has to load them.
-    import pickle
-    import signal  # noqa: F401 (the workers' SIGINT handler)
-
-    global _pool
-    if _pool is not None and (_pool.key != key or not all(
-            _running(pid) for pid, _, _ in _pool.workers)):
-        _close_pool()
-    if _pool is not None:
-        os.write(_pool.feed, ids)
-        data = pickle.dumps(job)
-        for _, jobs, _ in _pool.workers:
-            _write(jobs, data)
-        return _pool
-    workers, cpus = key
-    pool = _Pool(key)
-    try:
-        os.write(pool.feed, ids)
-        for worker in range(1, workers):
-            job_read, jobs = os.pipe()
-            results, result_write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in (job_read, jobs, results, result_write):
-                    os.close(fd)
-                raise
-            if pid == 0:
-                # Only this worker's own ends stay open: a worker holding another's
-                # job write end would keep it alive after the owner dies.
-                for fd in (jobs, results, *pool.fds()):
-                    if fd != pool.queue:
-                        os.close(fd)
-                _work(job, job_read, result_write, pool.queue, cpus[worker % len(cpus)])
-            os.close(job_read)
-            os.close(result_write)
-            pool.workers.append((pid, jobs, results))
-    except BaseException:
-        pool.close()
-        raise
-    _pool = pool
-    return pool
-
-
 def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
     """Sum of every worker's counts; workers 1..W-1 are the pool's."""
     total = starts[-1]
@@ -621,12 +592,27 @@ def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
     order = sorted(range(size), key=lambda i: before[i] - before[i + 1])
     ids = b"".join(i.to_bytes(4, "little") for i in order)
     cpus = sorted(os.sched_getaffinity(0))
+    key = (workers, tuple(cpus))
+    # Imported here, so a process that never forks a sweep does not load
+    # them, and before any fork, so that no worker has to load them.
+    import pickle
+    import signal  # noqa: F401 (the workers' SIGINT handler)
+
+    global _pool
     with _pool_lock:
         try:
-            pool = _start_pool((workers, tuple(cpus)), ids, (groups, starts, runs))
+            if _pool is not None and (_pool.key != key or not all(
+                    _running(pid) for pid, _, _ in _pool.workers)):
+                _close_pool()
+            if _pool is None:
+                _pool = _Pool(key)
+            os.write(_pool.feed, ids)  # before any job: see _taken
+            job = pickle.dumps((groups, starts, runs))
+            for _, jobs, _ in _pool.workers:
+                _write(jobs, job)
             _pin({cpus[0]})
-            counts = _drain(groups, starts, runs, pool.queue)
-            for pid, _, results in pool.workers:
+            counts = _count(groups, starts, _taken(runs, _pool.queue))
+            for pid, _, results in _pool.workers:
                 payload = _receive(results)
                 if payload is None:
                     raise RuntimeError(f"sweep worker {pid} exited without a result")
@@ -643,10 +629,11 @@ def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
             _pin(cpus)
 
 
-def _work(job: tuple, jobs: int, results: int, queue: int, cpu: int):
-    """A pool worker: drain the queue for job, the call that forked it, and
-    each job read from its job pipe after that, sending back (ok, counts or
-    exception) for each; exit once the owner's end of the job pipe is closed.
+def _work(jobs: int, results: int, queue: int, cpu: int):
+    """A pool worker: for each job read from its job pipe, a call's (groups,
+    starts, runs), take runs from the queue until it is empty and send back
+    (ok, counts or exception); exit once the owner's end of the job pipe is
+    closed.
 
     SIGINT is ignored, so a terminal's Ctrl-C reaches the owner alone, which
     then kills the pool. Leaving through ``os._exit`` skips the owner's atexit
@@ -659,9 +646,10 @@ def _work(job: tuple, jobs: int, results: int, queue: int, cpu: int):
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         _pin({cpu})
-        while job is not None:
+        while (job := _receive(jobs)) is not None:
+            groups, starts, runs = job
             try:
-                payload = (True, _drain(*job, queue))
+                payload = (True, _count(groups, starts, _taken(runs, queue)))
             except BaseException as exc:  # sent to the owner, which raises it
                 payload = (False, exc)
             try:
@@ -670,7 +658,6 @@ def _work(job: tuple, jobs: int, results: int, queue: int, cpu: int):
             except Exception:  # an exception that cannot be rebuilt from its args
                 data = pickle.dumps((False, RuntimeError(f"sweep worker failed: {payload[1]!r}")))
             _write(results, data)
-            job = _receive(jobs)
     finally:
         os._exit(0)
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,33 @@ def test_analytic_empty_range_exit_config(capsys):
     assert code == 3
     assert out == ""
     assert "error config" in err
+
+
+@pytest.mark.parametrize("flags, named, value", [
+    (["--n", "65536"], "n", 65536),
+    (["--n", f"10:{10 ** 12}"], "n", 10 ** 12),
+    ([f"--n=-{10 ** 12}:5"], "n", -10 ** 12),
+    (["--m", str(10 ** 12)], "m", 10 ** 12),
+    (["--t", str(10 ** 12)], "t", 10 ** 12),
+    (["--config", "{sizes}"], "n", 10 ** 12),
+], ids=["n=65536", "n=10:10**12", "n=-10**12:5", "m=10**12", "t=10**12", "config-n=10:10**12"])
+def test_analytic_sizes_are_bounded_before_any_work(tmp_path, flags, named, value):
+    # In a child held to 1 GiB of address space and 20 s: a range built whole
+    # fails there rather than take the host's memory.
+    sizes = tmp_path / "sizes.cfg"
+    sizes.write_text(f"n = 10:{10 ** 12}\n")
+    env = dict(os.environ)
+    src = str(Path(votesim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    argv = [flag.format(sizes=sizes) for flag in flags]
+    proc = subprocess.run([sys.executable, "-m", "votesim.cli", "analytic", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=limit_memory, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == f"error config: {named} must be at least 0 and at most 65535, got {value}\n"
 
 
 def test_rsa_bits_below_floor_exit_config(capsys):

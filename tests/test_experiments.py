@@ -512,7 +512,7 @@ def test_a_repeated_parallel_sweep_forks_nothing():
     _assert_no_children_left()
 
 
-def test_new_workers_inherit_their_first_sweep_and_kept_ones_get_theirs_pickled():
+def test_each_pooled_sweep_pickles_its_job_once_for_new_and_kept_workers():
     configs = grid((10,), (0.2,), (3,), trials=8, seeds=(1,))
     expected = run_sweep(configs, workers=1)
     owner, dumped, real_dumps = os.getpid(), [], pickle.dumps
@@ -524,10 +524,15 @@ def test_new_workers_inherit_their_first_sweep_and_kept_ones_get_theirs_pickled(
 
     with _count_forks() as forks, pytest.MonkeyPatch.context() as patch:
         patch.setattr(pickle, "dumps", recording_dumps)
-        assert run_sweep(configs, workers=2) == expected
-        assert len(forks) == 1 and dumped == []
-        assert run_sweep(configs, workers=2) == expected
-        assert len(forks) == 1 and len(dumped) == 1
+        # the call that forks three workers, then one that keeps them
+        for calls in (1, 2):
+            assert run_sweep(configs, workers=4) == expected
+            assert len(forks) == 3 and len(dumped) == calls
+        # the job is the call's (groups, starts, runs), the same for both calls
+        groups, starts, runs = dumped[0]
+        assert dumped[1] == dumped[0]
+        assert [seed for _, seed in groups] == [1] and starts == [0, 8]
+        assert runs[0][0] == 0 and runs[-1][1] == 8
     _assert_no_children_left()
 
 
