@@ -244,14 +244,18 @@ def _kernel(spec: tuple) -> Callable[[int], list[bool]]:
         roles = {behavior: [VoterRole(i, flag == 1, None if flag else disruption)
                             for i, flag in enumerate(honest, 1)]
                  for behavior, disruption in bad.items()}
-        ballots = cast(group, votes, roles[casting], plan, voter_rngs)
-        # Only a second behavior's tally needs the stream set back.
-        after_cast = crypto.getstate() if len(roles) > 1 else None
         tallies = {}
-        for behavior, behavior_roles in roles.items():
-            if tallies:
-                crypto.setstate(after_cast)
-            tallies[behavior] = [r.tally for r in tally(ballots, behavior_roles, voter_rngs)]
+        _in_trial.on = True  # the election runs in this process (see each_sample)
+        try:
+            ballots = cast(group, votes, roles[casting], plan, voter_rngs)
+            # Only a second behavior's tally needs the stream set back.
+            after_cast = crypto.getstate() if len(roles) > 1 else None
+            for behavior, behavior_roles in roles.items():
+                if tallies:
+                    crypto.setstate(after_cast)
+                tallies[behavior] = [r.tally for r in tally(ballots, behavior_roles, voter_rngs)]
+        finally:
+            _in_trial.on = False
         truth = sum(honest_votes)
         verdicts = []
         for k, min_consistency, behavior in points:
@@ -323,7 +327,10 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     since only this process holds the write end of its job pipe: a process
     forked from this one by ``os.fork`` closes its copies, and never uses
     or kills the children. Sweeps from several threads take the children in
-    turn.
+    turn. The same children serve the per-sample work of hevs elections run
+    outside a sweep (``each_sample``), so an election after a sweep of the
+    default worker count forks nothing; a sweep's own trials never send
+    their elections' samples to them.
 
     ``workers=None`` means one worker per CPU in ``os.sched_getaffinity(0)``,
     or 1 while other threads are running, since a forked child holds only the
@@ -389,6 +396,25 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
 _RUNS_PER_WORKER = 64
 #: at most 1024 four-byte run ids, so a call's ids fit the empty queue in one write
 _MAX_RUNS = 1024
+#: Fewest exps of one election phase for which its samples go to the pool
+#: (see each_sample), an encryption counting two and a share one. With the
+#: pool's one worker already forked on 2 CPUs, a phase's round trip costs
+#: about 80 us, and the pooled phase took, as a share of its in-process time
+#: (medians of 300 alternating runs): casts of 4 exps 1.07, of 8 0.89 and of
+#: 16 0.89-0.96; tallies of 8 exps 0.94-1.00 and of 16 0.87-0.98.
+POOL_MIN_EXPS = 16
+#: Fewest exps of one election phase that forks the pool when none is forked;
+#: smaller phases run here until their exps add up to this many, and then the
+#: next one forks it, so a process that runs one small election forks nothing.
+#: One hevs election per fresh process, pooled, with the fork and the reap at
+#: exit, as a share of in-process (medians of 15-20 alternating pairs on 2
+#: CPUs): casts of 120 exps 1.38, of 192 1.28, of 768 1.15, of 1024 0.94 and
+#: of 1536 0.88, each with its tally.
+POOL_FORK_EXPS = 1024
+#: exps of the election phases this process ran here while no pool was forked
+_unpooled_exps = 0
+#: ``on`` while this thread runs a full-mode trial's election
+_in_trial = threading.local()
 
 
 def _count(groups, starts: list[int], runs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -415,6 +441,46 @@ def _count(groups, starts: list[int], runs: Iterable[tuple[int, int]]) -> list[l
                     world_counts[i] += verdict
             group += 1
     return counts
+
+
+def _steps(step, shared: tuple, tasks: Sequence[tuple], runs: Iterable[tuple[int, int]]) -> dict:
+    """step(*shared, *tasks[j]) by j, for the samples j of each (lo, hi) in runs."""
+    return {j: step(*shared, *tasks[j]) for lo, hi in runs for j in range(lo, hi)}
+
+
+def each_sample(step, shared: tuple, tasks: Sequence[tuple], costs: Sequence[int],
+                here: bool = False) -> list:
+    """[step(*shared, *task) for task in tasks]: one election phase's work,
+    one task per sample, costs[j] the exps of task j.
+
+    The tasks go to the sweep pool (see ``run_sweep``), this process taking
+    them from its queue as a worker does, costliest first, when there are two
+    or more, they add up to at least POOL_MIN_EXPS exps, and the process's
+    affinity set has two or more CPUs; else they run here, in order. While no
+    pool is forked, a phase forks it only if it costs POOL_FORK_EXPS exps, or
+    once the phases run here for want of it add up to that many; so a process
+    that runs one small election forks nothing. The tasks also run here with
+    ``here``, in a sweep's trial (``_kernel``), in the owner or in a worker,
+    and while other threads run. An election uses the pool of a default
+    sweep, one worker per CPU of the set, so sweeps and elections keep the
+    same workers. A step and its arguments go through a pipe pickled:
+    ``GroupParams`` and ``FixedBase`` pickle without their comb tables.
+    """
+    global _unpooled_exps
+    k, cost = len(tasks), sum(costs)
+    pooled = not (here or k < 2 or cost < POOL_MIN_EXPS or getattr(_in_trial, "on", False)
+                  or threading.active_count() > 1 or len(cpus := os.sched_getaffinity(0)) < 2)
+    if pooled and _pool is None and max(cost, _unpooled_exps) < POOL_FORK_EXPS:
+        _unpooled_exps += cost
+        pooled = False
+    if not pooled:
+        results = _steps(step, shared, tasks, [(0, k)])
+    else:
+        before = list(itertools.accumulate(costs, initial=0))
+        results = {}
+        for part in _pooled(_steps, (step, shared, tasks), k, len(cpus), before.__getitem__):
+            results.update(part)
+    return [results[j] for j in range(k)]
 
 
 def _taken(runs: list[tuple[int, int]], queue: int):
@@ -469,7 +535,7 @@ def _running(pid: int) -> bool:
 
 
 class _Pool:
-    """Forked sweep workers, kept for the next sweep of the same shape.
+    """Forked workers, kept for the next sweep or election of the same shape.
 
     ``key`` is (worker count, sorted affinity CPUs); the constructor forks
     the workers, each of which waits for its first job. The queue is one pipe
@@ -534,9 +600,9 @@ class _Pool:
             os.close(fd)
 
 
-#: this process's sweep workers, forked by its first sweep that needs more than one
+#: this process's workers, forked by its first sweep or election that needs more than one
 _pool: _Pool | None = None
-#: held by the thread whose sweep uses the pool
+#: held by the thread whose sweep or election uses the pool
 _pool_lock = threading.Lock()
 
 
@@ -559,7 +625,7 @@ os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _close_pool() -> None:
-    """Kill and reap this process's sweep workers and close their pipes."""
+    """Kill and reap this process's pool workers and close their pipes."""
     global _pool
     pool, _pool = _pool, None
     if pool is not None:
@@ -571,12 +637,6 @@ atexit.register(_close_pool)
 
 def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
     """Sum of every worker's counts; workers 1..W-1 are the pool's."""
-    total = starts[-1]
-    size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
-    bounds = [total * i // size for i in range(size + 1)]
-    runs = list(zip(bounds, bounds[1:]))
-    # Costliest runs first (Graham's LPT order, SIAM J. Appl. Math. 1969), so
-    # the runs taken last, while other workers may sit idle, are the cheapest.
     # A trial costs about n * k for its world's largest k: each of its n
     # voters encrypts under k keys.
     trial_costs = [spec[1] * max(k for k, _, _ in spec[4]) for spec, _ in groups]
@@ -588,12 +648,34 @@ def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
         group = bisect.bisect_right(starts, position, hi=len(groups)) - 1
         return costs[group] + (position - starts[group]) * trial_costs[group]
 
+    counts = None
+    for part in _pooled(_count, (groups, starts), starts[-1], workers, cost_before):
+        counts = part if counts is None else [[a + b for a, b in zip(mine, theirs)]
+                                              for mine, theirs in zip(counts, part)]
+    return counts
+
+
+def _pooled(fn, args: tuple, total: int, workers: int, cost_before: Callable[[int], int]) -> list:
+    """fn(*args, runs) in this process and in each of the pool's W - 1
+    workers, for W = workers: their results, this process's first.
+
+    Positions 0..total-1 are cut into runs of consecutive positions, and each
+    worker passes fn the runs it takes from the queue until it is empty.
+    cost_before(position) is the cost of the positions before it; the queue
+    holds the costliest runs first. The job, (fn, args, runs), is pickled once
+    and written to every worker.
+    """
+    size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
+    bounds = [total * i // size for i in range(size + 1)]
+    runs = list(zip(bounds, bounds[1:]))
+    # Costliest runs first (Graham's LPT order, SIAM J. Appl. Math. 1969), so
+    # the runs taken last, while other workers may sit idle, are the cheapest.
     before = [cost_before(bound) for bound in bounds]
     order = sorted(range(size), key=lambda i: before[i] - before[i + 1])
     ids = b"".join(i.to_bytes(4, "little") for i in order)
     cpus = sorted(os.sched_getaffinity(0))
     key = (workers, tuple(cpus))
-    # Imported here, so a process that never forks a sweep does not load
+    # Imported here, so a process that never forks a pool does not load
     # them, and before any fork, so that no worker has to load them.
     import pickle
     import signal  # noqa: F401 (the workers' SIGINT handler)
@@ -607,21 +689,20 @@ def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
             if _pool is None:
                 _pool = _Pool(key)
             os.write(_pool.feed, ids)  # before any job: see _taken
-            job = pickle.dumps((groups, starts, runs))
+            job = pickle.dumps((fn, args, runs))
             for _, jobs, _ in _pool.workers:
                 _write(jobs, job)
             _pin({cpus[0]})
-            counts = _count(groups, starts, _taken(runs, _pool.queue))
-            for pid, _, results in _pool.workers:
-                payload = _receive(results)
+            results = [fn(*args, _taken(runs, _pool.queue))]
+            for pid, _, pipe in _pool.workers:
+                payload = _receive(pipe)
                 if payload is None:
-                    raise RuntimeError(f"sweep worker {pid} exited without a result")
+                    raise RuntimeError(f"pool worker {pid} exited without a result")
                 ok, value = payload
                 if not ok:
                     raise value
-                counts = [[a + b for a, b in zip(mine, theirs)]
-                          for mine, theirs in zip(counts, value)]
-            return counts
+                results.append(value)
+            return results
         except BaseException:
             _close_pool()
             raise
@@ -630,10 +711,10 @@ def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
 
 
 def _work(jobs: int, results: int, queue: int, cpu: int):
-    """A pool worker: for each job read from its job pipe, a call's (groups,
-    starts, runs), take runs from the queue until it is empty and send back
-    (ok, counts or exception); exit once the owner's end of the job pipe is
-    closed.
+    """A pool worker: for each job read from its job pipe, a call's (fn,
+    args, runs), run fn(*args, runs taken from the queue until it is empty)
+    and send back (ok, result or exception); exit once the owner's end of the
+    job pipe is closed.
 
     SIGINT is ignored, so a terminal's Ctrl-C reaches the owner alone, which
     then kills the pool. Leaving through ``os._exit`` skips the owner's atexit
@@ -647,16 +728,16 @@ def _work(jobs: int, results: int, queue: int, cpu: int):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         _pin({cpu})
         while (job := _receive(jobs)) is not None:
-            groups, starts, runs = job
+            fn, args, runs = job
             try:
-                payload = (True, _count(groups, starts, _taken(runs, queue)))
+                payload = (True, fn(*args, _taken(runs, queue)))
             except BaseException as exc:  # sent to the owner, which raises it
                 payload = (False, exc)
             try:
                 data = pickle.dumps(payload)
                 pickle.loads(data)
             except Exception:  # an exception that cannot be rebuilt from its args
-                data = pickle.dumps((False, RuntimeError(f"sweep worker failed: {payload[1]!r}")))
+                data = pickle.dumps((False, RuntimeError(f"pool worker failed: {payload[1]!r}")))
             _write(results, data)
     finally:
         os._exit(0)

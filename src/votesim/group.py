@@ -268,6 +268,10 @@ class FixedBase(int):
         self.is_element = None
         return self
 
+    def __reduce__(self):
+        # pickled without its table or verdict, which the loading process rebuilds
+        return FixedBase, (int(self), self.group, self.uses)
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -278,6 +282,13 @@ class GroupParams:
     generator: int
     _generator_table: CombTable | None = field(
         default=None, init=False, compare=False, hash=False, repr=False)
+
+    def __reduce__(self):
+        # pickled without the generator table: the default group loads as its
+        # one instance, another group as a new one that builds its own
+        if self == _DEFAULT_GROUP:
+            return default_group, ()
+        return GroupParams, (self.modulus, self.order, self.generator)
 
     def validate(self) -> None:
         if not is_probable_prime(self.modulus):

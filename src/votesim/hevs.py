@@ -15,6 +15,9 @@ values to its recorder; ``votesim.simnet`` alone owns the transcript: its
 record tags, hex strings and party names. The pipeline runs in two phases:
 :func:`cast` up to the decryption request, and :func:`tally` from there, so
 a sweep can tally one cast election under each behaviour that shares it.
+Each phase makes every draw first, in the order of the voters acting in
+turn, and then one task per sample, which may run on the worker pool of
+``votesim.experiments``; so its results do not depend on where they ran.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .adversary import Behavior, VoterRole, draw_fake_exponent, fake_decryption_share
-from .errors import AmbiguousMode, DiscreteLogNotFound, MissingShares, NoConsistentResult
+from .errors import (
+    AmbiguousMode,
+    DiscreteLogNotFound,
+    MissingShares,
+    NoConsistentResult,
+    RefuseSingletonAggregate,
+)
 from .group import GroupParams, discrete_log_bounded
 from .hev import (
     Ciphertext,
@@ -179,12 +188,19 @@ def mode_decision(tallies: Iterable[int | None], min_consistency: int = 2) -> in
 
 def reliability_probability(n: int, m: int, t: int) -> float:
     """Chance that a without-replacement draw of t pieces avoids all m
-    uncooperative voters: C(n-m, t) / C(n, t)."""
+    uncooperative voters: C(n-m, t) / C(n, t).
+
+    That ratio is perm(n-t, m) / perm(n, m), and perm(n-m, t) / perm(n, t),
+    so it is taken over min(m, t) factors a side; int / int rounds the exact
+    rational once, so the float is that of the two binomials.
+    """
     if n < 1 or m < 0 or t < 0 or m > n or t > n:
         raise ValueError(f"bad domain: n={n}, m={m}, t={t}")
     if t > n - m:
         return 0.0
-    return math.comb(n - m, t) / math.comb(n, t)
+    if m <= t:
+        return math.perm(n - t, m) / math.perm(n, m)
+    return math.perm(n - m, t) / math.perm(n, t)
 
 
 def reliability_probability_with_replacement(n: int, m: int, t: int) -> float:
@@ -203,7 +219,10 @@ def run_sampled_election(
     rng: random.Random,
     recorder: Recorder | None = None,
 ) -> list[SampleResult]:
-    """run_pipeline with every voter drawing from the one rng, in voter order."""
+    """run_pipeline with every voter drawing from the one rng, in voter order:
+    each voter's key, then each voter's nonces, then each fake-share voter's
+    exponent, all in this process, whether the samples' work then runs here
+    or on the pool's workers."""
     return run_pipeline(params, votes, roles, plan, [rng] * len(votes), recorder)
 
 
@@ -227,8 +246,8 @@ def run_pipeline(
     A recorder hears of each step as it completes, as (phase, voter id or
     None, value): every voter's key piece, the sampled keys, every voter's
     ciphertext row, the aggregates, each answering voter's {sample: partial}
-    once all its partials are made, and the results. The pipeline is
-    :func:`cast` up to the decryption request, then :func:`tally`.
+    (up to a refusing voter), and the results. The pipeline is :func:`cast`
+    up to the decryption request, then :func:`tally`.
     """
     return tally(cast(params, votes, roles, plan, voter_rngs, recorder), roles, voter_rngs,
                  recorder)
@@ -259,12 +278,18 @@ def cast(
 ) -> Cast:
     """The pipeline's first phase: key pieces, sampled keys, ballots and aggregates.
 
-    Voter i + 1 draws its secret key, then its nonces, from voter_rngs[i].
-    The roles matter here only through which voters are extra-vote cheaters,
-    who encrypt their value with no 0/1 check; a voter's decryption behavior
-    acts in :func:`tally` alone. The recorder hears the key, broadcast, vote
-    and decrypt_request steps.
+    Voter i + 1 draws its secret key, then its nonces, one per sample in
+    sample order, from voter_rngs[i]; every draw is made here, before any
+    ballot. Each sample's column of ballots is then one task
+    (``experiments.each_sample``), run on the sweep pool's workers when the
+    election is large enough and no function the task calls is rebound
+    (``_LOADED_CALLS``), else here. The roles matter here only through
+    which voters are extra-vote cheaters, who encrypt their value with no
+    0/1 check; a voter's decryption behavior acts in :func:`tally` alone. The
+    recorder hears the key, broadcast, vote and decrypt_request steps.
     """
+    from .experiments import each_sample  # which imports this module
+
     n = plan.population
     if len(votes) != n or len(roles) != n or len(voter_rngs) != n:
         raise ValueError("votes, roles, voter streams, and plan population must agree")
@@ -282,16 +307,18 @@ def cast(
     if recorder:
         recorder("broadcast", None, sampled_keys)
 
-    ciphertexts: list[list[Ciphertext]] = []
-    for i in range(n):
-        # an extra-vote cheater encrypts its value with no 0/1 check
-        encrypt = encrypt_value if roles[i].behavior is Behavior.EXTRA_VOTE else encrypt_vote
-        row = [encrypt(params, key, votes[i], voter_rngs[i]) for key in keys]
-        ciphertexts.append(row)
-        if recorder:
-            recorder("vote", i + 1, row)
+    nonces = [[params.random_nonce(voter_rngs[i]) for _ in range(plan.k)] for i in range(n)]
+    cheats = [role.behavior is Behavior.EXTRA_VOTE for role in roles]
+    # An encryption costs two exps: the generator and the sampled key, to the nonce.
+    columns = each_sample(_encrypt_column, (params, votes, cheats),
+                          list(zip(keys, zip(*nonces))), [2 * n] * plan.k,
+                          here=_task_calls() != _LOADED_CALLS)
+    ciphertexts = [list(row) for row in zip(*columns)]
+    if recorder:
+        for voter_id, row in enumerate(ciphertexts, 1):
+            recorder("vote", voter_id, row)
 
-    aggregates = [aggregate(params, [ciphertexts[i][j] for i in range(n)]) for j in range(plan.k)]
+    aggregates = [aggregate(params, column) for column in columns]
     if recorder:
         recorder("decrypt_request", None, aggregates)
 
@@ -299,6 +326,14 @@ def cast(
     requests = [Ciphertext(params.fixed_base(ct.c1, len(mult)), ct.c2)
                 for ct, mult in zip(aggregates, mults)]
     return Cast(params, plan, mults, key_shares, ciphertexts, requests)
+
+
+def _encrypt_column(params: GroupParams, votes: Sequence[int], cheats: Sequence[bool], key: int,
+                    nonces: Sequence[int]) -> list[Ciphertext]:
+    """One sample's ballots: voter i + 1's vote under the sample's key, to
+    nonces[i]; a cheater (cheats[i]) encrypts its value with no 0/1 check."""
+    return [(encrypt_value if cheat else encrypt_vote)(params, key, vote, None, nonce)
+            for vote, cheat, nonce in zip(votes, cheats, nonces)]
 
 
 def tally(
@@ -309,39 +344,52 @@ def tally(
 ) -> list[SampleResult]:
     """The pipeline's second phase: every role's shares, then each sample unmasked and decoded.
 
-    A fake-share voter draws its one fake exponent from its stream here, after
-    every draw of :func:`cast`; no other role draws. The same ``Cast`` may be
-    tallied under several roles: set the streams back to their state after
-    the cast before each, and each tally draws what it would have drawn
-    alone. The recorder hears the decrypt_share and result steps.
+    A fake-share voter draws its one fake exponent from its stream here, in
+    voter order, after every draw of :func:`cast` and before any share; no
+    other role draws. Each sample's shares are then one task
+    (``experiments.each_sample``), run on the sweep pool's workers when the
+    election is large enough and no function the task calls is rebound
+    (``_LOADED_CALLS``), else here. Every share is the one the voters
+    would make one after another, and the first refusal in voter order stops
+    the tally as it would there: the voters before the refusing one answer
+    and are recorded, and it raises. The same ``Cast`` may be tallied under
+    several roles: set the streams back to their state after the cast before
+    each, and each tally draws what it would have drawn alone. The recorder
+    hears the decrypt_share and result steps.
     """
+    from .experiments import each_sample  # which imports this module
+
     params, plan, mults = ballots.params, ballots.plan, ballots.mults
     key_shares, ciphertexts, requests = ballots.key_shares, ballots.ciphertexts, ballots.requests
     n = plan.population
     if len(roles) != n or len(voter_rngs) != n:
         raise ValueError("roles, voter streams, and plan population must agree")
+    fakes = {i + 1: draw_fake_exponent(voter_rngs[i], params, key_shares[i].secret_key)
+             for i in range(n) if roles[i].behavior is Behavior.FAKE_SHARE}
+    # Sample j's answering voters in voter order: each with its key share, its
+    # fake exponent or None, and the own ballot an honest voter refuses to see
+    # decrypted alone. With n = 1 the aggregate is the own ciphertext and the
+    # sum is that vote by definition, so only n > 1 is worth refusing.
+    holders = [[(key_shares[voter_id - 1], fakes.get(voter_id),
+                 ciphertexts[voter_id - 1][j] if roles[voter_id - 1].honest and n > 1 else None)
+                for voter_id in sorted(mult) if roles[voter_id - 1].behavior is not Behavior.SILENT]
+               for j, mult in enumerate(mults)]
+    answers = each_sample(_decryption_shares, (params,), list(zip(requests, holders)),
+                          [len(answering) for answering in holders],
+                          here=_task_calls() != _LOADED_CALLS)
     # responses[j] maps voter_id -> partial, for the voters sampled in j
-    responses: list[dict[int, int]] = [{} for _ in range(plan.k)]
-    for i in range(n):
-        role = roles[i]
-        voter_id = i + 1
-        if role.behavior is Behavior.SILENT:
-            continue
-        fake_exponent = None
-        if role.behavior is Behavior.FAKE_SHARE:
-            fake_exponent = draw_fake_exponent(voter_rngs[i], params, key_shares[i].secret_key)
-        answered = [j for j in range(plan.k) if voter_id in mults[j]]
-        for j in answered:
-            if fake_exponent is not None:
-                partial = fake_decryption_share(params, requests[j].c1, fake_exponent)
-            else:
-                # With n = 1 the aggregate is the own ciphertext and the sum is
-                # that vote by definition, so only n > 1 is worth refusing.
-                own = ciphertexts[i][j] if role.honest and n > 1 else None
-                partial = decryption_share(params, key_shares[i], requests[j], own)
-            responses[j][voter_id] = partial
-        if recorder and answered:
-            recorder("decrypt_share", voter_id, {j: responses[j][voter_id] for j in answered})
+    responses = [partials for partials, _ in answers]
+    # the first refusing voter, and the voters before it, who answered in full
+    stop, refusal = min((refusal for _, refusal in answers if refusal is not None),
+                        key=lambda item: item[0], default=(n + 1, None))
+    if recorder:
+        for voter_id in range(1, stop):
+            answered = {j: partials[voter_id] for j, partials in enumerate(responses)
+                        if voter_id in partials}
+            if answered:
+                recorder("decrypt_share", voter_id, answered)
+    if refusal is not None:
+        raise refusal
 
     results = []
     for j in range(plan.k):
@@ -353,3 +401,31 @@ def tally(
     if recorder:
         recorder("result", None, results)
     return results
+
+
+def _decryption_shares(params: GroupParams, request: Ciphertext,
+                       holders: Sequence[tuple]) -> tuple[dict[int, int], tuple | None]:
+    """One sample's partials by voter id, made in the holders' order up to
+    the first refusal, and (refusing voter id, its refusal) or None."""
+    partials = {}
+    for share, fake_exponent, own in holders:
+        try:
+            partials[share.voter_id] = (
+                decryption_share(params, share, request, own) if fake_exponent is None
+                else fake_decryption_share(params, request.c1, fake_exponent))
+        except RefuseSingletonAggregate as refused:
+            return partials, (share.voter_id, refused)
+    return partials, None
+
+
+def _task_calls() -> tuple:
+    """The functions the sample tasks call by name, as bound now."""
+    return (encrypt_vote, encrypt_value, decryption_share, fake_decryption_share,
+            GroupParams.exp, GroupParams.is_element)
+
+
+#: _task_calls() as this module was loaded. The sample tasks run in this
+#: process while any of them is rebound, as by a tracer or a test's spy: such
+#: a wrapper counts the calls made here, and a pool worker runs each function
+#: as it was bound when the worker was forked.
+_LOADED_CALLS = _task_calls()

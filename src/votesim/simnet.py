@@ -228,6 +228,13 @@ def _error_code(exc: Exception) -> str:
 def run_election(config: ElectionConfig, *, _signatures: dict | None = None) -> ElectionOutcome:
     """Run one election; protocol failures become structured outcomes.
 
+    A hevs election of k >= 2 samples runs each sample's ballots, then each
+    sample's decryption shares, on every CPU of the affinity set through the
+    sweep's worker pool when it is large enough (see
+    ``experiments.each_sample``); every draw is made in this process first,
+    so the outcome and transcript bytes are the same on one CPU or many.
+    Plain hev and bsv run in this process.
+
     ``_signatures`` is for ``replay`` alone: a transcript's claimed bsv ballot
     signatures by nonce, each checked before use (see ``_run_bsv``).
     """

@@ -32,9 +32,10 @@ from votesim.experiments import (
     sweep_csv,
 )
 from votesim.errors import ConfigError, DiscreteLogNotFound
+from votesim.group import GroupParams
 from votesim.hevs import reliability_probability_with_replacement, resolve_sample_size
 from votesim.seeding import WorldReader, derive_seed, flags, spawn
-from votesim.simnet import ElectionConfig
+from votesim.simnet import ElectionConfig, run_election
 
 from pins import EDGE_PIN, TRIAL_PIN, WIDE_PIN, edge_pinned_text, pinned_text, wide_pinned_text
 from reference import empirical_sample_reliability, symbolic_trial
@@ -528,9 +529,9 @@ def test_each_pooled_sweep_pickles_its_job_once_for_new_and_kept_workers():
         for calls in (1, 2):
             assert run_sweep(configs, workers=4) == expected
             assert len(forks) == 3 and len(dumped) == calls
-        # the job is the call's (groups, starts, runs), the same for both calls
-        groups, starts, runs = dumped[0]
-        assert dumped[1] == dumped[0]
+        # the job is the call's (_count, (groups, starts), runs), the same for both calls
+        fn, (groups, starts), runs = dumped[0]
+        assert fn is experiments._count and dumped[1] == dumped[0]
         assert [seed for _, seed in groups] == [1] and starts == [0, 8]
         assert runs[0][0] == 0 and runs[-1][1] == 8
     _assert_no_children_left()
@@ -568,6 +569,164 @@ def test_an_idle_worker_killed_from_outside_is_replaced():
         os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
         assert run_sweep(configs, workers=2) == expected
         assert len(forks) == 2 and experiments._running(forks[1])
+    _assert_no_children_left()
+
+
+#: a hevs election whose cast and tally both go to the pool on two or more
+#: CPUs once the pool is forked; a cast of 192 exps and a tally of 40
+POOLED_ELECTION = ElectionConfig(protocol="hevs", n=24, k=4, p_fail=0.1, seed=3)
+
+
+def _in_process(config):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+        return run_election(config)
+
+
+@contextlib.contextmanager
+def _pooled_calls():
+    """The fn of each job this process sends to the pool inside the block."""
+    calls, real_pooled = [], experiments._pooled
+
+    def recording_pooled(fn, *args):
+        calls.append(fn)
+        return real_pooled(fn, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_pooled", recording_pooled)
+        yield calls
+
+
+def test_an_election_after_a_sweep_takes_the_sweeps_workers():
+    cpus = len(START_AFFINITY)
+    expected = _in_process(POOLED_ELECTION)
+    with _count_forks() as forks, _pooled_calls() as calls:
+        run_sweep(grid((10,), (0.2,), (3,), trials=cpus, seeds=(1,)))
+        for _ in range(2):
+            assert run_election(POOLED_ELECTION) == expected
+        assert len(forks) == cpus - 1
+        # the sweep's job, then each election's cast and tally
+        if cpus > 1:
+            assert calls == [experiments._count] + [experiments._steps] * 4
+    _assert_no_children_left()
+
+
+def test_an_election_forks_nothing_while_other_threads_run_or_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    expected = _in_process(POOLED_ELECTION)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    with _count_forks() as forks, _pooled_calls() as calls:
+        thread.start()
+        try:
+            assert run_election(POOLED_ELECTION) == expected
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        try:
+            os.sched_setaffinity(0, sorted(START_AFFINITY)[:1])
+            assert run_election(POOLED_ELECTION) == expected
+        finally:
+            os.sched_setaffinity(0, START_AFFINITY)
+        assert forks == [] and calls == []
+        # alone and on every CPU again, it takes the pool
+        assert run_election(POOLED_ELECTION) == expected
+        assert len(forks) == len(START_AFFINITY) - 1
+    _assert_no_children_left()
+
+
+@pytest.mark.skipif(len(START_AFFINITY) < 2, reason="an election forks no pool on one CPU")
+def test_small_elections_fork_the_pool_once_their_phases_add_up(monkeypatch):
+    expected = _in_process(POOLED_ELECTION)
+    monkeypatch.setattr(experiments, "_unpooled_exps", 0)
+    with _count_forks() as forks:
+        # each phase is below POOL_FORK_EXPS, so they run here until their
+        # exps add up to it
+        while experiments._unpooled_exps < experiments.POOL_FORK_EXPS:
+            assert forks == []
+            assert run_election(POOLED_ELECTION) == expected
+        assert experiments._unpooled_exps < experiments.POOL_FORK_EXPS + 192
+        assert run_election(POOLED_ELECTION) == expected
+        assert len(forks) == len(START_AFFINITY) - 1
+    # a phase of POOL_FORK_EXPS exps forks the pool at once
+    large = ElectionConfig(protocol="hevs", n=64, k=8, seed=3)
+    expected = _in_process(large)
+    monkeypatch.setattr(experiments, "_unpooled_exps", 0)
+    with _count_forks() as forks, _pooled_calls() as calls:
+        assert run_election(large) == expected
+        assert len(forks) == len(START_AFFINITY) - 1 and len(calls) == 2
+        assert experiments._unpooled_exps == 0
+    _assert_no_children_left()
+
+
+def test_an_election_with_a_rebound_call_keeps_every_sample_here(monkeypatch):
+    # A tracer or spy wraps what the samples call and counts the calls made in
+    # this process, so none may run on a worker forked before the wrapping.
+    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    expected = _in_process(POOLED_ELECTION)
+    n, k = POOLED_ELECTION.n, POOLED_ELECTION.k
+    for owner, name in ((hevs, "encrypt_vote"), (GroupParams, "exp")):
+        with _count_forks() as forks, _pooled_calls() as calls:
+            assert run_election(POOLED_ELECTION) == expected
+            assert len(forks) == len(START_AFFINITY) - 1
+            assert len(calls) == (2 if forks else 0)
+            calls.clear()
+            counted = []
+            real = getattr(owner, name)
+
+            def counting(*args, real=real):
+                counted.append(args)
+                return real(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(owner, name, counting)
+                assert run_election(POOLED_ELECTION) == expected
+            assert calls == []
+            # every voter's ballot under every sampled key; two exps each
+            assert len(counted) >= (n * k if name == "encrypt_vote" else 2 * n * k)
+            # unwrapped again, the samples go back to the pool
+            assert run_election(POOLED_ELECTION) == expected
+            assert len(calls) == (2 if forks else 0)
+    _assert_no_children_left()
+
+
+def test_a_full_sweeps_trials_never_send_their_samples_to_the_pool():
+    configs = [config for behavior in ("fake_share", "silent")
+               for config in grid((12, 30), (0.05, 0.3), (4, 8), mode="full", trials=2,
+                                  seeds=(1,), behavior=behavior)]
+    expected, trial = run_sweep(configs, workers=1), run_trial(configs[0], 5)
+    real_pooled = experiments._pooled
+
+    def sweep_jobs_only(fn, *args):
+        assert fn is experiments._count, fn
+        return real_pooled(fn, *args)
+
+    # Workers forked in the block inherit the patch, so a trial's election
+    # phase sent from a worker fails the sweep as one sent from this process.
+    with _count_forks() as forks, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "POOL_MIN_EXPS", 0)
+        patch.setattr(experiments, "POOL_FORK_EXPS", 0)
+        patch.setattr(experiments, "_pooled", sweep_jobs_only)
+        for workers in (1, 2, None):
+            assert run_sweep(configs, workers=workers) == expected
+        assert run_trial(configs[0], 5) == trial
+        assert forks
+    _assert_no_children_left()
+
+
+def test_a_worker_killed_between_two_elections_is_replaced(monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    expected = _in_process(POOLED_ELECTION)
+    workers = len(START_AFFINITY) - 1
+    with _count_forks() as forks:
+        assert run_election(POOLED_ELECTION) == expected
+        assert len(forks) == workers
+        for pid in forks[:1]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        assert run_election(POOLED_ELECTION) == expected
+        assert len(forks) == 2 * workers and all(map(experiments._running, forks[workers:]))
     _assert_no_children_left()
 
 

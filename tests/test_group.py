@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 
@@ -481,3 +482,25 @@ def test_caches_stay_out_of_equality_and_repr():
     assert group == TINY_GROUP and hash(group) == hash(TINY_GROUP)
     assert repr(group) == "GroupParams(modulus=23, order=11, generator=2)"
     assert default_group() is default_group()
+
+
+def test_a_pickled_group_or_fixed_base_carries_no_table():
+    big = default_group()
+    big.exp(big.generator, 5)  # builds the generator table
+    data = pickle.dumps(big)
+    assert len(data) < 100 and pickle.loads(data) is big
+    fixed = big.fixed_base(big.generator + 1, TWO_TABLE_MIN_USES)
+    big.exp(fixed, 7)
+    assert fixed.table is not None
+    data = pickle.dumps(fixed)
+    loaded = pickle.loads(data)
+    assert len(data) < 300 and type(loaded) is FixedBase and loaded == fixed
+    assert loaded.group is big and loaded.uses == TWO_TABLE_MIN_USES and loaded.table is None
+    assert big.exp(loaded, 7) == big.exp(fixed, 7) == pow(fixed, 7, big.modulus)
+    # another group loads as a new instance, with no table until its first
+    # generator exp there
+    other = generate_group(24, random.Random(1))
+    other.exp(other.generator, 3)
+    loaded = pickle.loads(pickle.dumps(other))
+    assert loaded == other and loaded is not other and loaded._generator_table is None
+    assert loaded.exp(loaded.generator, 3) == other.exp(other.generator, 3)

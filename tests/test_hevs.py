@@ -1,12 +1,13 @@
 import dataclasses
 import gc
+import math
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from votesim import hevs
+from votesim import experiments, hevs
 from votesim.adversary import Behavior, VoterRole
 from votesim.errors import (
     AmbiguousMode,
@@ -246,6 +247,17 @@ def test_reliability_probability_monotone_grid():
                 assert reliability_probability(n, m, t) >= reliability_probability(n, m, t + 1)
 
 
+@given(data=st.data())
+def test_reliability_probability_is_the_float_of_the_binomial_ratio(data):
+    # perm(n - t, m) / perm(n, m) or perm(n - m, t) / perm(n, t): the same
+    # rational as C(n - m, t) / C(n, t), rounded once by int / int
+    n = data.draw(st.integers(1, 3000))
+    m = data.draw(st.integers(0, n))
+    t = data.draw(st.one_of(st.integers(0, n), st.integers(max(n - m - 2, 0), n)))
+    expected = math.comb(n - m, t) / math.comb(n, t) if t <= n - m else 0.0
+    assert reliability_probability(n, m, t) == expected
+
+
 def test_with_replacement_variant():
     assert reliability_probability_with_replacement(50, 5, 25) == pytest.approx(0.9 ** 25)
     assert reliability_probability_with_replacement(10, 0, 99) == 1.0
@@ -352,7 +364,7 @@ def test_fake_share_voter_reuses_one_exponent(tiny, monkeypatch):
     # In the mod-23 group about one first draw in ten equals the secret, so the
     # redraw is exercised too. Every voter fakes, so no honest voter can refuse
     # a small-group aggregate that happens to equal its own ballot.
-    secrets, drawn, exponents = {}, {}, {}
+    secrets, drawn, used = {}, {}, []
     keygen, draw, fake = hevs.keygen_share, hevs.draw_fake_exponent, hevs.fake_decryption_share
 
     def spy_keygen(rng, params, voter_id):
@@ -361,17 +373,19 @@ def test_fake_share_voter_reuses_one_exponent(tiny, monkeypatch):
         return share
 
     def spy_draw(rng, params, true_secret):
-        # voters answer in voter order, each drawing its exponent first
+        # voters draw their exponents in voter order, before any share
         voter_id = len(drawn) + 1
         assert true_secret == secrets[voter_id]
+        assert not used
         drawn[voter_id] = draw(rng, params, true_secret)
-        exponents[voter_id] = []
         return drawn[voter_id]
 
     def spy_fake(params, aggregate_c1, exponent):
-        exponents[len(drawn)].append(exponent)
+        used.append(exponent)
         return fake(params, aggregate_c1, exponent)
 
+    # the spies count in this process; a rebound fake_decryption_share keeps
+    # every sample's shares here
     monkeypatch.setattr(hevs, "keygen_share", spy_keygen)
     monkeypatch.setattr(hevs, "draw_fake_exponent", spy_draw)
     monkeypatch.setattr(hevs, "fake_decryption_share", spy_fake)
@@ -381,14 +395,21 @@ def test_fake_share_voter_reuses_one_exponent(tiny, monkeypatch):
         plan = make_sampling_plan(rng, 4, 5, 3)
         secrets.clear()
         drawn.clear()
-        exponents.clear()
-        run_sampled_election(tiny, [0] * 4, roles, plan, rng)
+        used.clear()
+        reports = {}
+        hevs.run_pipeline(tiny, [0] * 4, roles, plan, [rng] * 4,
+                          recorder=lambda phase, voter_id, value: reports.update(
+                              {(phase, voter_id): value}))
         assert drawn.keys() == {1, 2, 3, 4}
-        for voter_id, used in exponents.items():
-            assert len(used) == sum(voter_id in ms for ms in plan.multisets)
-            assert set(used) <= {drawn[voter_id]}
+        # one fake share per sample a voter is in, each to that voter's exponent
+        assert Counter(used) == Counter(
+            drawn[voter_id] for ms in plan.multisets for voter_id in set(ms))
+        requests = reports["decrypt_request", None]
+        for voter_id in drawn:
+            partials = reports.get(("decrypt_share", voter_id), {})
+            assert sorted(partials) == [j for j, ms in enumerate(plan.multisets) if voter_id in ms]
+            assert partials == {j: tiny.exp(requests[j].c1, drawn[voter_id]) for j in partials}
             assert drawn[voter_id] != secrets[voter_id]
-        assert {i for i, used in exponents.items() if used} == set().union(*plan.multisets)
 
 
 def test_election_tables_die_with_the_election(monkeypatch):
@@ -400,6 +421,8 @@ def test_election_tables_die_with_the_election(monkeypatch):
         original(self, *args)
 
     monkeypatch.setattr(CombTable, "__init__", counting_init)
+    # counts the tables built in this process, so every sample's work stays here
+    monkeypatch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
     for seed in range(50):
         # t = n so that most aggregates also have enough distinct voters
         config = ElectionConfig(protocol="hevs", n=12, k=8, t_policy=12, p_fail=0.2, seed=seed)

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
+import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from votesim import bsv
+from votesim import bsv, experiments, hevs
 from votesim.errors import ConfigError, CorruptTranscript
 from votesim.simnet import (
     PHASE_ORDER,
@@ -14,6 +17,8 @@ from votesim.simnet import (
     run_election,
     transcript_lines,
 )
+
+from reference import sampled_pipeline
 
 
 def lines_for(config):
@@ -428,3 +433,54 @@ def test_config_dict_matches_asdict():
     ]
     for config in configs:
         assert config.to_dict() == dataclasses.asdict(config)
+
+
+@st.composite
+def hevs_configs(draw):
+    n = draw(st.integers(2, 10))
+    return ElectionConfig(
+        protocol="hevs", n=n, k=draw(st.integers(2, 6)),
+        t_policy=draw(st.one_of(st.integers(1, n), st.sampled_from(("half", "sqrt")))),
+        p_fail=draw(st.sampled_from((0.0, 0.2, 0.5))), seed=draw(st.integers(0, 2**32)),
+        behavior=draw(st.sampled_from(("fake_share", "silent", "extra_vote"))),
+        group_bits=draw(st.one_of(st.none(), st.integers(16, 24))))
+
+
+def _round_trip(config):
+    outcome = run_election(config)
+    lines = transcript_lines(outcome)
+    return outcome, lines, replay(lines)
+
+
+# An honest voter refuses a sample whose aggregate is its own ballot. In
+# these the refusing voter is voter 2, then voter 3 at sample 1, while a
+# later voter is in some sample: its shares must stay out of the transcript.
+@example(ElectionConfig(protocol="hevs", n=3, k=2, t_policy=3, seed=28104, votes=(0, 1, 0),
+                        group_bits=16))
+@example(ElectionConfig(protocol="hevs", n=4, k=3, t_policy=4, seed=3863, votes=(0,) * 4,
+                        p_fail=0.4, group_bits=16))
+@example(ElectionConfig(protocol="hevs", n=4, k=3, t_policy=4, seed=9776, votes=(0,) * 4,
+                        p_fail=0.4, group_bits=16))
+@settings(max_examples=30, deadline=None)
+@given(config=hevs_configs())
+def test_a_pooled_hevs_election_is_the_one_its_voters_make_in_turn(config):
+    pooled = []
+    real_pooled = experiments._pooled
+
+    def counting_pooled(fn, *args):
+        pooled.append(fn)
+        return real_pooled(fn, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # every voter acts alone and in turn, as in the protocol
+        patch.setattr(hevs, "run_pipeline", sampled_pipeline)
+        expected = _round_trip(config)
+        patch.undo()
+        patch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+        assert _round_trip(config) == expected
+        patch.setattr(experiments, "POOL_MIN_EXPS", 0)
+        patch.setattr(experiments, "POOL_FORK_EXPS", 0)
+        patch.setattr(experiments, "_pooled", counting_pooled)
+        assert _round_trip(config) == expected
+    # both phases, in the run and in the replay, when there is a second CPU
+    assert len(pooled) == (4 if len(os.sched_getaffinity(0)) > 1 else 0)
