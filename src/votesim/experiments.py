@@ -69,6 +69,7 @@ import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
+from . import bsv, hevs
 from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
 from .group import default_group
@@ -415,6 +416,12 @@ POOL_FORK_EXPS = 1024
 _unpooled_exps = 0
 #: ``on`` while this thread runs a full-mode trial's election
 _in_trial = threading.local()
+#: Each election task module's ``_task_calls()`` as bound when this module
+#: was loaded, which loads them. A phase's tasks run in this process while
+#: any of them is rebound, as by a tracer or a test's spy: such a wrapper
+#: counts the calls made here, and a pool worker runs each function as it was
+#: bound when the worker was forked.
+_LOADED_CALLS = {calls: calls() for calls in (hevs._task_calls, bsv._task_calls)}
 
 
 def _count(groups, starts: list[int], runs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -449,9 +456,11 @@ def _steps(step, shared: tuple, tasks: Sequence[tuple], runs: Iterable[tuple[int
 
 
 def each_sample(step, shared: tuple, tasks: Sequence[tuple], costs: Sequence[int],
-                here: bool = False) -> list:
+                calls: Callable[[], tuple]) -> list:
     """[step(*shared, *task) for task in tasks]: one election phase's work,
-    one task per sample, costs[j] the exps of task j.
+    one task per sample (a hevs sample's ballots or shares, a bsv voter's
+    signature), costs[j] the exps of task j. calls() gives the functions
+    the tasks call by name, as bound now: a hevs or bsv ``_task_calls``.
 
     The tasks go to the sweep pool (see ``run_sweep``), this process taking
     them from its queue as a worker does, costliest first, when there are two
@@ -459,17 +468,20 @@ def each_sample(step, shared: tuple, tasks: Sequence[tuple], costs: Sequence[int
     affinity set has two or more CPUs; else they run here, in order. While no
     pool is forked, a phase forks it only if it costs POOL_FORK_EXPS exps, or
     once the phases run here for want of it add up to that many; so a process
-    that runs one small election forks nothing. The tasks also run here with
-    ``here``, in a sweep's trial (``_kernel``), in the owner or in a worker,
-    and while other threads run. An election uses the pool of a default
-    sweep, one worker per CPU of the set, so sweeps and elections keep the
-    same workers. A step and its arguments go through a pipe pickled:
-    ``GroupParams`` and ``FixedBase`` pickle without their comb tables.
+    that runs one small election forks nothing. The tasks also run here while
+    any function calls() gives is rebound (``_LOADED_CALLS``), in a sweep's
+    trial (``_kernel``), in the owner or in a worker, and while other threads
+    run. An election uses the pool of a default sweep, one worker per CPU of
+    the set, so sweeps and elections keep the same workers. A step and its
+    arguments go through a pipe pickled: ``GroupParams`` and ``FixedBase``
+    pickle without their comb tables. A task's exception is raised here once
+    every worker has answered, and the workers are kept.
     """
     global _unpooled_exps
     k, cost = len(tasks), sum(costs)
-    pooled = not (here or k < 2 or cost < POOL_MIN_EXPS or getattr(_in_trial, "on", False)
-                  or threading.active_count() > 1 or len(cpus := os.sched_getaffinity(0)) < 2)
+    pooled = not (k < 2 or cost < POOL_MIN_EXPS or getattr(_in_trial, "on", False)
+                  or calls() != _LOADED_CALLS[calls] or threading.active_count() > 1
+                  or len(cpus := os.sched_getaffinity(0)) < 2)
     if pooled and _pool is None and max(cost, _unpooled_exps) < POOL_FORK_EXPS:
         _unpooled_exps += cost
         pooled = False
@@ -663,7 +675,11 @@ def _pooled(fn, args: tuple, total: int, workers: int, cost_before: Callable[[in
     worker passes fn the runs it takes from the queue until it is empty.
     cost_before(position) is the cost of the positions before it; the queue
     holds the costliest runs first. The job, (fn, args, runs), is pickled once
-    and written to every worker.
+    and written to every worker. If fn raises an ``Exception`` anywhere, every
+    worker's result is still read and the queue emptied, the pool is kept,
+    and the first such exception (this process's, then the workers' in
+    order) is raised. A dead worker, a broken pipe or a signal closes the
+    pool.
     """
     size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
     bounds = [total * i // size for i in range(size + 1)]
@@ -680,6 +696,8 @@ def _pooled(fn, args: tuple, total: int, workers: int, cost_before: Callable[[in
     import pickle
     import signal  # noqa: F401 (the workers' SIGINT handler)
 
+    job = pickle.dumps((fn, args, runs))
+    errors = []
     global _pool
     with _pool_lock:
         try:
@@ -689,25 +707,31 @@ def _pooled(fn, args: tuple, total: int, workers: int, cost_before: Callable[[in
             if _pool is None:
                 _pool = _Pool(key)
             os.write(_pool.feed, ids)  # before any job: see _taken
-            job = pickle.dumps((fn, args, runs))
             for _, jobs, _ in _pool.workers:
                 _write(jobs, job)
             _pin({cpus[0]})
-            results = [fn(*args, _taken(runs, _pool.queue))]
+            try:
+                results = [fn(*args, _taken(runs, _pool.queue))]
+            except Exception as exc:  # raised once every worker has answered
+                errors.append(exc)
+                results = []
             for pid, _, pipe in _pool.workers:
                 payload = _receive(pipe)
                 if payload is None:
                     raise RuntimeError(f"pool worker {pid} exited without a result")
                 ok, value = payload
-                if not ok:
-                    raise value
-                results.append(value)
-            return results
+                (results if ok else errors).append(value)
+            # the runs left once fn raised, which no one takes now
+            for _ in _taken(runs, _pool.queue):
+                pass
         except BaseException:
             _close_pool()
             raise
         finally:
             _pin(cpus)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _work(jobs: int, results: int, queue: int, cpu: int):

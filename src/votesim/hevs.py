@@ -282,11 +282,11 @@ def cast(
     sample order, from voter_rngs[i]; every draw is made here, before any
     ballot. Each sample's column of ballots is then one task
     (``experiments.each_sample``), run on the sweep pool's workers when the
-    election is large enough and no function the task calls is rebound
-    (``_LOADED_CALLS``), else here. The roles matter here only through
-    which voters are extra-vote cheaters, who encrypt their value with no
-    0/1 check; a voter's decryption behavior acts in :func:`tally` alone. The
-    recorder hears the key, broadcast, vote and decrypt_request steps.
+    election is large enough and no function the task calls is rebound,
+    else here. The roles matter here only through which voters are
+    extra-vote cheaters, who encrypt their value with no 0/1 check; a
+    voter's decryption behavior acts in :func:`tally` alone. The recorder
+    hears the key, broadcast, vote and decrypt_request steps.
     """
     from .experiments import each_sample  # which imports this module
 
@@ -311,8 +311,7 @@ def cast(
     cheats = [role.behavior is Behavior.EXTRA_VOTE for role in roles]
     # An encryption costs two exps: the generator and the sampled key, to the nonce.
     columns = each_sample(_encrypt_column, (params, votes, cheats),
-                          list(zip(keys, zip(*nonces))), [2 * n] * plan.k,
-                          here=_task_calls() != _LOADED_CALLS)
+                          list(zip(keys, zip(*nonces))), [2 * n] * plan.k, _task_calls)
     ciphertexts = [list(row) for row in zip(*columns)]
     if recorder:
         for voter_id, row in enumerate(ciphertexts, 1):
@@ -348,9 +347,9 @@ def tally(
     voter order, after every draw of :func:`cast` and before any share; no
     other role draws. Each sample's shares are then one task
     (``experiments.each_sample``), run on the sweep pool's workers when the
-    election is large enough and no function the task calls is rebound
-    (``_LOADED_CALLS``), else here. Every share is the one the voters
-    would make one after another, and the first refusal in voter order stops
+    election is large enough and no function the task calls is rebound,
+    else here. Every share is the one the voters would make one after
+    another, and the first refusal in voter order stops
     the tally as it would there: the voters before the refusing one answer
     and are recorded, and it raises. The same ``Cast`` may be tallied under
     several roles: set the streams back to their state after the cast before
@@ -375,8 +374,7 @@ def tally(
                 for voter_id in sorted(mult) if roles[voter_id - 1].behavior is not Behavior.SILENT]
                for j, mult in enumerate(mults)]
     answers = each_sample(_decryption_shares, (params,), list(zip(requests, holders)),
-                          [len(answering) for answering in holders],
-                          here=_task_calls() != _LOADED_CALLS)
+                          [len(answering) for answering in holders], _task_calls)
     # responses[j] maps voter_id -> partial, for the voters sampled in j
     responses = [partials for partials, _ in answers]
     # the first refusing voter, and the voters before it, who answered in full
@@ -419,13 +417,7 @@ def _decryption_shares(params: GroupParams, request: Ciphertext,
 
 
 def _task_calls() -> tuple:
-    """The functions the sample tasks call by name, as bound now."""
+    """The functions the sample tasks call by name, as bound now (see
+    ``experiments.each_sample``)."""
     return (encrypt_vote, encrypt_value, decryption_share, fake_decryption_share,
             GroupParams.exp, GroupParams.is_element)
-
-
-#: _task_calls() as this module was loaded. The sample tasks run in this
-#: process while any of them is rebound, as by a tracer or a test's spy: such
-#: a wrapper counts the calls made here, and a pool worker runs each function
-#: as it was bound when the worker was forked.
-_LOADED_CALLS = _task_calls()

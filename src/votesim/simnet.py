@@ -229,11 +229,11 @@ def run_election(config: ElectionConfig, *, _signatures: dict | None = None) -> 
     """Run one election; protocol failures become structured outcomes.
 
     A hevs election of k >= 2 samples runs each sample's ballots, then each
-    sample's decryption shares, on every CPU of the affinity set through the
-    sweep's worker pool when it is large enough (see
-    ``experiments.each_sample``); every draw is made in this process first,
-    so the outcome and transcript bytes are the same on one CPU or many.
-    Plain hev and bsv run in this process.
+    sample's decryption shares, and a bsv election runs each voter's blind
+    signature, on every CPU of the affinity set through the sweep's worker
+    pool when the phase is large enough (see ``experiments.each_sample``);
+    every draw is made in this process first, so the outcome and transcript
+    bytes are the same on one CPU or many. Plain hev runs in this process.
 
     ``_signatures`` is for ``replay`` alone: a transcript's claimed bsv ballot
     signatures by nonce, each checked before use (see ``_run_bsv``).
@@ -350,9 +350,8 @@ def _run_hev(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Me
 
 def _run_bsv(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Message],
              claimed: dict) -> None:
-    """The bsv election. A signature in `claimed` under the ballot's nonce
-    that verifies stands in for signing and unblinding, times the blinding
-    factor for the blind signature; the signer still marks the voter served."""
+    """The bsv election. ``bsv.sign_requests`` answers every blind request,
+    taking a signature in `claimed` under the ballot's nonce if it verifies."""
     schedule = config.schedule
     vote_rng = spawn(config.seed, "votes")
     choices = config.votes if config.votes is not None else [
@@ -365,23 +364,17 @@ def _run_bsv(config: ElectionConfig, outcome: ElectionOutcome, messages: list[Me
     messages.append(Message("signer_key", "government", "public", {
         "tag": "signer_key", "modulus": _hex(pub.modulus), "exponent": _hex(pub.exponent)}))
 
-    pending: list[tuple[bsv.Ballot, bsv.BlindingState]] = []
+    requests: list[tuple[int, bsv.Ballot, bsv.BlindingState]] = []
     for i in range(1, config.n + 1):
         rng = spawn(config.seed, "voter", i)
         ballot = bsv.make_ballot(choices[i - 1], rng)
         state = bsv.blind(ballot, pub, rng)
-        pending.append((ballot, state))
+        requests.append((i, ballot, state))
         messages.append(Message("blind_request", f"voter:{i}", "government", {
             "tag": "blind_request", "voter_id": i, "blinded": _hex(state.blinded)}))
     signed: list[bsv.Ballot] = []
-    for i, (ballot, state) in enumerate(pending, start=1):
-        signature = claimed.get(ballot.nonce)
-        if signature is not None and bsv.verify_ballot(pub, ballot.with_signature(signature)):
-            registry.check_and_mark(i)
-            blind_sig = signature * state.factor % pub.modulus
-        else:
-            blind_sig = bsv.sign_blinded(keys, state.blinded, i, registry)
-            signature = bsv.unblind(blind_sig, state, pub)
+    answers = bsv.sign_requests(keys, registry, requests, claimed)
+    for (i, ballot, _), (blind_sig, signature) in zip(requests, answers):
         messages.append(Message("signed_blind", "government", f"voter:{i}", {
             "tag": "signed_blind", "voter_id": i, "value": _hex(blind_sig)}))
         signed.append(ballot.with_signature(signature))

@@ -3,6 +3,7 @@ import functools
 import math
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import experiments, hevs
+from votesim import bsv, cli, experiments, hevs
+from votesim.adversary import VoterRole
 from votesim.experiments import (
     CSV_COLUMNS,
     TrialConfig,
@@ -32,7 +34,7 @@ from votesim.experiments import (
     sweep_csv,
 )
 from votesim.errors import ConfigError, DiscreteLogNotFound
-from votesim.group import GroupParams
+from votesim.group import GroupParams, default_group
 from votesim.hevs import reliability_probability_with_replacement, resolve_sample_size
 from votesim.seeding import WorldReader, derive_seed, flags, spawn
 from votesim.simnet import ElectionConfig, run_election
@@ -728,6 +730,47 @@ def test_a_worker_killed_between_two_elections_is_replaced(monkeypatch):
         assert run_election(POOLED_ELECTION) == expected
         assert len(forks) == 2 * workers and all(map(experiments._running, forks[workers:]))
     _assert_no_children_left()
+
+
+@pytest.mark.skipif(len(START_AFFINITY) < 2, reason="an election forks no pool on one CPU")
+def test_a_task_that_raises_keeps_the_pool(monkeypatch):
+    # every sample's column holds voter 33's vote of 2, so every task raises
+    n, k = 64, 8
+    votes = [1] * n
+    votes[32] = 2
+    roles = [VoterRole(i, True, None) for i in range(1, n + 1)]
+    plan = hevs.make_sampling_plan(random.Random(1), n, k)
+    params = default_group()
+
+    def cast():
+        with pytest.raises(ValueError) as caught:
+            hevs.cast(params, votes, roles, plan, [random.Random(i) for i in range(n)])
+        return str(caught.value)
+
+    expected, message = _in_process(POOLED_ELECTION), cast()
+    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    with _count_forks() as forks, _pooled_calls() as calls:
+        assert cast() == message
+        pool = experiments._pool
+        assert calls == [experiments._steps] and pool is not None
+        assert len(forks) == len(START_AFFINITY) - 1
+        # the same workers, with the failed phase's runs gone from the queue
+        assert run_election(POOLED_ELECTION) == expected
+        assert experiments._pool is pool and len(forks) == len(START_AFFINITY) - 1
+        assert len(calls) == 3
+    _assert_no_children_left()
+
+
+def test_a_one_shot_bsv_run_at_its_defaults_forks_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "_unpooled_exps", 0)
+    with _count_forks() as forks:
+        assert cli.main(["bsv-run"]) == 0
+        assert forks == [] and experiments._pool is None
+    # five 512-bit signatures: enough for a forked pool, too few to fork one
+    if len(START_AFFINITY) > 1:
+        assert experiments._unpooled_exps == 5 * bsv.signing_cost(512)
+        assert experiments.POOL_MIN_EXPS <= experiments._unpooled_exps < experiments.POOL_FORK_EXPS
+    assert "tally" in capsys.readouterr().out
 
 
 def test_a_process_forked_from_the_owner_keeps_off_its_pool():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -220,11 +221,13 @@ def test_bsv_replay_signs_nothing_for_a_clean_transcript(monkeypatch):
             return real(*args)
         return counted
 
-    for name in ("sign_blinded", "unblind"):
+    # crt_sign is the signing the run does (sign_blinded is its registry check
+    # plus crt_sign); spied, it keeps every signature in this process
+    for name in ("crt_sign", "unblind"):
         monkeypatch.setattr(bsv, name, spy(name, getattr(bsv, name)))
     config = ElectionConfig(protocol="bsv", n=6, seed=2, rsa_bits=128, replay_voters=(3,))
     lines = lines_for(config)
-    assert sorted(calls) == ["sign_blinded"] * config.n + ["unblind"] * config.n
+    assert sorted(calls) == ["crt_sign"] * config.n + ["unblind"] * config.n
     calls.clear()
     replay(lines)
     assert calls == []
@@ -484,3 +487,72 @@ def test_a_pooled_hevs_election_is_the_one_its_voters_make_in_turn(config):
         assert _round_trip(config) == expected
     # both phases, in the run and in the replay, when there is a second CPU
     assert len(pooled) == (4 if len(os.sched_getaffinity(0)) > 1 else 0)
+
+
+@st.composite
+def bsv_configs(draw):
+    n = draw(st.integers(2, 40))
+    return ElectionConfig(
+        protocol="bsv", n=n, seed=draw(st.integers(0, 2**32)),
+        rsa_bits=draw(st.sampled_from((128, 256, 512))),
+        replay_voters=tuple(draw(st.lists(st.integers(1, n), max_size=3))))
+
+
+@contextlib.contextmanager
+def _bsv_signing(where):
+    """Inside the block a bsv election's signing phase runs on the pool
+    (where == "pooled"; the phase's jobs are listed in the yielded list) or
+    in this process (where == "here")."""
+    pooled, real_pooled = [], experiments._pooled
+
+    def counting_pooled(fn, *args):
+        pooled.append(fn)
+        return real_pooled(fn, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if where == "here":
+            patch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+        else:
+            patch.setattr(experiments, "POOL_MIN_EXPS", 0)
+            patch.setattr(experiments, "POOL_FORK_EXPS", 0)
+            patch.setattr(experiments, "_pooled", counting_pooled)
+        yield pooled
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=bsv_configs())
+def test_a_pooled_bsv_election_is_the_one_signed_in_turn(config):
+    with _bsv_signing("here"):
+        expected = _round_trip(config)
+    with _bsv_signing("pooled") as pooled:
+        outcome, lines, replayed = _round_trip(config)
+    assert outcome == expected[0] and outcome.ledger_dump == expected[0].ledger_dump
+    assert "\n".join(lines).encode() == "\n".join(expected[1]).encode()
+    assert replayed == expected[2]
+    # the signing phase, in the run and in the replay, when there is a second CPU
+    assert len(pooled) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
+
+
+def test_a_pooled_bsv_replay_names_each_edited_ballot_signature_as_in_process():
+    config = ElectionConfig(protocol="bsv", n=6, seed=6, rsa_bits=512, replay_voters=(2,))
+    lines = lines_for(config)
+    n = int(payload_of(lines[1])["modulus"], 16)
+    records = {index: payload_of(line)
+               for index, line in enumerate(lines) if line.startswith("post\t")}
+    for index, record in records.items():
+        other = next(p["signature"] for p in records.values() if p["nonce"] != record["nonce"])
+        edits = {
+            "signature + n": lambda p: p.update(signature=format(int(p["signature"], 16) + n, "x")),
+            "another voter's signature": lambda p: p.update(signature=other),
+        }
+        for name, edit in edits.items():
+            tampered = list(lines)
+            tampered[index] = edit_payload(lines[index], edit)
+            errors = {}
+            for where in ("here", "pooled"):
+                with _bsv_signing(where) as pooled, pytest.raises(CorruptTranscript) as caught:
+                    replay(tampered)
+                errors[where] = str(caught.value)
+            assert len(pooled) == (1 if len(os.sched_getaffinity(0)) > 1 else 0), name
+            assert errors["pooled"] == errors["here"], name
+            assert errors["here"].endswith(f"at line {index + 1}"), name
