@@ -31,10 +31,9 @@ private pows and an inverse.
 
 The signer answers an election's blind requests in one phase,
 ``sign_requests``: it marks every voter served in voter order first, then
-answers each request as one task of ``experiments.each_sample``, on the
-sweep pool's workers when the phase is large enough and no function the
-task calls is rebound, else here. A signature draws no randomness, so the
-answers are the same wherever they ran.
+answers each request as one task of ``pool.each_sample``, which runs it on
+the worker pool of ``votesim.pool`` or here. A signature draws no
+randomness, so the answers are the same wherever they ran.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
+from . import pool
 from .errors import AlreadySigned, GroupGenerationError, IneligibleVoter, PhaseError
 from .group import is_probable_prime
 
@@ -224,7 +224,7 @@ def sign_blinded(keys: SignerKeys, blinded: int, voter_id, registry: SignerRegis
 
 def signing_cost(bits: int) -> int:
     """One signature and its unblinding under a `bits`-bit key, in the
-    worker pool's unit (``experiments.each_sample``), where one hevs
+    worker pool's unit (``pool.each_sample``), where one hevs
     encryption counts as 2. Measured on a 2-vCPU x86-64 host, CPython
     3.11, in those units (best of 5 loops, against a 64-use fixed-base
     encryption): 1.4 at 128 bits, 3.8 at 256, 12.4 at 512, 61 at 1024 and
@@ -242,8 +242,6 @@ def sign_requests(keys: SignerKeys, registry: SignerRegistry,
     nonce that verifies stands in for signing and unblinding, times the
     blinding factor for the blind signature; any other request is signed
     and unblinded."""
-    from .experiments import each_sample  # which imports this module
-
     for voter_id, _, _ in requests:
         registry.check_and_mark(voter_id)
     sign = signing_cost(keys.modulus.bit_length())
@@ -251,7 +249,7 @@ def sign_requests(keys: SignerKeys, registry: SignerRegistry,
     # A claim costs one public pow and a digest: about a sixteenth of a
     # signature at 512 bits, and nothing in the pool's unit below that.
     costs = [sign if claim is None else sign >> 4 for _, _, claim in tasks]
-    return each_sample(_answer, (keys,), tasks, costs, _task_calls)
+    return pool.each_sample(_answer, (keys,), tasks, costs, _task_calls)
 
 
 def _answer(keys: SignerKeys, ballot: Ballot, state: BlindingState,
@@ -282,8 +280,12 @@ def verify_ballot(pub: RsaPublicKey, ballot: Ballot) -> bool:
 
 def _task_calls() -> tuple:
     """The functions the signing tasks call by name, as bound now (see
-    ``experiments.each_sample``)."""
+    ``pool.each_sample``)."""
     return crt_sign, unblind, verify_ballot, ballot_digest
+
+
+# In the pool's dict, not as aliases here, which a tracer would rebind too.
+pool._LOADED_CALLS[_task_calls] = _task_calls()
 
 
 class RejectReason(Enum):

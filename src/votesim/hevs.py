@@ -17,7 +17,7 @@ record tags, hex strings and party names. The pipeline runs in two phases:
 a sweep can tally one cast election under each behaviour that shares it.
 Each phase makes every draw first, in the order of the voters acting in
 turn, and then one task per sample, which may run on the worker pool of
-``votesim.experiments``; so its results do not depend on where they ran.
+``votesim.pool``; so its results do not depend on where they ran.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import pool
 from .adversary import Behavior, VoterRole, draw_fake_exponent, fake_decryption_share
 from .errors import (
     AmbiguousMode,
@@ -280,16 +281,13 @@ def cast(
 
     Voter i + 1 draws its secret key, then its nonces, one per sample in
     sample order, from voter_rngs[i]; every draw is made here, before any
-    ballot. Each sample's column of ballots is then one task
-    (``experiments.each_sample``), run on the sweep pool's workers when the
-    election is large enough and no function the task calls is rebound,
-    else here. The roles matter here only through which voters are
-    extra-vote cheaters, who encrypt their value with no 0/1 check; a
-    voter's decryption behavior acts in :func:`tally` alone. The recorder
-    hears the key, broadcast, vote and decrypt_request steps.
+    ballot. Each sample's column of ballots is then one task of
+    ``pool.each_sample``, which says where it runs. The roles matter here
+    only through which voters are extra-vote cheaters, who encrypt their
+    value with no 0/1 check; a voter's decryption behavior acts in
+    :func:`tally` alone. The recorder hears the key, broadcast, vote and
+    decrypt_request steps.
     """
-    from .experiments import each_sample  # which imports this module
-
     n = plan.population
     if len(votes) != n or len(roles) != n or len(voter_rngs) != n:
         raise ValueError("votes, roles, voter streams, and plan population must agree")
@@ -310,8 +308,8 @@ def cast(
     nonces = [[params.random_nonce(voter_rngs[i]) for _ in range(plan.k)] for i in range(n)]
     cheats = [role.behavior is Behavior.EXTRA_VOTE for role in roles]
     # An encryption costs two exps: the generator and the sampled key, to the nonce.
-    columns = each_sample(_encrypt_column, (params, votes, cheats),
-                          list(zip(keys, zip(*nonces))), [2 * n] * plan.k, _task_calls)
+    columns = pool.each_sample(_encrypt_column, (params, votes, cheats),
+                               list(zip(keys, zip(*nonces))), [2 * n] * plan.k, _task_calls)
     ciphertexts = [list(row) for row in zip(*columns)]
     if recorder:
         for voter_id, row in enumerate(ciphertexts, 1):
@@ -345,19 +343,15 @@ def tally(
 
     A fake-share voter draws its one fake exponent from its stream here, in
     voter order, after every draw of :func:`cast` and before any share; no
-    other role draws. Each sample's shares are then one task
-    (``experiments.each_sample``), run on the sweep pool's workers when the
-    election is large enough and no function the task calls is rebound,
-    else here. Every share is the one the voters would make one after
-    another, and the first refusal in voter order stops
-    the tally as it would there: the voters before the refusing one answer
-    and are recorded, and it raises. The same ``Cast`` may be tallied under
+    other role draws. Each sample's shares are then one task of
+    ``pool.each_sample``, which says where it runs. Every share is the one
+    the voters would make one after another, and the first refusal in voter
+    order stops the tally as it would there: the voters before the refusing
+    one answer and are recorded, and it raises. The same ``Cast`` may be tallied under
     several roles: set the streams back to their state after the cast before
     each, and each tally draws what it would have drawn alone. The recorder
     hears the decrypt_share and result steps.
     """
-    from .experiments import each_sample  # which imports this module
-
     params, plan, mults = ballots.params, ballots.plan, ballots.mults
     key_shares, ciphertexts, requests = ballots.key_shares, ballots.ciphertexts, ballots.requests
     n = plan.population
@@ -373,8 +367,8 @@ def tally(
                  ciphertexts[voter_id - 1][j] if roles[voter_id - 1].honest and n > 1 else None)
                 for voter_id in sorted(mult) if roles[voter_id - 1].behavior is not Behavior.SILENT]
                for j, mult in enumerate(mults)]
-    answers = each_sample(_decryption_shares, (params,), list(zip(requests, holders)),
-                          [len(answering) for answering in holders], _task_calls)
+    answers = pool.each_sample(_decryption_shares, (params,), list(zip(requests, holders)),
+                               [len(answering) for answering in holders], _task_calls)
     # responses[j] maps voter_id -> partial, for the voters sampled in j
     responses = [partials for partials, _ in answers]
     # the first refusing voter, and the voters before it, who answered in full
@@ -418,6 +412,10 @@ def _decryption_shares(params: GroupParams, request: Ciphertext,
 
 def _task_calls() -> tuple:
     """The functions the sample tasks call by name, as bound now (see
-    ``experiments.each_sample``)."""
+    ``pool.each_sample``)."""
     return (encrypt_vote, encrypt_value, decryption_share, fake_decryption_share,
             GroupParams.exp, GroupParams.is_element)
+
+
+# In the pool's dict, not as aliases here, which a tracer would rebind too.
+pool._LOADED_CALLS[_task_calls] = _task_calls()

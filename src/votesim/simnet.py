@@ -230,8 +230,8 @@ def run_election(config: ElectionConfig, *, _signatures: dict | None = None) -> 
 
     A hevs election of k >= 2 samples runs each sample's ballots, then each
     sample's decryption shares, and a bsv election runs each voter's blind
-    signature, on every CPU of the affinity set through the sweep's worker
-    pool when the phase is large enough (see ``experiments.each_sample``);
+    signature, on every CPU of the affinity set through the worker pool
+    when the phase is large enough (see ``votesim.pool.each_sample``);
     every draw is made in this process first, so the outcome and transcript
     bytes are the same on one CPU or many. Plain hev runs in this process.
 

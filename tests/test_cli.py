@@ -241,10 +241,13 @@ def run_argv(config):
 @pytest.mark.parametrize("path", sorted(DATA.glob("*.transcript")), ids=lambda path: path.stem)
 def test_replay_of_a_pinned_transcript_ends_as_its_run(path, tmp_path, capsys):
     # Replay verifies the lines, then succeeds or fails as the run subcommand does.
-    ok = json.loads((DATA / "outcomes.json").read_text(encoding="utf-8"))[path.stem]["ok"]
+    pinned = json.loads((DATA / "outcomes.json").read_text(encoding="utf-8"))[path.stem]
+    ok = pinned["ok"]
     lines = path.read_text(encoding="utf-8").splitlines()
     code, out, err = run_cli(capsys, ["replay", str(path)])
     assert code == (0 if ok else 4)
+    if not ok:  # the pinned error, culprits and all
+        assert err.endswith(f"error protocol: {pinned['error']}: {pinned['error_detail']}\n")
     assert out.splitlines()[0] == f"replay ok records={len(lines) - 1}"
     config = ElectionConfig.from_dict(json.loads(lines[0][len(TRANSCRIPT_MAGIC) + 1:]))
     transcript = tmp_path / "run.transcript"

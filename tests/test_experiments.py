@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import bsv, cli, experiments, hevs
+from votesim import bsv, cli, experiments, hevs, pool
 from votesim.adversary import VoterRole
 from votesim.experiments import (
     CSV_COLUMNS,
@@ -437,13 +437,13 @@ def _count_forks():
             forks.append(pid)
         return pid
 
-    experiments._close_pool()
+    pool._close_pool()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "fork", counting_fork)
             yield forks
     finally:
-        experiments._close_pool()
+        pool._close_pool()
 
 
 def test_default_workers_fork_one_child_per_extra_cpu():
@@ -511,7 +511,7 @@ def test_a_repeated_parallel_sweep_forks_nothing():
         # another grid of the same worker count and CPUs takes the same workers
         other = grid((12,), (0.3,), (4,), trials=5, seeds=(3,))
         assert run_sweep(other, workers=2) == run_sweep(other, workers=1)
-        assert len(forks) == 1 and experiments._running(forks[0])
+        assert len(forks) == 1 and pool._running(forks[0])
     _assert_no_children_left()
 
 
@@ -570,7 +570,7 @@ def test_an_idle_worker_killed_from_outside_is_replaced():
         os.kill(forks[0], signal.SIGKILL)
         os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
         assert run_sweep(configs, workers=2) == expected
-        assert len(forks) == 2 and experiments._running(forks[1])
+        assert len(forks) == 2 and pool._running(forks[1])
     _assert_no_children_left()
 
 
@@ -581,21 +581,21 @@ POOLED_ELECTION = ElectionConfig(protocol="hevs", n=24, k=4, p_fail=0.1, seed=3)
 
 def _in_process(config):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+        patch.setattr(pool, "POOL_MIN_EXPS", math.inf)
         return run_election(config)
 
 
 @contextlib.contextmanager
 def _pooled_calls():
     """The fn of each job this process sends to the pool inside the block."""
-    calls, real_pooled = [], experiments._pooled
+    calls, real_pooled = [], pool._pooled
 
     def recording_pooled(fn, *args):
         calls.append(fn)
         return real_pooled(fn, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_pooled", recording_pooled)
+        patch.setattr(pool, "_pooled", recording_pooled)
         yield calls
 
 
@@ -609,12 +609,12 @@ def test_an_election_after_a_sweep_takes_the_sweeps_workers():
         assert len(forks) == cpus - 1
         # the sweep's job, then each election's cast and tally
         if cpus > 1:
-            assert calls == [experiments._count] + [experiments._steps] * 4
+            assert calls == [experiments._count] + [pool._steps] * 4
     _assert_no_children_left()
 
 
 def test_an_election_forks_nothing_while_other_threads_run_or_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    monkeypatch.setattr(pool, "POOL_FORK_EXPS", 0)
     expected = _in_process(POOLED_ELECTION)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -641,31 +641,31 @@ def test_an_election_forks_nothing_while_other_threads_run_or_on_one_cpu(monkeyp
 @pytest.mark.skipif(len(START_AFFINITY) < 2, reason="an election forks no pool on one CPU")
 def test_small_elections_fork_the_pool_once_their_phases_add_up(monkeypatch):
     expected = _in_process(POOLED_ELECTION)
-    monkeypatch.setattr(experiments, "_unpooled_exps", 0)
+    monkeypatch.setattr(pool, "_unpooled_exps", 0)
     with _count_forks() as forks:
         # each phase is below POOL_FORK_EXPS, so they run here until their
         # exps add up to it
-        while experiments._unpooled_exps < experiments.POOL_FORK_EXPS:
+        while pool._unpooled_exps < pool.POOL_FORK_EXPS:
             assert forks == []
             assert run_election(POOLED_ELECTION) == expected
-        assert experiments._unpooled_exps < experiments.POOL_FORK_EXPS + 192
+        assert pool._unpooled_exps < pool.POOL_FORK_EXPS + 192
         assert run_election(POOLED_ELECTION) == expected
         assert len(forks) == len(START_AFFINITY) - 1
     # a phase of POOL_FORK_EXPS exps forks the pool at once
     large = ElectionConfig(protocol="hevs", n=64, k=8, seed=3)
     expected = _in_process(large)
-    monkeypatch.setattr(experiments, "_unpooled_exps", 0)
+    monkeypatch.setattr(pool, "_unpooled_exps", 0)
     with _count_forks() as forks, _pooled_calls() as calls:
         assert run_election(large) == expected
         assert len(forks) == len(START_AFFINITY) - 1 and len(calls) == 2
-        assert experiments._unpooled_exps == 0
+        assert pool._unpooled_exps == 0
     _assert_no_children_left()
 
 
 def test_an_election_with_a_rebound_call_keeps_every_sample_here(monkeypatch):
     # A tracer or spy wraps what the samples call and counts the calls made in
     # this process, so none may run on a worker forked before the wrapping.
-    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    monkeypatch.setattr(pool, "POOL_FORK_EXPS", 0)
     expected = _in_process(POOLED_ELECTION)
     n, k = POOLED_ELECTION.n, POOLED_ELECTION.k
     for owner, name in ((hevs, "encrypt_vote"), (GroupParams, "exp")):
@@ -698,7 +698,7 @@ def test_a_full_sweeps_trials_never_send_their_samples_to_the_pool():
                for config in grid((12, 30), (0.05, 0.3), (4, 8), mode="full", trials=2,
                                   seeds=(1,), behavior=behavior)]
     expected, trial = run_sweep(configs, workers=1), run_trial(configs[0], 5)
-    real_pooled = experiments._pooled
+    real_pooled = pool._pooled
 
     def sweep_jobs_only(fn, *args):
         assert fn is experiments._count, fn
@@ -707,9 +707,9 @@ def test_a_full_sweeps_trials_never_send_their_samples_to_the_pool():
     # Workers forked in the block inherit the patch, so a trial's election
     # phase sent from a worker fails the sweep as one sent from this process.
     with _count_forks() as forks, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "POOL_MIN_EXPS", 0)
-        patch.setattr(experiments, "POOL_FORK_EXPS", 0)
-        patch.setattr(experiments, "_pooled", sweep_jobs_only)
+        patch.setattr(pool, "POOL_MIN_EXPS", 0)
+        patch.setattr(pool, "POOL_FORK_EXPS", 0)
+        patch.setattr(pool, "_pooled", sweep_jobs_only)
         for workers in (1, 2, None):
             assert run_sweep(configs, workers=workers) == expected
         assert run_trial(configs[0], 5) == trial
@@ -718,7 +718,7 @@ def test_a_full_sweeps_trials_never_send_their_samples_to_the_pool():
 
 
 def test_a_worker_killed_between_two_elections_is_replaced(monkeypatch):
-    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    monkeypatch.setattr(pool, "POOL_FORK_EXPS", 0)
     expected = _in_process(POOLED_ELECTION)
     workers = len(START_AFFINITY) - 1
     with _count_forks() as forks:
@@ -728,7 +728,7 @@ def test_a_worker_killed_between_two_elections_is_replaced(monkeypatch):
             os.kill(pid, signal.SIGKILL)
             os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
         assert run_election(POOLED_ELECTION) == expected
-        assert len(forks) == 2 * workers and all(map(experiments._running, forks[workers:]))
+        assert len(forks) == 2 * workers and all(map(pool._running, forks[workers:]))
     _assert_no_children_left()
 
 
@@ -748,28 +748,28 @@ def test_a_task_that_raises_keeps_the_pool(monkeypatch):
         return str(caught.value)
 
     expected, message = _in_process(POOLED_ELECTION), cast()
-    monkeypatch.setattr(experiments, "POOL_FORK_EXPS", 0)
+    monkeypatch.setattr(pool, "POOL_FORK_EXPS", 0)
     with _count_forks() as forks, _pooled_calls() as calls:
         assert cast() == message
-        pool = experiments._pool
-        assert calls == [experiments._steps] and pool is not None
+        kept = pool._pool
+        assert calls == [pool._steps] and kept is not None
         assert len(forks) == len(START_AFFINITY) - 1
         # the same workers, with the failed phase's runs gone from the queue
         assert run_election(POOLED_ELECTION) == expected
-        assert experiments._pool is pool and len(forks) == len(START_AFFINITY) - 1
+        assert pool._pool is kept and len(forks) == len(START_AFFINITY) - 1
         assert len(calls) == 3
     _assert_no_children_left()
 
 
 def test_a_one_shot_bsv_run_at_its_defaults_forks_nothing(monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "_unpooled_exps", 0)
+    monkeypatch.setattr(pool, "_unpooled_exps", 0)
     with _count_forks() as forks:
         assert cli.main(["bsv-run"]) == 0
-        assert forks == [] and experiments._pool is None
+        assert forks == [] and pool._pool is None
     # five 512-bit signatures: enough for a forked pool, too few to fork one
     if len(START_AFFINITY) > 1:
-        assert experiments._unpooled_exps == 5 * bsv.signing_cost(512)
-        assert experiments.POOL_MIN_EXPS <= experiments._unpooled_exps < experiments.POOL_FORK_EXPS
+        assert pool._unpooled_exps == 5 * bsv.signing_cost(512)
+        assert pool.POOL_MIN_EXPS <= pool._unpooled_exps < pool.POOL_FORK_EXPS
     assert "tally" in capsys.readouterr().out
 
 
@@ -780,17 +780,17 @@ def test_a_process_forked_from_the_owner_keeps_off_its_pool():
         assert run_sweep(configs, workers=2) == expected
         worker = forks[0]
         # forked while the pool's lock is held, as by a sweep on another thread
-        with experiments._pool_lock:
+        with pool._pool_lock:
             pid = os.fork()  # counted too, so forks[1] is this child
             if pid == 0:
                 code = 1
                 try:
                     # starts with no pool, sweeps on workers of its own, then
                     # leaves the owner's alone on exit
-                    ok = experiments._pool is None
+                    ok = pool._pool is None
                     ok = ok and run_sweep(configs, workers=2) == expected
-                    ok = ok and [pid for pid, _, _ in experiments._pool.workers] != [worker]
-                    experiments._close_pool()
+                    ok = ok and [pid for pid, _, _ in pool._pool.workers] != [worker]
+                    pool._close_pool()
                     code = 0 if ok else 2
                 finally:
                     os._exit(code)
@@ -801,7 +801,7 @@ def test_a_process_forked_from_the_owner_keeps_off_its_pool():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
-        assert experiments._running(worker)
+        assert pool._running(worker)
         assert run_sweep(configs, workers=2) == expected
         assert forks == [worker, pid]
     _assert_no_children_left()
@@ -827,7 +827,7 @@ def test_a_worker_reaped_from_outside_gets_no_signal():
             patch.setattr(os, "kill", recording_kill)
             assert run_sweep(configs, workers=3) == expected
             assert kills == [live] and len(forks) == 4
-            experiments._close_pool()
+            pool._close_pool()
             assert kills == [live, *forks[2:]]
     _assert_no_children_left()
 
@@ -859,12 +859,12 @@ def test_a_killed_owner_leaves_no_worker_behind(tmp_path):
     pids = tmp_path / "pids"
     script = (
         "import os, signal, sys, time\n"
-        "from votesim import experiments\n"
+        "from votesim import experiments, pool\n"
         "configs = experiments.grid((10, 20), (0.2,), (3,), trials=12, seeds=(1,))\n"
         "expected = experiments.run_sweep(configs, workers=1)\n"
         "for _ in range(2):\n"
         "    assert experiments.run_sweep(configs, workers=3) == expected\n"
-        "workers = [pid for pid, _, _ in experiments._pool.workers]\n"
+        "workers = [pid for pid, _, _ in pool._pool.workers]\n"
         "# a forked process that outlives the owner holds no job pipe of theirs\n"
         "sleeper = os.fork()\n"
         "if sleeper == 0:\n"
@@ -933,13 +933,13 @@ def _patched_trials(log, parent, child, ran_in):
 
     # Workers run the code as it stood when they were forked: the block forks
     # its own, and none of them outlives it to run the patch later.
-    experiments._close_pool()
+    pool._close_pool()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_kernel", kernel)
             yield
     finally:
-        experiments._close_pool()
+        pool._close_pool()
     sides = set(log.read_text().split()) if log.exists() else set()
     assert set(ran_in) <= sides, f"no wrapper ran in the {sorted(set(ran_in) - sides)}"
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from votesim import experiments, hevs
+from votesim import hevs, pool
 from votesim.adversary import Behavior, VoterRole
 from votesim.errors import (
     AmbiguousMode,
@@ -422,7 +422,7 @@ def test_election_tables_die_with_the_election(monkeypatch):
 
     monkeypatch.setattr(CombTable, "__init__", counting_init)
     # counts the tables built in this process, so every sample's work stays here
-    monkeypatch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+    monkeypatch.setattr(pool, "POOL_MIN_EXPS", math.inf)
     for seed in range(50):
         # t = n so that most aggregates also have enough distinct voters
         config = ElectionConfig(protocol="hevs", n=12, k=8, t_policy=12, p_fail=0.2, seed=seed)

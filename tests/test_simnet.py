@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from votesim import bsv, experiments, hevs
+from votesim import bsv, hevs, pool
 from votesim.errors import ConfigError, CorruptTranscript
 from votesim.simnet import (
     PHASE_ORDER,
@@ -468,7 +468,7 @@ def _round_trip(config):
 @given(config=hevs_configs())
 def test_a_pooled_hevs_election_is_the_one_its_voters_make_in_turn(config):
     pooled = []
-    real_pooled = experiments._pooled
+    real_pooled = pool._pooled
 
     def counting_pooled(fn, *args):
         pooled.append(fn)
@@ -479,11 +479,11 @@ def test_a_pooled_hevs_election_is_the_one_its_voters_make_in_turn(config):
         patch.setattr(hevs, "run_pipeline", sampled_pipeline)
         expected = _round_trip(config)
         patch.undo()
-        patch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+        patch.setattr(pool, "POOL_MIN_EXPS", math.inf)
         assert _round_trip(config) == expected
-        patch.setattr(experiments, "POOL_MIN_EXPS", 0)
-        patch.setattr(experiments, "POOL_FORK_EXPS", 0)
-        patch.setattr(experiments, "_pooled", counting_pooled)
+        patch.setattr(pool, "POOL_MIN_EXPS", 0)
+        patch.setattr(pool, "POOL_FORK_EXPS", 0)
+        patch.setattr(pool, "_pooled", counting_pooled)
         assert _round_trip(config) == expected
     # both phases, in the run and in the replay, when there is a second CPU
     assert len(pooled) == (4 if len(os.sched_getaffinity(0)) > 1 else 0)
@@ -503,7 +503,7 @@ def _bsv_signing(where):
     """Inside the block a bsv election's signing phase runs on the pool
     (where == "pooled"; the phase's jobs are listed in the yielded list) or
     in this process (where == "here")."""
-    pooled, real_pooled = [], experiments._pooled
+    pooled, real_pooled = [], pool._pooled
 
     def counting_pooled(fn, *args):
         pooled.append(fn)
@@ -511,11 +511,11 @@ def _bsv_signing(where):
 
     with pytest.MonkeyPatch.context() as patch:
         if where == "here":
-            patch.setattr(experiments, "POOL_MIN_EXPS", math.inf)
+            patch.setattr(pool, "POOL_MIN_EXPS", math.inf)
         else:
-            patch.setattr(experiments, "POOL_MIN_EXPS", 0)
-            patch.setattr(experiments, "POOL_FORK_EXPS", 0)
-            patch.setattr(experiments, "_pooled", counting_pooled)
+            patch.setattr(pool, "POOL_MIN_EXPS", 0)
+            patch.setattr(pool, "POOL_FORK_EXPS", 0)
+            patch.setattr(pool, "_pooled", counting_pooled)
         yield pooled
 
 
