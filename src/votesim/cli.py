@@ -18,7 +18,7 @@ from . import experiments, simnet
 from .adversary import Behavior
 from .errors import ConfigError, CorruptTranscript, ProtocolError, VotesimError
 from .experiments import TRIAL_BEHAVIORS, TrialConfig
-from .hevs import reliability_probability
+from .hevs import MAX_TRIAL_SIZE, reliability_probability
 from .simnet import ElectionConfig, Schedule
 
 
@@ -60,9 +60,8 @@ def _size(name: str, listed: bool = True) -> Callable[[str], object]:
         else:
             values = ends = _int_list(text) if listed else (int(text),)
         for value in ends:
-            if not 0 <= value <= experiments.MAX_TRIAL_SIZE:
-                raise ConfigError(f"{name} must be at least 0 and at most "
-                                  f"{experiments.MAX_TRIAL_SIZE}, got {value}")
+            if not 0 <= value <= MAX_TRIAL_SIZE:
+                raise ConfigError(f"{name} must be at least 0 and at most {MAX_TRIAL_SIZE}, got {value}")
         return tuple(values) if listed else values[0]
     return size
 

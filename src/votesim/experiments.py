@@ -61,9 +61,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 import random
-import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
@@ -72,38 +70,17 @@ from .adversary import Behavior, VoterRole
 from .errors import AmbiguousMode, NoConsistentResult
 from .group import default_group
 from .hevs import (
+    bounded_sample_size,
     cast,
     make_sampling_plan,
     mode_decision,
     reliability_probability,
     reliability_probability_with_replacement,
-    resolve_sample_size,
     tally,
 )
 from .seeding import WorldReader, derive_seeds, flags, reseed
 
 TRIAL_BEHAVIORS = ("fake_share", "silent")
-
-#: the largest n, k and t a trial or an election (``simnet.ElectionConfig``)
-#: takes; a plan index is read from 16 bits
-MAX_TRIAL_SIZE = 65535
-#: the largest k * t a trial takes, so a symbolic trial's block of plan words
-#: stays below the 2**31 bits one getrandbits call can draw
-MAX_PLAN_INDICES = 2 ** 24
-
-
-def bounded_sample_size(n: int, k: int, t_policy) -> int:
-    """t_policy resolved at n, once n, k and t are each in [1, MAX_TRIAL_SIZE]
-    and k * t is at most MAX_PLAN_INDICES; else a ValueError naming the field."""
-    for name, value in (("n", n), ("k", k)):
-        if not 1 <= value <= MAX_TRIAL_SIZE:
-            raise ValueError(f"{name} must be at least 1 and at most {MAX_TRIAL_SIZE}, got {value}")
-    t = resolve_sample_size(t_policy, n)
-    if t > MAX_TRIAL_SIZE:
-        raise ValueError(f"t must be at most {MAX_TRIAL_SIZE}, got {t}")
-    if k * t > MAX_PLAN_INDICES:
-        raise ValueError(f"k * t must be at most {MAX_PLAN_INDICES}, got k={k}, t={t}")
-    return t
 
 
 def format_number(value) -> str:
@@ -310,22 +287,22 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     sweep of the default worker count, forks once; a sweep's own trials never
     send their elections' samples to the pool.
 
-    ``workers=None`` means one worker per CPU in ``os.sched_getaffinity(0)``,
-    or 1 while other threads are running, since a forked child holds only the
-    calling thread. The count is capped at the number of trials. ``workers=1``
-    runs every trial in this process, so a patch or tracer that records state
-    here sees all of them. It takes the worlds in the order each first appears
-    in ``configs``, each world's seeds in order and each seed's trials in
-    order, and one kernel trial scores all of a world's points: for
-    configs [A_k4_fake, B_k4_fake, A_k8_fake, A_k4_silent], where A and B
-    differ in n, it runs A's trials (at k = 8), then B's.
+    ``workers=None`` means ``pool.width()``: one worker per CPU of the
+    affinity set, or 1 while other threads run. The count is capped at the
+    number of trials. ``workers=1`` runs every trial in this process, so a
+    patch or tracer that records state here sees all of them. It takes the
+    worlds in the order each first appears in ``configs``, each world's seeds
+    in order and each seed's trials in order, and one kernel trial scores all
+    of a world's points: for configs [A_k4_fake, B_k4_fake, A_k8_fake,
+    A_k4_silent], where A and B differ in n, it runs A's trials (at k = 8),
+    then B's.
 
     An exception in a worker is re-raised here with its type.
     """
     if not configs:
         raise ValueError("empty sweep grid")
     if workers is None:
-        workers = 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+        workers = pool.width()
     elif isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
     # point positions per world; a world's configs also share trials and seeds
@@ -345,7 +322,11 @@ def run_sweep(configs: Sequence[TrialConfig], workers: int | None = None) -> lis
     if workers == 1:
         counts = _count(groups, starts, [(0, total)])
     else:
-        counts = _pooled_counts(groups, starts, workers)
+        # A trial costs about n * k for its world's largest k: each of its n
+        # voters encrypts under k keys.
+        costs = [spec[1] * max(k for k, _, _ in spec[4]) for spec, _ in groups]
+        parts = pool._pooled(_count, (groups, starts), starts, costs, workers)
+        counts = [[sum(column) for column in zip(*world)] for world in zip(*parts)]
 
     # each point's correct-trial counts, in its seeds' order
     correct: list[list[int]] = [[] for _ in configs]
@@ -392,26 +373,6 @@ def _count(groups, starts: list[int], runs: Iterable[tuple[int, int]]) -> list[l
                 for i, verdict in enumerate(trial(trial_seed)):
                     world_counts[i] += verdict
             group += 1
-    return counts
-
-
-def _pooled_counts(groups, starts: list[int], workers: int) -> list[list[int]]:
-    """Sum of every worker's counts; workers 1..W-1 are the pool's."""
-    # A trial costs about n * k for its world's largest k: each of its n
-    # voters encrypts under k keys.
-    trial_costs = [spec[1] * max(k for k, _, _ in spec[4]) for spec, _ in groups]
-    costs = list(itertools.accumulate(
-        (cost * (end - start) for cost, start, end in zip(trial_costs, starts, starts[1:])),
-        initial=0))
-
-    def cost_before(position: int) -> int:
-        group = bisect.bisect_right(starts, position, hi=len(groups)) - 1
-        return costs[group] + (position - starts[group]) * trial_costs[group]
-
-    counts = None
-    for part in pool._pooled(_count, (groups, starts), starts[-1], workers, cost_before):
-        counts = part if counts is None else [[a + b for a, b in zip(mine, theirs)]
-                                              for mine, theirs in zip(counts, part)]
     return counts
 
 

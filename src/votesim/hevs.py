@@ -18,6 +18,9 @@ a sweep can tally one cast election under each behaviour that shares it.
 Each phase makes every draw first, in the order of the voters acting in
 turn, and then one task per sample, which may run on the worker pool of
 ``votesim.pool``; so its results do not depend on where they ran.
+
+``bounded_sample_size`` bounds a trial's or an election's plan before any
+draw: n, k, t <= MAX_TRIAL_SIZE and k * t <= MAX_PLAN_INDICES.
 """
 
 from __future__ import annotations
@@ -107,6 +110,27 @@ def resolve_sample_size(policy, n: int) -> int:
             raise ValueError("sample size must be at least 1")
         return policy
     raise ValueError(f"unknown sample-size policy {policy!r}")
+
+
+#: the largest n, k and t of a trial or an election: a plan index is read from 16 bits
+MAX_TRIAL_SIZE = 65535
+#: the largest k * t a plan holds, so a symbolic trial's block of plan words
+#: stays below the 2**31 bits one getrandbits call can draw
+MAX_PLAN_INDICES = 2 ** 24
+
+
+def bounded_sample_size(n: int, k: int, t_policy) -> int:
+    """t_policy resolved at n, once n, k and t are each in [1, MAX_TRIAL_SIZE]
+    and k * t is at most MAX_PLAN_INDICES; else a ValueError naming the field."""
+    for name, value in (("n", n), ("k", k)):
+        if not 1 <= value <= MAX_TRIAL_SIZE:
+            raise ValueError(f"{name} must be at least 1 and at most {MAX_TRIAL_SIZE}, got {value}")
+    t = resolve_sample_size(t_policy, n)
+    if t > MAX_TRIAL_SIZE:
+        raise ValueError(f"t must be at most {MAX_TRIAL_SIZE}, got {t}")
+    if k * t > MAX_PLAN_INDICES:
+        raise ValueError(f"k * t must be at most {MAX_PLAN_INDICES}, got k={k}, t={t}")
+    return t
 
 
 def make_sampling_plan(rng: random.Random, n: int, k: int, t_policy=None) -> SamplingPlan:

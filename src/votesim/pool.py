@@ -1,12 +1,12 @@
 """Forked workers that run one call's work on every CPU of the affinity set.
 
-``_pooled(fn, args, total, workers, cost_before)`` runs fn(*args, runs) in
-this process and in each of the pool's W - 1 workers, for W = workers.
-Positions 0..total-1 are cut into runs of consecutive positions, and each
-worker, this process among them, passes fn the runs it takes from a shared
-queue until it is empty. The queue is one pipe whose read end, shared by
-all of them, does not block. It holds the runs costliest first
-(cost_before(position) is the cost of the positions before it), Graham's LPT
+``_pooled(fn, args, starts, costs, workers)`` runs fn(*args, runs) in this
+process and in each of the pool's W - 1 workers, for W = workers.
+Positions 0..starts[-1]-1 are cut into runs of consecutive positions, and
+each worker, this process among them, passes fn the runs it takes from a
+shared queue until it is empty. The queue is one pipe whose read end, shared
+by all of them, does not block. It holds the runs costliest first (each
+position in starts[g]..starts[g+1]-1 costs costs[g]), Graham's LPT
 order (SIAM J. Appl. Math. 1969), so the runs taken last, while other
 workers may sit idle, are the cheapest. Worker i is held on the set's i-th
 CPU (wrapping round), this process on its first for the call only. A worker
@@ -43,6 +43,7 @@ pool, so a process that never does loads neither.
 from __future__ import annotations
 
 import atexit
+import bisect
 import contextlib
 import itertools
 import os
@@ -92,32 +93,36 @@ def each_sample(step, shared: tuple, tasks: Sequence[tuple], costs: Sequence[int
     signature), costs[j] the exps of task j. calls() gives the functions the
     tasks call by name, as bound now: the caller's ``_task_calls``.
 
-    The tasks go to the pool, one worker per CPU of the affinity set (so
-    sweeps of the default worker count and elections keep the same workers),
-    when there are two or more, they add up to at least POOL_MIN_EXPS exps
-    and the set has two or more CPUs. While no pool is forked, a phase forks
-    it only if it costs POOL_FORK_EXPS exps, or once the phases run here for
-    want of it add up to that many. The tasks run here, in order, while any
-    function calls() gives is rebound (``_LOADED_CALLS``), in a sweep's trial
-    (``_in_trial``) and while other threads run. A step and its arguments are
-    pickled: ``GroupParams`` and ``FixedBase`` pickle without their comb tables.
+    The tasks go to the pool of ``width()`` workers (a sweep's default, so
+    sweeps and elections keep the same workers) when there are two or more,
+    they add up to at least POOL_MIN_EXPS exps and ``width()`` is two or more.
+    While no pool is forked, a phase forks it only if it costs POOL_FORK_EXPS
+    exps, or once the phases run here for want of it add up to that many. The
+    tasks run here, in order, while any function calls() gives is rebound
+    (``_LOADED_CALLS``) and in a sweep's trial (``_in_trial``). A step and its
+    arguments are pickled: ``GroupParams`` and ``FixedBase`` pickle without
+    their comb tables.
     """
     global _unpooled_exps
     k, cost = len(tasks), sum(costs)
     pooled = not (k < 2 or cost < POOL_MIN_EXPS or getattr(_in_trial, "on", False)
-                  or calls() != _LOADED_CALLS[calls] or threading.active_count() > 1
-                  or len(cpus := os.sched_getaffinity(0)) < 2)
+                  or calls() != _LOADED_CALLS[calls] or (workers := width()) < 2)
     if pooled and _pool is None and max(cost, _unpooled_exps) < POOL_FORK_EXPS:
         _unpooled_exps += cost
         pooled = False
     if not pooled:
         results = _steps(step, shared, tasks, [(0, k)])
     else:
-        before = list(itertools.accumulate(costs, initial=0))
         results = {}
-        for part in _pooled(_steps, (step, shared, tasks), k, len(cpus), before.__getitem__):
+        for part in _pooled(_steps, (step, shared, tasks), range(k + 1), costs, workers):
             results.update(part)
     return [results[j] for j in range(k)]
+
+
+def width() -> int:
+    """The default worker count: one per CPU of the affinity set, or 1 while
+    other threads run, since a forked child holds only the calling thread."""
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
 
 
 def _taken(runs: list[tuple[int, int]], queue: int):
@@ -263,14 +268,18 @@ def _close_pool() -> None:
 atexit.register(_close_pool)
 
 
-def _pooled(fn, args: tuple, total: int, workers: int, cost_before: Callable[[int], int]) -> list:
+def _pooled(fn, args: tuple, starts: Sequence[int], costs: Sequence[int], workers: int) -> list:
     """fn(*args, runs) in this process and in each of the pool's W - 1
     workers, for W = workers: their results, this process's first. See the
-    module docstring for the runs, the queue and the failure rule."""
-    size = min(total, _RUNS_PER_WORKER * workers, _MAX_RUNS)
-    bounds = [total * i // size for i in range(size + 1)]
+    module docstring for the runs, their costs, the queue and the failure rule."""
+    size = min(starts[-1], _RUNS_PER_WORKER * workers, _MAX_RUNS)
+    bounds = [starts[-1] * i // size for i in range(size + 1)]
     runs = list(zip(bounds, bounds[1:]))
-    before = [cost_before(bound) for bound in bounds]
+    # the cost of the positions before each bound
+    spent = list(itertools.accumulate(
+        (cost * (hi - lo) for cost, lo, hi in zip(costs, starts, starts[1:])), initial=0))
+    groups = [bisect.bisect_right(starts, bound, hi=len(costs)) - 1 for bound in bounds]
+    before = [spent[g] + (bound - starts[g]) * costs[g] for g, bound in zip(groups, bounds)]
     order = sorted(range(size), key=lambda i: before[i] - before[i + 1])  # costliest first
     ids = b"".join(i.to_bytes(4, "little") for i in order)
     cpus = sorted(os.sched_getaffinity(0))

@@ -22,11 +22,11 @@ from typing import Iterable, Sequence
 from . import bsv
 from .adversary import Behavior, assign_roles
 from .errors import ConfigError, CorruptTranscript, DiscreteLogNotFound, MissingShares, ProtocolError
-from .experiments import MAX_TRIAL_SIZE, bounded_sample_size
 from .group import MAX_GROUP_BITS, MIN_GROUP_BITS, default_group, generate_group
 from .hevs import (
     Recorder,
     SamplingPlan,
+    bounded_sample_size,
     make_sampling_plan,
     mode_decision,
     run_pipeline,
@@ -85,32 +85,41 @@ class Schedule:
         if self.sign_window[1] > self.post_window[0]:
             raise ConfigError("signing window must close before posting opens")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Schedule":
-        return cls(
-            sign_window=tuple(data["sign_window"]),
-            post_window=tuple(data["post_window"]),
-            anonymize=data["anonymize"],
-            delivery_salt=data["delivery_salt"],
-        )
+
+#: ElectionConfig field -> its type (an int is no bool) and its name in errors;
+#: votes and group_bits may also be None
+_FIELD_TYPES = {
+    "schedule": (Schedule, "a Schedule"),
+    **dict.fromkeys(("n", "seed", "k", "min_consistency", "extra_vote_value", "group_bits",
+                     "rsa_bits"), (int, "an integer")),
+    **dict.fromkeys(("votes", "candidates", "replay_voters"), (tuple, "a tuple")),
+}
 
 
-#: ElectionConfig fields that hold an int (never a bool); group_bits may also be None
-_INT_FIELDS = ("n", "seed", "k", "min_consistency", "extra_vote_value", "group_bits", "rsa_bits")
+def _decoded(cls, data) -> dict:
+    """data's values, each list made a tuple, once data is a dict whose keys
+    are exactly the field names of cls, as ``to_dict`` writes them."""
+    names = {f.name for f in fields(cls)}
+    if type(data) is not dict:
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
+    if set(data) != names:
+        raise ConfigError(f"{cls.__name__} keys missing {sorted(names - set(data))}, "
+                          f"unknown {sorted(set(data) - names)}")
+    return {name: tuple(value) if type(value) is list else value for name, value in data.items()}
 
 
 @dataclass(frozen=True)
 class ElectionConfig:
     """Everything a run needs; fully determines the transcript via the seed.
 
-    Sizes are bounded before any work: n is at most
-    ``experiments.MAX_TRIAL_SIZE`` (65535, the widest plan index the draws
-    read), hevs sizes n, k and t pass ``experiments.bounded_sample_size`` as
-    a sweep point's do, ``group_bits`` is at most ``group.MAX_GROUP_BITS`` and
-    ``rsa_bits`` at most ``bsv.MAX_RSA_BITS``. A value outside its bound is a
-    ``ConfigError``, and so an unreadable header in ``replay``. ``votes``,
-    ``candidates`` and ``replay_voters`` are tuples, as ``from_dict`` makes
-    them, so a config hashes and its transcript replays to an equal one.
+    Every field's rule holds for every protocol, checked before any work: its
+    type, n, k and t_policy within the bounds of ``hevs.bounded_sample_size``,
+    2 <= min_consistency <= k, the ``group`` and ``bsv`` size bounds, nonempty
+    candidates, ``replay_voters`` in [1, n], two rounds to sign. Only hev and
+    hevs votes (0 or 1), bsv votes (candidates) and bsv's p_fail (0) depend on
+    the protocol. A broken rule is a ``ConfigError``, and so an unreadable
+    header in ``replay``. ``votes``, ``candidates`` and ``replay_voters`` are
+    tuples, so a config hashes and its transcript replays to an equal one.
     """
 
     protocol: str
@@ -132,22 +141,20 @@ class ElectionConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if type(self.schedule) is not Schedule:
-            raise ConfigError(f"schedule must be a Schedule, got {self.schedule!r}")
-        for name in _INT_FIELDS:
+        for name, (kind, called) in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if type(value) is not int and not (name == "group_bits" and value is None):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("votes", "candidates", "replay_voters"):
-            value = getattr(self, name)
-            if type(value) is not tuple and not (name == "votes" and value is None):
-                raise ConfigError(f"{name} must be a tuple, got {value!r}")
-        if not 1 <= self.n <= MAX_TRIAL_SIZE:
-            raise ConfigError(f"n must be between 1 and {MAX_TRIAL_SIZE}, got {self.n}")
+            if type(value) is not kind and not (value is None and name in ("votes", "group_bits")):
+                raise ConfigError(f"{name} must be {called}, got {value!r}")
+        try:
+            bounded_sample_size(self.n, self.k, self.t_policy)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 2 <= self.min_consistency <= self.k:
+            raise ConfigError(f"min_consistency must be between 2 and k={self.k}")
         if self.group_bits is not None and not MIN_GROUP_BITS <= self.group_bits <= MAX_GROUP_BITS:
             raise ConfigError(f"group_bits must be between {MIN_GROUP_BITS} and {MAX_GROUP_BITS}, "
                               f"got {self.group_bits}")
-        if self.protocol == "bsv" and not bsv.MIN_RSA_BITS <= self.rsa_bits <= bsv.MAX_RSA_BITS:
+        if not bsv.MIN_RSA_BITS <= self.rsa_bits <= bsv.MAX_RSA_BITS:
             raise ConfigError(f"rsa_bits must be between {bsv.MIN_RSA_BITS} and "
                               f"{bsv.MAX_RSA_BITS}, got {self.rsa_bits}")
         if type(self.p_fail) not in (int, float) or not 0.0 <= self.p_fail <= 1.0:
@@ -156,33 +163,21 @@ class ElectionConfig:
             Behavior(self.behavior)
         except ValueError:
             raise ConfigError(f"unknown behavior {self.behavior!r}") from None
+        if not self.candidates or not all(map(bsv.is_ballot_content, self.candidates)):
+            raise ConfigError("candidates must be one or more nonempty names without tabs or newlines")
+        if any(type(v) is not int or not 1 <= v <= self.n for v in self.replay_voters):
+            raise ConfigError("replay_voters must be voter ids in [1, n]")
+        if self.schedule.sign_window[1] - self.schedule.sign_window[0] < 2:
+            raise ConfigError("signing window needs at least two rounds (request, response)")
         if self.votes is not None:
             if len(self.votes) != self.n:
                 raise ConfigError(f"got {len(self.votes)} votes for n={self.n}")
-            if self.protocol in ("hev", "hevs") and any(
-                    type(v) is not int or v not in (0, 1) for v in self.votes):
-                raise ConfigError("hev/hevs votes must be 0 or 1")
             if self.protocol == "bsv" and any(v not in self.candidates for v in self.votes):
                 raise ConfigError(f"bsv votes must be among the candidates {list(self.candidates)}")
-        if self.protocol == "hevs":
-            try:
-                bounded_sample_size(self.n, self.k, self.t_policy)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            if not 2 <= self.min_consistency <= self.k:
-                raise ConfigError(f"min_consistency must be between 2 and k={self.k}")
-        if self.protocol == "bsv":
-            if self.p_fail:
-                raise ConfigError("bsv does not model p_fail; use replay_voters")
-            if not self.candidates:
-                raise ConfigError("bsv needs a candidate set")
-            if not all(map(bsv.is_ballot_content, self.candidates)):
-                raise ConfigError("bsv candidates must be nonempty, without tabs or newlines")
-            if any(type(v) is not int or not 1 <= v <= self.n for v in self.replay_voters):
-                raise ConfigError("replay_voters must be voter ids in [1, n]")
-            window = self.schedule.sign_window
-            if window[1] - window[0] < 2:
-                raise ConfigError("signing window needs at least two rounds (request, response)")
+            if self.protocol != "bsv" and not all(type(v) is int and v in (0, 1) for v in self.votes):
+                raise ConfigError("hev/hevs votes must be 0 or 1")
+        if self.protocol == "bsv" and self.p_fail:
+            raise ConfigError("bsv does not model p_fail; use replay_voters")
 
     def to_dict(self) -> dict:
         """Every field, the schedule as a nested dict; JSON renders tuples as lists."""
@@ -191,19 +186,13 @@ class ElectionConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ElectionConfig":
-        data = dict(data)
-        schedule = Schedule.from_dict(data.pop("schedule"))
-        votes = data.pop("votes")
-        replayers = data.pop("replay_voters")
-        candidates = data.pop("candidates")
-        return cls(
-            votes=tuple(votes) if votes is not None else None,
-            candidates=tuple(candidates),
-            replay_voters=tuple(replayers),
-            schedule=schedule,
-            **data,
-        )
+    def from_dict(cls, data) -> "ElectionConfig":
+        """The config whose ``to_dict`` is data, as a transcript header decodes:
+        a JSON object with exactly ``to_dict``'s keys, at the top level and in
+        ``schedule``, each list standing for a tuple. Else a ConfigError."""
+        values = _decoded(cls, data)
+        values["schedule"] = Schedule(**_decoded(Schedule, data["schedule"]))
+        return cls(**values)
 
 
 @dataclass
@@ -454,7 +443,7 @@ def replay(lines: Iterable[str]) -> ElectionOutcome:
         raise CorruptTranscript("missing transcript header")
     try:
         config = ElectionConfig.from_dict(json.loads(lines[0][len(TRANSCRIPT_MAGIC) + 1:]))
-    except (ValueError, LookupError, TypeError, ConfigError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError, ConfigError) as exc:
         raise CorruptTranscript(f"unreadable header: {exc}") from exc
     claimed = _claimed_signatures(lines) if config.protocol == "bsv" else None
     outcome = run_election(config, _signatures=claimed)

@@ -10,7 +10,8 @@ import pytest
 
 import votesim
 from votesim.cli import build_parser, main
-from votesim.simnet import TRANSCRIPT_MAGIC, ElectionConfig, Schedule, run_election
+from votesim.errors import CorruptTranscript
+from votesim.simnet import TRANSCRIPT_MAGIC, ElectionConfig, Schedule, replay, run_election
 
 # frozen output of the tiny reference sweep (deterministic per seed)
 GOLDEN_SWEEP = (
@@ -439,6 +440,23 @@ def test_replay_of_non_utf8_file_is_corrupt(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["replay", str(transcript)])
     assert (code, out) == (4, "")
     assert "error protocol" in err and "UTF-8" in err
+
+
+#: headers that are no JSON object; the two nested ones reach the parser's recursion limit
+RAW_HEADERS = {"deep array": "[" * 100_000, "deep object": '{"a":' * 100_000,
+               "array": "[1, 2]", "string": '"abc"', "number": "5", "null": "null"}
+
+
+@pytest.mark.parametrize("header", RAW_HEADERS.values(), ids=RAW_HEADERS)
+def test_a_header_that_is_no_json_object_is_unreadable(tmp_path, capsys, header):
+    line = f"{TRANSCRIPT_MAGIC} {header}"
+    with pytest.raises(CorruptTranscript, match="^unreadable header: "):
+        replay([line])
+    transcript = tmp_path / "raw.transcript"
+    transcript.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["replay", str(transcript)])
+    assert (code, out) == (4, "")
+    assert err.startswith("error protocol: unreadable header: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, value", [

@@ -94,8 +94,8 @@ def test_trial_config_rejects_wrong_types(bad):
 
 
 def test_trial_config_takes_sizes_up_to_the_bound():
-    assert experiments.MAX_TRIAL_SIZE == 65535
-    assert experiments.MAX_PLAN_INDICES == 2 ** 24
+    assert hevs.MAX_TRIAL_SIZE == 65535
+    assert hevs.MAX_PLAN_INDICES == 2 ** 24
     # half of 65535 is t = 32768 = 2 ** 15, so k * t is exactly the bound
     config = TrialConfig(n=65535, p_fail=0.1, k=2 ** 9, t_policy="half")
     assert config.t == resolve_sample_size("half", 65535) == 2 ** 15

@@ -3,15 +3,21 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from votesim import bsv, hevs, pool
+from votesim import bsv, hevs, pool, simnet
+from votesim.adversary import Behavior
 from votesim.errors import ConfigError, CorruptTranscript
 from votesim.simnet import (
     PHASE_ORDER,
+    TRANSCRIPT_MAGIC,
     ElectionConfig,
+    ElectionOutcome,
     Message,
     Schedule,
     replay,
@@ -556,3 +562,168 @@ def test_a_pooled_bsv_replay_names_each_edited_ballot_signature_as_in_process():
             assert len(pooled) == (1 if len(os.sched_getaffinity(0)) > 1 else 0), name
             assert errors["pooled"] == errors["here"], name
             assert errors["here"].endswith(f"at line {index + 1}"), name
+
+
+GOLDEN = {path.stem: path.read_text(encoding="utf-8").splitlines()
+          for path in sorted((Path(__file__).resolve().parent / "data").glob("*.transcript"))}
+MAGIC = TRANSCRIPT_MAGIC + " "
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _sample_size(policy, n: int):
+    """t for a known t_policy at n, else None; hevs.resolve_sample_size, restated."""
+    half = (n + 1) // 2
+    sizes = {"half": half, "sqrt": math.isqrt(n - 1) + 1, "sqrt-half": math.isqrt(half - 1) + 1}
+    if policy is None or type(policy) is str:
+        return sizes.get(policy or "half")
+    return policy if _is_int(policy) and policy >= 1 else None
+
+
+def _window(value) -> bool:
+    return type(value) is list and len(value) == 2 and all(map(_is_int, value)) and value[0] < value[1]
+
+
+#: each header field's rule, whatever the protocol: (value, header) -> holds; a
+#: rule reads only fields whose rules come before it
+FIELD_RULES = {
+    "protocol": lambda v, h: v in ("hev", "hevs", "bsv"),
+    "n": lambda v, h: _is_int(v) and 1 <= v <= 65535,
+    "k": lambda v, h: _is_int(v) and 1 <= v <= 65535,
+    "t_policy": lambda v, h: (t := _sample_size(v, h["n"])) is not None and t <= 65535
+    and h["k"] * t <= 2 ** 24,
+    "min_consistency": lambda v, h: _is_int(v) and 2 <= v <= h["k"],
+    "seed": lambda v, h: _is_int(v),
+    "votes": lambda v, h: v is None or type(v) is list,
+    "candidates": lambda v, h: type(v) is list and v != [] and all(
+        type(c) is str and c != "" and not set(c) & set("\t\n\r") for c in v),
+    "p_fail": lambda v, h: type(v) in (int, float) and 0 <= v <= 1,
+    "behavior": lambda v, h: v in tuple(b.value for b in Behavior),
+    "extra_vote_value": lambda v, h: _is_int(v),
+    "group_bits": lambda v, h: v is None or _is_int(v) and 16 <= v <= 4096,
+    "rsa_bits": lambda v, h: _is_int(v) and 16 <= v <= 4096,
+    "replay_voters": lambda v, h: type(v) is list and all(_is_int(i) and 1 <= i <= h["n"] for i in v),
+    "schedule": lambda v, h: type(v) is dict and set(v) == set(SCHEDULE_RULES) and all(
+        rule(v[name], v) for name, rule in SCHEDULE_RULES.items()),
+}
+SCHEDULE_RULES = {
+    "sign_window": lambda v, s: _window(v) and v[1] - v[0] >= 2,
+    "post_window": lambda v, s: _window(v) and _window(s["sign_window"])
+    and s["sign_window"][1] <= v[0],
+    "anonymize": lambda v, s: type(v) is bool,
+    "delivery_salt": lambda v, s: _is_int(v),
+}
+
+
+def _header_holds(h) -> bool:
+    """The key sets, every field's rule, then the three relations that
+    depend on the protocol: the votes' values and bsv's p_fail."""
+    if set(h) != set(FIELD_RULES) or not all(
+            rule(h[name], h) for name, rule in FIELD_RULES.items()):
+        return False
+    votes, bsv_election = h["votes"], h["protocol"] == "bsv"
+    if votes is not None and (len(votes) != h["n"] or not all(
+            v in h["candidates"] if bsv_election else _is_int(v) and v in (0, 1) for v in votes)):
+        return False
+    return not (bsv_election and h["p_fail"])
+
+
+def _replay_header(lines, header):
+    """replay of lines under this header: (its CorruptTranscript or None, the
+    configs run_election was called with). The spy runs no election, as a
+    header at a size bound may ask for one that takes minutes."""
+    runs = []
+
+    def spy(config, **_):
+        runs.append(config)
+        return ElectionOutcome(config=config, ok=False)
+
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "run_election", spy)
+        try:
+            replay([MAGIC + text, *lines[1:]])
+        except CorruptTranscript as exc:
+            return exc, runs
+    return None, runs
+
+
+def _header(lines):
+    return json.loads(lines[0][len(MAGIC):])
+
+
+def _as_header(config):
+    return json.loads(json.dumps(config.to_dict()))
+
+
+#: header edits that break a rule under every protocol
+BROKEN_HEADERS = {
+    **{f"{field}={value}": (lambda h, f=field, v=value: h.update({f: v}))
+       for field, value in (("rsa_bits", 1), ("k", 0), ("k", -5), ("min_consistency", 99),
+                            ("t_policy", "bogus"), ("t_policy", [1, 2]), ("candidates", []),
+                            ("replay_voters", [99]))},
+    "no seed": lambda h: h.pop("seed"),
+    "extra top-level key": lambda h: h.update(extra=1),
+    "no schedule key": lambda h: h["schedule"].pop("anonymize"),
+    "extra schedule key": lambda h: h["schedule"].update(extra=1),
+    "one-round signing window": lambda h: h["schedule"].update(sign_window=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("edit", BROKEN_HEADERS.values(), ids=BROKEN_HEADERS)
+def test_a_broken_header_is_unreadable_before_any_run(edit):
+    for name, lines in GOLDEN.items():
+        header = _header(lines)
+        assert _header_holds(header), name
+        edit(header)
+        assert not _header_holds(header), name
+        error, runs = _replay_header(lines, header)
+        assert runs == [], name
+        assert str(error).startswith("unreadable header: "), name
+
+
+#: a value of each JSON type, bools, 0, -1, each bound and one past it, 10**40
+EDIT_VALUES = st.sampled_from([
+    0, -1, 1, 2, 3, 4, 15, 16, 17, 4096, 4097, 65535, 65536, 2 ** 24, 2 ** 24 + 1, 10 ** 40,
+    True, False, None, 0.5, 1.0, "", "x", "half", "sqrt", "sqrt-half", "a\tb", "for",
+    [], [1], [0, 1], [1, 3], [3, 5], [1, 2, 3], [0, 1, 1], ["for"], [[1]], {}, {"a": 1},
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_header_edit_replays_or_is_unreadable_by_the_rules(data):
+    # one edit per example, at the top level or in schedule: a value replaced,
+    # a key deleted or a key added
+    lines = GOLDEN[data.draw(st.sampled_from(sorted(GOLDEN)), label="transcript")]
+    header = _header(lines)
+    target = header if data.draw(st.booleans(), label="top level") else header["schedule"]
+    edit = data.draw(st.sampled_from(["replace", "delete", "add"]), label="edit")
+    key = data.draw(st.sampled_from(sorted(target)) if edit != "add"
+                    else st.sampled_from(["extra", "Seed", "t"]), label="key")
+    if edit == "delete":
+        del target[key]
+    else:
+        # near the header's own values too: k, k + 1, n + 1
+        nearby = st.sampled_from([header["k"], header["k"] + 1, header["n"] + 1])
+        target[key] = data.draw(EDIT_VALUES | nearby, label="value")
+    error, runs = _replay_header(lines, header)
+    if _header_holds(header):
+        # the re-run is the spy's empty election, which cannot match
+        assert [_as_header(config) for config in runs] == [header]
+        assert "unreadable" not in str(error)
+    else:
+        assert runs == []
+        assert str(error).startswith("unreadable header: ")
+
+
+def test_import_votesim_leaves_the_sweep_harness_unloaded():
+    script = "import sys, votesim; print('votesim.experiments' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(simnet.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
